@@ -31,7 +31,8 @@ fn bench_engine_hammer() {
         100,
     );
     run_micro("engine_hammer_batch100", SAMPLES, 100, || {
-        let flips = engine.hammer(black_box(&ev), &mut victim);
+        let mut flips = Vec::new();
+        engine.hammer(black_box(&ev), &mut victim, &mut flips);
         engine.restore(BankId(0), RowAddr(10));
         black_box(flips)
     });
@@ -44,17 +45,16 @@ fn bench_executor_loop() {
     let a = exec.chip().to_logical(RowAddr(20));
     let b_row = exec.chip().to_logical(RowAddr(22));
     let program = ops::double_sided_rowhammer(bank, a, b_row, ops::t_ras(), 10_000);
-    // Same program, both execution paths: the default compiled replay and
-    // the `--no-compile` step interpreter. Their outputs are bit-identical
-    // (see `tests/compiled_equivalence.rs`); only the speed may differ.
+    // Same program through the compiled replay and through the interpreter
+    // oracle. Their outputs are bit-identical (see
+    // `tests/compiled_equivalence.rs`); only the speed may differ.
     let compiled = run_micro("executor_ds_rowhammer_10k", SAMPLES, 1, || {
         exec.quiesce();
         black_box(exec.run(black_box(&program)))
     });
-    exec.set_compile(false);
     let interp = run_micro("executor_ds_rowhammer_10k_interp", SAMPLES, 1, || {
         exec.quiesce();
-        black_box(exec.run(black_box(&program)))
+        black_box(exec.interpret(black_box(&program)).expect("valid program"))
     });
     let speedup = interp / compiled;
     println!("[executor_compiled] compiled replay speedup: {speedup:.1}x over interpreter");

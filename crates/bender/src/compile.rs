@@ -1,36 +1,24 @@
-//! Compile-then-replay fast path: lowers a [`TestProgram`] tree into a
-//! flat, branch-light op buffer the executor replays without re-walking
-//! the tree.
+//! Compile-then-replay: lowers a [`TestProgram`] tree into a flat,
+//! branch-light op buffer the executor replays without re-walking the
+//! tree. Every program [`crate::Executor::try_run`] accepts goes through
+//! here; lowering is total over validated programs.
 //!
 //! The lowering pass resolves every logical row address to its physical
-//! address once (the interpreter calls the row-decoder scramble on every
-//! ACT of every loop iteration), keeps counted loops as counted blocks
-//! with their per-iteration aggregates (duration, ACT count, whether the
-//! body is bulk-replayable) precomputed, and stores the program-level
-//! totals the run-time checks need (duration for the refresh-window
-//! bound, command count for the fault clock). Replaying a compiled
-//! program drives the exact same per-command semantics as the
-//! interpreter — the same trace events, the same metrics and work
-//! counters, the same warm-up-then-bulk-replay loop batching — so stdout,
-//! traces, and checkpoints are byte-identical across the two paths; the
-//! speed comes from the pre-resolved addresses and from the executor
-//! pairing replay with the `pud-disturb` batching caches
-//! ([`pud_disturb::BatchState`]).
-//!
-//! What does *not* compile (the executor falls back to the interpreter):
-//! programs nested deeper than [`MAX_NEST_DEPTH`] loops, and programs
-//! referencing banks or rows outside the chip's geometry (those must take
-//! the interpreter path so its validation reports the same typed error it
-//! always has).
+//! address once (the tree-walking interpreter calls the row-decoder
+//! scramble on every ACT of every loop iteration) and keeps counted loops
+//! as counted blocks that record their flat length and whether the body
+//! is bulk-replayable. Replaying a compiled program drives the exact same
+//! per-command semantics as the interpreter — the same trace events, the
+//! same metrics and work counters, the same warm-up-then-bulk-replay loop
+//! batching; the speed comes from the pre-resolved addresses and from the
+//! executor pairing replay with the `pud-disturb` batching caches
+//! ([`pud_disturb::BatchState`]). The interpreter survives only as the
+//! test oracle ([`crate::Executor::interpret`]).
 
 use pud_dram::{BankId, Chip, DataPattern, Picos, RowAddr};
 
 use crate::command::DramCommand;
 use crate::program::{Step, TestProgram};
-
-/// Loop-nesting depth beyond which compilation bails out (a pathological
-/// program shape no kernel in `ops` produces; the interpreter handles it).
-pub const MAX_NEST_DEPTH: u32 = 16;
 
 /// One DDR4 command with its row address pre-resolved through the chip's
 /// row-decoder scramble. Mirrors [`DramCommand`] except that `Act` carries
@@ -77,133 +65,69 @@ pub(crate) enum CompiledOp {
         /// Iteration count.
         count: u64,
         /// Flat slots occupied by the body (nested blocks included).
-        len: u32,
+        len: usize,
         /// Whether the body qualifies for warm-up-then-bulk replay
         /// (same predicate as the interpreter's `run_loop`).
         batchable: bool,
-        /// Wall-clock duration of one body iteration (batchable only).
-        body_time: Picos,
-        /// ACT commands per body iteration (batchable only).
-        body_acts: u64,
     },
 }
 
-/// A [`TestProgram`] lowered into a flat op buffer plus the program-level
-/// aggregates the executor's run-time checks need.
-///
-/// Obtained from [`crate::Executor::compile`] (the addresses embed one
-/// chip's row mapping, so a compiled program is only valid on executors
-/// sharing that mapping and geometry). `Executor::try_run` compiles
-/// transparently; hold a `CompiledProgram` yourself only to amortize the
-/// lowering across many replays of the same program.
+/// A [`TestProgram`] lowered into a flat op buffer. The addresses embed
+/// one chip's row mapping, so a compiled program lives only for the one
+/// [`crate::Executor::try_run`] call that built it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledProgram {
+pub(crate) struct CompiledProgram {
     pub(crate) ops: Vec<CompiledOp>,
-    duration: Picos,
-    act_count: u64,
-    cmd_count: u64,
 }
 
 impl CompiledProgram {
-    /// Lowers `program` against `chip`'s geometry and row mapping.
-    /// Returns `None` when the program is not compilable (out-of-geometry
-    /// references or loops nested deeper than [`MAX_NEST_DEPTH`]) — the
-    /// caller falls back to the interpreter, which reports geometry
-    /// errors through its usual validation.
-    pub(crate) fn compile(program: &TestProgram, chip: &Chip) -> Option<CompiledProgram> {
+    /// Lowers `program` against `chip`'s row mapping. The caller has
+    /// already validated every bank and row against the chip's geometry.
+    pub(crate) fn compile(program: &TestProgram, chip: &Chip) -> CompiledProgram {
         let mut ops = Vec::with_capacity(program.steps().len());
-        lower(program.steps(), chip, &mut ops, 0)?;
-        Some(CompiledProgram {
-            ops,
-            duration: program.duration(),
-            act_count: program.act_count(),
-            cmd_count: program.cmd_count(),
-        })
+        lower(program.steps(), chip, &mut ops);
+        CompiledProgram { ops }
     }
+}
 
-    /// Total wall-clock duration of the program.
-    pub fn duration(&self) -> Picos {
-        self.duration
-    }
-
-    /// Total ACT commands the program issues.
-    pub fn act_count(&self) -> u64 {
-        self.act_count
-    }
-
-    /// Total commands (of any kind) the program issues — the unit the
-    /// fault-injection clock advances in.
-    pub fn cmd_count(&self) -> u64 {
-        self.cmd_count
-    }
-
-    /// Flat op-buffer slots (commands plus block headers).
-    pub fn op_len(&self) -> usize {
-        self.ops.len()
+impl ResolvedCmd {
+    /// Resolves `cmd`'s row address through `chip`'s row-decoder scramble.
+    pub(crate) fn resolve(cmd: DramCommand, chip: &Chip) -> ResolvedCmd {
+        match cmd {
+            DramCommand::Act { bank, row } => ResolvedCmd::Act {
+                bank,
+                logical: row,
+                phys: chip.to_physical(row),
+            },
+            DramCommand::Pre { bank } => ResolvedCmd::Pre { bank },
+            DramCommand::PreAll => ResolvedCmd::PreAll,
+            DramCommand::Rd { bank } => ResolvedCmd::Rd { bank },
+            DramCommand::Wr { bank, pattern } => ResolvedCmd::Wr { bank, pattern },
+            DramCommand::Ref => ResolvedCmd::Ref,
+            DramCommand::Nop => ResolvedCmd::Nop,
+        }
     }
 }
 
 /// Recursively appends the lowered form of `steps` to `ops`.
-fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> Option<()> {
-    if depth > MAX_NEST_DEPTH {
-        return None;
-    }
-    let geometry = *chip.geometry();
+fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>) {
     for step in steps {
         match step {
-            Step::Cmd(tc) => {
-                let cmd = match tc.cmd {
-                    DramCommand::Act { bank, row } => {
-                        if bank.0 >= geometry.banks || row.0 >= geometry.rows_per_bank() {
-                            return None;
-                        }
-                        ResolvedCmd::Act {
-                            bank,
-                            logical: row,
-                            phys: chip.to_physical(row),
-                        }
-                    }
-                    DramCommand::Pre { bank } => {
-                        if bank.0 >= geometry.banks {
-                            return None;
-                        }
-                        ResolvedCmd::Pre { bank }
-                    }
-                    DramCommand::Rd { bank } => {
-                        if bank.0 >= geometry.banks {
-                            return None;
-                        }
-                        ResolvedCmd::Rd { bank }
-                    }
-                    DramCommand::Wr { bank, pattern } => {
-                        if bank.0 >= geometry.banks {
-                            return None;
-                        }
-                        ResolvedCmd::Wr { bank, pattern }
-                    }
-                    DramCommand::PreAll => ResolvedCmd::PreAll,
-                    DramCommand::Ref => ResolvedCmd::Ref,
-                    DramCommand::Nop => ResolvedCmd::Nop,
-                };
-                ops.push(CompiledOp::Cmd {
-                    cmd,
-                    delay_after: tc.delay_after,
-                });
-            }
+            Step::Cmd(tc) => ops.push(CompiledOp::Cmd {
+                cmd: ResolvedCmd::resolve(tc.cmd, chip),
+                delay_after: tc.delay_after,
+            }),
             Step::Loop { count, body } => {
                 // Reserve the header slot, lower the body behind it, then
-                // patch the header with the measured flat length and the
-                // per-iteration aggregates.
+                // patch the header with the measured flat length.
                 let header = ops.len();
                 ops.push(CompiledOp::Block {
                     count: *count,
                     len: 0,
                     batchable: false,
-                    body_time: Picos::ZERO,
-                    body_acts: 0,
                 });
-                lower(body, chip, ops, depth + 1)?;
-                let len = u32::try_from(ops.len() - header - 1).ok()?;
+                lower(body, chip, ops);
+                let len = ops.len() - header - 1;
                 // Same predicate as the interpreter's `run_loop`: every
                 // body step is a plain ACT/PRE/PREALL/NOP command (flat
                 // form: no nested blocks, no RD/WR/REF slots).
@@ -219,26 +143,14 @@ fn lower(steps: &[Step], chip: &Chip, ops: &mut Vec<CompiledOp>, depth: u32) -> 
                         }
                     )
                 });
-                let (mut body_time, mut body_acts) = (Picos::ZERO, 0u64);
-                if batchable {
-                    for op in &ops[header + 1..] {
-                        if let CompiledOp::Cmd { cmd, delay_after } = op {
-                            body_time = body_time.saturating_add(*delay_after);
-                            body_acts += matches!(cmd, ResolvedCmd::Act { .. }) as u64;
-                        }
-                    }
-                }
                 ops[header] = CompiledOp::Block {
                     count: *count,
                     len,
                     batchable,
-                    body_time,
-                    body_acts,
                 };
             }
         }
     }
-    Some(())
 }
 
 #[cfg(test)]
@@ -266,26 +178,20 @@ mod tests {
     }
 
     #[test]
-    fn lowering_preserves_aggregates_and_resolves_rows() {
+    fn lowering_flattens_blocks_and_resolves_rows() {
         let chip = chip();
         let p = hammer_program(10, 1000);
-        let cp = CompiledProgram::compile(&p, &chip).expect("compilable");
-        assert_eq!(cp.duration(), p.duration());
-        assert_eq!(cp.act_count(), p.act_count());
-        assert_eq!(cp.cmd_count(), p.cmd_count());
-        assert_eq!(cp.op_len(), 3, "one block header + two command slots");
+        let cp = CompiledProgram::compile(&p, &chip);
+        assert_eq!(cp.ops.len(), 3, "one block header + two command slots");
         match cp.ops[0] {
             CompiledOp::Block {
                 count,
                 len,
                 batchable,
-                body_acts,
-                ..
             } => {
                 assert_eq!(count, 1000);
                 assert_eq!(len, 2);
                 assert!(batchable);
-                assert_eq!(body_acts, 1);
             }
             ref other => panic!("expected block header, got {other:?}"),
         }
@@ -309,7 +215,7 @@ mod tests {
             b.act(BankId(0), RowAddr(1), Picos::from_ns(36.0))
                 .rd(BankId(0), Picos::from_ns(15.0));
         });
-        let cp = CompiledProgram::compile(&p, &chip).expect("compilable");
+        let cp = CompiledProgram::compile(&p, &chip);
         assert!(matches!(
             cp.ops[0],
             CompiledOp::Block {
@@ -320,18 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_geometry_programs_do_not_compile() {
-        let chip = chip();
-        let mut p = TestProgram::new();
-        p.act(BankId(200), RowAddr(0), Picos::from_ns(36.0));
-        assert!(CompiledProgram::compile(&p, &chip).is_none());
-        let mut p = TestProgram::new();
-        p.act(BankId(0), RowAddr(u32::MAX), Picos::from_ns(36.0));
-        assert!(CompiledProgram::compile(&p, &chip).is_none());
-    }
-
-    #[test]
-    fn pathological_nesting_falls_back() {
+    fn depth_20_compiles() {
         let chip = chip();
         fn nest(depth: u32) -> TestProgram {
             let mut p = TestProgram::new();
@@ -344,12 +239,18 @@ mod tests {
             }
             p
         }
-        assert!(CompiledProgram::compile(&nest(MAX_NEST_DEPTH), &chip).is_some());
-        assert!(CompiledProgram::compile(&nest(MAX_NEST_DEPTH + 2), &chip).is_none());
+        let cp = CompiledProgram::compile(&nest(20), &chip);
+        assert_eq!(cp.ops.len(), 21, "twenty block headers + one NOP");
+        for (depth, op) in cp.ops[..20].iter().enumerate() {
+            assert!(
+                matches!(*op, CompiledOp::Block { count: 2, len, .. } if len == 20 - depth),
+                "header {depth}: {op:?}"
+            );
+        }
     }
 
     #[test]
-    fn nested_batchable_inner_loops_keep_their_aggregates() {
+    fn nested_batchable_inner_loops_stay_batchable() {
         let chip = chip();
         let mut p = TestProgram::new();
         p.repeat(10, |outer| {
@@ -360,14 +261,13 @@ mod tests {
             });
             outer.refresh(Picos::from_ns(350.0));
         });
-        let cp = CompiledProgram::compile(&p, &chip).expect("compilable");
+        let cp = CompiledProgram::compile(&p, &chip);
         // Outer block: 4 slots (inner header, 2 cmds, REF); not batchable.
         match cp.ops[0] {
             CompiledOp::Block {
                 count,
                 len,
                 batchable,
-                ..
             } => {
                 assert_eq!(count, 10);
                 assert_eq!(len, 4);
@@ -381,7 +281,6 @@ mod tests {
                 count: 50,
                 len: 2,
                 batchable: true,
-                ..
             }
         ));
     }

@@ -1,6 +1,6 @@
-//! Command-stream executor: interprets (possibly timing-violating) DDR4
-//! command sequences against the device model and drives the disturbance
-//! engine.
+//! Command-stream executor: compiles (possibly timing-violating) DDR4
+//! command sequences, replays them against the device model, and drives
+//! the disturbance engine.
 //!
 //! This is the reproduction's analog of the DRAM Bender FPGA: test programs
 //! are executed command by command with picosecond bookkeeping, and the
@@ -200,19 +200,16 @@ pub struct Executor {
     trace: Option<SharedSink>,
     fault: Option<FaultState>,
     cancel_countdown: u32,
-    /// Whether `try_run` lowers compilable programs onto the compiled
-    /// replay path (the `--no-compile` escape hatch clears it).
-    compile_enabled: bool,
     /// True while a compiled replay is in flight: `apply_event` then
-    /// routes through the engine's batching caches.
+    /// routes through the engine's batching caches (the interpreter
+    /// oracle leaves it off and uses the uncached engine).
     batched: bool,
-    /// Pure-function caches for the compiled path (vulnerability samples,
+    /// Pure-function caches for compiled replay (vulnerability samples,
     /// factor-curve products, victim data summaries). Persists across
     /// runs — every entry is either immutable or invalidated on data
     /// writes.
     batch: BatchState,
-    /// Reusable flip buffer: keeps `apply_event` allocation-free on both
-    /// paths.
+    /// Reusable flip buffer: keeps `apply_event` allocation-free.
     flip_scratch: Vec<Bitflip>,
 }
 
@@ -264,27 +261,13 @@ impl Executor {
             trace: pud_observe::global_sink(),
             fault: None,
             cancel_countdown: CANCEL_CHECK_INTERVAL,
-            compile_enabled: true,
             batched: false,
             batch: BatchState::new(),
             flip_scratch: Vec::new(),
         }
     }
 
-    /// Enables or disables the compiled fast path of [`Executor::try_run`]
-    /// (enabled by default). Results are byte-identical either way; the
-    /// escape hatch exists for A/B measurement and debugging.
-    pub fn set_compile(&mut self, enabled: bool) {
-        self.compile_enabled = enabled;
-    }
-
-    /// Whether `try_run` uses the compiled fast path for compilable
-    /// programs.
-    pub fn compile_enabled(&self) -> bool {
-        self.compile_enabled
-    }
-
-    /// Cache statistics of the compiled path's batching state.
+    /// Cache statistics of the compiled replay's batching state.
     pub fn batch_stats(&self) -> BatchStats {
         self.batch.stats()
     }
@@ -560,68 +543,42 @@ impl Executor {
     /// real infrastructure, where a failed run's readout is discarded
     /// wholesale. Rejected runs therefore mutate no device state (beyond
     /// the fault clock), which is what makes retrying a transient fault
-    /// reproduce the fault-free measurement.
+    /// reproduce the fault-free measurement. Accepted programs are
+    /// compiled onto this chip's row mapping and replayed.
     pub fn try_run(&mut self, program: &TestProgram) -> Result<RunReport, ExecError> {
+        self.admit(program)?;
+        let compiled = CompiledProgram::compile(program, &self.chip);
+        Ok(self.measure(true, |exec| exec.run_ops(&compiled.ops)))
+    }
+
+    /// Reference semantics for [`Executor::try_run`]: the same validation
+    /// and fault clock, then a walk of the program tree with the uncached
+    /// disturbance engine. Every observable output — report, trace events,
+    /// row data, accumulated disturbance, fault errors — must match
+    /// `try_run` on an identically seeded executor; the differential tests
+    /// hold the compiled replay to that. Not a production path.
+    #[doc(hidden)]
+    pub fn interpret(&mut self, program: &TestProgram) -> Result<RunReport, ExecError> {
+        self.admit(program)?;
+        Ok(self.measure(false, |exec| exec.run_steps(program.steps())))
+    }
+
+    /// The run-time checks every program passes before its first command:
+    /// cancellation, validation, and the fault clock.
+    fn admit(&mut self, program: &TestProgram) -> Result<(), ExecError> {
         crate::cancel_check();
         self.validate(program)?;
-        self.check_fault(program.cmd_count())?;
-        if self.compile_enabled {
-            // Validation passed, so the only reason compilation can fail
-            // here is a pathological program shape — fall through to the
-            // interpreter in that case.
-            if let Some(compiled) = CompiledProgram::compile(program, &self.chip) {
-                return Ok(self.replay(&compiled));
-            }
-        }
+        self.check_fault(program.cmd_count())
+    }
+
+    /// Runs `body` as one program, with hammer events routed through the
+    /// batching caches when `batched`, and reports what it did.
+    fn measure(&mut self, batched: bool, body: impl FnOnce(&mut Executor)) -> RunReport {
         self.report = RunReport::default();
         let start_clock = self.clock;
         let start_acts = self.acts;
-        self.run_steps(program.steps());
-        self.flush_all_pending();
-        self.report.elapsed = self.clock - start_clock;
-        self.report.acts = self.acts - start_acts;
-        Ok(std::mem::take(&mut self.report))
-    }
-
-    /// Lowers a program onto this chip's geometry and row mapping for
-    /// repeated replay via [`Executor::run_compiled`]. Returns `None` when
-    /// the program is invalid for this chip or not compilable —
-    /// [`Executor::try_run`] then reports the usual typed error (or
-    /// interprets the program).
-    pub fn compile(&self, program: &TestProgram) -> Option<CompiledProgram> {
-        if self.validate_steps(program.steps()).is_err() {
-            return None;
-        }
-        CompiledProgram::compile(program, &self.chip)
-    }
-
-    /// Executes a pre-compiled program, performing the same run-time
-    /// checks as [`Executor::try_run`] (cancellation, the refresh-window
-    /// bound, the fault clock) before replaying the op buffer.
-    pub fn run_compiled(&mut self, compiled: &CompiledProgram) -> Result<RunReport, ExecError> {
-        crate::cancel_check();
-        if self.env.enforce_refresh_window && !self.env.refresh_enabled {
-            let refw = Picos::from_ns(pud_disturb::calib::T_REFW_NS);
-            if compiled.duration() > refw {
-                return Err(ExecError::RefreshWindowExceeded {
-                    duration: compiled.duration(),
-                    refw,
-                });
-            }
-        }
-        self.check_fault(compiled.cmd_count())?;
-        Ok(self.replay(compiled))
-    }
-
-    /// Replays a compiled op buffer. Identical observable semantics to
-    /// `run_steps` over the source program; hammer events route through
-    /// the engine's batching caches.
-    fn replay(&mut self, compiled: &CompiledProgram) -> RunReport {
-        self.report = RunReport::default();
-        let start_clock = self.clock;
-        let start_acts = self.acts;
-        self.batched = true;
-        self.run_ops(&compiled.ops);
+        self.batched = batched;
+        body(self);
         self.flush_all_pending();
         self.batched = false;
         self.report.elapsed = self.clock - start_clock;
@@ -685,7 +642,7 @@ impl Executor {
         for step in steps {
             match step {
                 Step::Cmd(tc) => {
-                    self.exec_cmd(tc.cmd);
+                    self.exec_resolved(ResolvedCmd::resolve(tc.cmd, &self.chip));
                     self.clock = self.clock.saturating_add(tc.delay_after);
                 }
                 Step::Loop { count, body } => self.run_loop(*count, body),
@@ -694,51 +651,21 @@ impl Executor {
     }
 
     fn run_loop(&mut self, count: u64, body: &[Step]) {
-        let batchable = body.iter().all(Step::is_batchable_cmd);
-        if count <= 3 || !batchable {
+        if count <= 3 || !body.iter().all(Step::is_batchable_cmd) {
             for _ in 0..count {
                 self.run_steps(body);
             }
             return;
         }
-        // Warm up one iteration (side-history effects), record the steady
-        // state from the second, then replay the recorded events in bulk.
-        self.run_steps(body);
-        self.recording = Some(Vec::new());
-        self.run_steps(body);
-        let recorded = self.recording.take().expect("recording was on");
-        let remaining = count - 2;
-        for ev in &recorded {
-            let mut bulk = *ev;
-            bulk.repeat = ev.repeat.saturating_mul(remaining);
-            self.apply_event(&bulk);
-        }
         let body_time = body
             .iter()
             .fold(Picos::ZERO, |acc, s| acc.saturating_add(s.duration()));
-        self.clock = self
-            .clock
-            .saturating_add(body_time.saturating_mul(remaining));
         let body_acts: u64 = body.iter().map(Step::act_count).sum();
-        self.acts += body_acts * remaining;
-        self.metrics.acts.add(body_acts * remaining);
-        // The replayed iterations never reach `exec_cmd`; account their
-        // elided commands here (batchable bodies contain only Cmd steps).
-        let elided_cmds = body.len() as u64 * remaining;
-        pud_observe::live::add_commands(elided_cmds);
-        pud_observe::profile::work_commands(elided_cmds);
-        // Per-command events are elided for replayed iterations; one batch
-        // marker keeps the trace accountable for them.
-        self.trace(TraceKind::LoopBatch {
-            iterations: remaining,
-            acts: body_acts * remaining,
+        // Batchable bodies contain only Cmd steps.
+        let body_cmds = body.len() as u64;
+        self.bulk_replay(count, body_time, body_acts, body_cmds, |exec| {
+            exec.run_steps(body)
         });
-        let now = self.clock;
-        for ev in &recorded {
-            if let Some(h) = self.hist.get_mut(&(ev.bank.0, ev.victim.0)) {
-                h.last_end = now;
-            }
-        }
     }
 
     /// Walks a flat op buffer (`run_steps` over compiled slots).
@@ -755,39 +682,53 @@ impl Executor {
                     count,
                     len,
                     batchable,
-                    body_time,
-                    body_acts,
                 } => {
-                    let body = &ops[i + 1..i + 1 + len as usize];
-                    self.run_block(count, body, batchable, body_time, body_acts);
-                    i += 1 + len as usize;
+                    let body = &ops[i + 1..i + 1 + len];
+                    self.run_block(count, body, batchable);
+                    i += 1 + len;
                 }
             }
         }
     }
 
-    /// `run_loop` over a compiled block: identical warm-up-then-bulk
-    /// semantics, with the batchability predicate and the per-iteration
-    /// aggregates precomputed at compile time.
-    fn run_block(
-        &mut self,
-        count: u64,
-        body: &[CompiledOp],
-        batchable: bool,
-        body_time: Picos,
-        body_acts: u64,
-    ) {
+    /// `run_loop` over a compiled block, with the batchability predicate
+    /// precomputed at compile time.
+    fn run_block(&mut self, count: u64, body: &[CompiledOp], batchable: bool) {
         if count <= 3 || !batchable {
             for _ in 0..count {
                 self.run_ops(body);
             }
             return;
         }
-        // Warm up one iteration (side-history effects), record the steady
-        // state from the second, then replay the recorded events in bulk.
-        self.run_ops(body);
+        // Batchable bodies contain only Cmd slots.
+        let (mut body_time, mut body_acts) = (Picos::ZERO, 0u64);
+        for op in body {
+            if let CompiledOp::Cmd { cmd, delay_after } = op {
+                body_time = body_time.saturating_add(*delay_after);
+                body_acts += matches!(cmd, ResolvedCmd::Act { .. }) as u64;
+            }
+        }
+        let body_cmds = body.len() as u64;
+        self.bulk_replay(count, body_time, body_acts, body_cmds, |exec| {
+            exec.run_ops(body)
+        });
+    }
+
+    /// Runs a batchable loop body `count` (> 3) times: one warm-up
+    /// iteration (side-history effects), one recorded steady-state
+    /// iteration, then the recorded events replayed in bulk for the
+    /// remaining `count - 2` iterations.
+    fn bulk_replay(
+        &mut self,
+        count: u64,
+        body_time: Picos,
+        body_acts: u64,
+        body_cmds: u64,
+        mut iterate: impl FnMut(&mut Executor),
+    ) {
+        iterate(self);
         self.recording = Some(Vec::new());
-        self.run_ops(body);
+        iterate(self);
         let recorded = self.recording.take().expect("recording was on");
         let remaining = count - 2;
         for ev in &recorded {
@@ -801,9 +742,8 @@ impl Executor {
         self.acts += body_acts * remaining;
         self.metrics.acts.add(body_acts * remaining);
         // The replayed iterations never reach `exec_resolved`; account
-        // their elided commands here (batchable bodies contain only Cmd
-        // slots, so the slot count is the command count).
-        let elided_cmds = body.len() as u64 * remaining;
+        // their elided commands here.
+        let elided_cmds = body_cmds * remaining;
         pud_observe::live::add_commands(elided_cmds);
         pud_observe::profile::work_commands(elided_cmds);
         // Per-command events are elided for replayed iterations; one batch
@@ -820,15 +760,16 @@ impl Executor {
         }
     }
 
-    /// `exec_cmd` over a pre-resolved command: same cancellation cadence,
-    /// telemetry, trace events, and metrics — ACT skips the row-decoder
-    /// scramble, which the compiler already applied.
+    /// Executes one command with its row address already resolved.
     fn exec_resolved(&mut self, cmd: ResolvedCmd) {
         self.cancel_countdown -= 1;
         if self.cancel_countdown == 0 {
             self.cancel_countdown = CANCEL_CHECK_INTERVAL;
             crate::cancel_check();
         }
+        // Telemetry (one relaxed load each when off): the live counter
+        // feeds the `--progress` cmds/s readout, the profiler attributes
+        // the command to the innermost span.
         pud_observe::live::add_commands(1);
         pud_observe::profile::work_commands(1);
         match cmd {
@@ -841,7 +782,7 @@ impl Executor {
                     bank: bank.0,
                     row: logical.0,
                 });
-                self.do_act_resolved(bank, logical, phys);
+                self.do_act(bank, logical, phys);
             }
             ResolvedCmd::Pre { bank } => {
                 self.metrics.pres.incr();
@@ -880,68 +821,7 @@ impl Executor {
         }
     }
 
-    fn exec_cmd(&mut self, cmd: DramCommand) {
-        self.cancel_countdown -= 1;
-        if self.cancel_countdown == 0 {
-            self.cancel_countdown = CANCEL_CHECK_INTERVAL;
-            crate::cancel_check();
-        }
-        // Telemetry (one relaxed load each when off): the live counter
-        // feeds the `--progress` cmds/s readout, the profiler attributes
-        // the command to the innermost span.
-        pud_observe::live::add_commands(1);
-        pud_observe::profile::work_commands(1);
-        match cmd {
-            DramCommand::Act { bank, row } => {
-                self.trace(TraceKind::Act {
-                    bank: bank.0,
-                    row: row.0,
-                });
-                self.do_act(bank, row);
-            }
-            DramCommand::Pre { bank } => {
-                self.metrics.pres.incr();
-                self.trace(TraceKind::Pre { bank: bank.0 });
-                self.do_pre(bank);
-            }
-            DramCommand::PreAll => {
-                for b in 0..self.banks.len() as u8 {
-                    self.metrics.pres.incr();
-                    self.trace(TraceKind::Pre { bank: b });
-                    self.do_pre(BankId(b));
-                }
-            }
-            DramCommand::Rd { bank } => {
-                self.metrics.reads.incr();
-                self.trace(TraceKind::Rd { bank: bank.0 });
-                self.do_rd(bank);
-            }
-            DramCommand::Wr { bank, pattern } => {
-                self.metrics.writes.incr();
-                self.trace(TraceKind::Wr { bank: bank.0 });
-                self.do_wr(bank, pattern);
-            }
-            DramCommand::Ref => {
-                self.metrics.refs.incr();
-                self.trace(TraceKind::Ref);
-                self.do_ref();
-                self.refs_seen += 1;
-                if self.refs_seen.is_multiple_of(REFS_PER_WINDOW as u64) {
-                    self.trace(TraceKind::RefreshWindow {
-                        refs: self.refs_seen,
-                    });
-                }
-            }
-            DramCommand::Nop => {}
-        }
-    }
-
-    fn do_act(&mut self, bank: BankId, logical: RowAddr) {
-        let phys = self.chip.to_physical(logical);
-        self.do_act_resolved(bank, logical, phys);
-    }
-
-    fn do_act_resolved(&mut self, bank: BankId, logical: RowAddr, phys: RowAddr) {
+    fn do_act(&mut self, bank: BankId, logical: RowAddr, phys: RowAddr) {
         let now = self.clock;
         if let Some(obs) = self.observer.as_mut() {
             obs.on_act(bank, logical);
@@ -1202,7 +1082,7 @@ impl Executor {
 
     fn aggressor_summary(&mut self, bank: BankId, row: RowAddr) -> DataSummary {
         match self.chip.bank(bank).ok().and_then(|b| b.row(row)) {
-            // On the compiled path existing rows go through the batch
+            // During compiled replay existing rows go through the batch
             // summary cache (shared with the engine's victim summaries —
             // same key, same data, same invalidation). Missing rows stay
             // uncached: they can come into existence without an
@@ -1432,9 +1312,8 @@ impl Executor {
             self.engine
                 .hammer_batched(ev, victim_data, &mut self.batch, &mut self.flip_scratch);
         } else {
-            self.engine
-                .hammer_into(ev, victim_data, &mut self.flip_scratch);
-            // Uncached path, but the summary cache may hold this row from
+            self.engine.hammer(ev, victim_data, &mut self.flip_scratch);
+            // Uncached oracle, but the summary cache may hold this row from
             // an earlier compiled run: drop it if this event flipped bits.
             if !self.flip_scratch.is_empty() {
                 self.batch.invalidate_row(ev.bank, ev.victim);

@@ -10,10 +10,10 @@
 //! - `ACT r1 – ~3 ns – PRE – ~3 ns – ACT r2` simultaneously activates a
 //!   whole row group (SiMRA, Fig. 12c) on chips that support it.
 //!
-//! The [`Executor`] interprets command streams against the `pud-dram`
-//! device model, feeds the `pud-disturb` engine with per-victim hammer
-//! events (detecting single-/double-sided patterns from the activation
-//! history), and reports every bitflip.
+//! The [`Executor`] compiles command streams and replays them against the
+//! `pud-dram` device model, feeds the `pud-disturb` engine with per-victim
+//! hammer events (detecting single-/double-sided patterns from the
+//! activation history), and reports every bitflip.
 //!
 //! # Example: hammering a victim with CoMRA
 //!
@@ -51,7 +51,6 @@ mod program;
 pub mod simra_decode;
 
 pub use command::{DramCommand, TimedCommand};
-pub use compile::{CompiledProgram, MAX_NEST_DEPTH};
 pub use env::TestEnv;
 pub use error::ExecError;
 pub use executor::{ActivityObserver, Executor, FaultCarry, FlipRecord, RunReport};

@@ -119,6 +119,11 @@ impl TestProgram {
         self.push_cmd(DramCommand::Pre { bank }, delay)
     }
 
+    /// Appends a precharge-all command followed by `delay`.
+    pub fn pre_all(&mut self, delay: Picos) -> &mut TestProgram {
+        self.push_cmd(DramCommand::PreAll, delay)
+    }
+
     /// Appends a read of the open row.
     pub fn rd(&mut self, bank: BankId, delay: Picos) -> &mut TestProgram {
         self.push_cmd(DramCommand::Rd { bank }, delay)

@@ -316,6 +316,20 @@ fn out_of_geometry_programs_are_rejected_as_invalid() {
     });
     let err = exec.try_run(&prog).expect_err("bad row must fail");
     assert!(err.to_string().contains("row"));
+    // Validation is the one geometry check, for every command kind at any
+    // loop depth, and the interpreter oracle shares it.
+    let mut prog = TestProgram::new();
+    prog.repeat(2, |outer| {
+        outer.repeat(2, |b| {
+            b.wr(BankId(200), DataPattern::ONES, Picos::from_ns(15.0));
+        });
+    });
+    let err = exec.try_run(&prog).expect_err("bad WR bank must fail");
+    assert!(matches!(err, ExecError::InvalidProgram { .. }));
+    assert_eq!(
+        exec.interpret(&prog).expect_err("oracle rejects it too"),
+        err
+    );
 }
 
 #[test]
@@ -377,16 +391,8 @@ fn compiled_replay_is_bit_identical_to_interpreter() {
         .pre(bank, Picos::from_ns(7.5))
         .act(bank, dst, ops::t_ras())
         .pre(bank, ops::t_rp());
-    interp_exec.set_compile(false);
-    assert!(compiled_exec.compile_enabled());
-    assert!(!interp_exec.compile_enabled());
-    assert!(
-        compiled_exec.compile(&program).is_some(),
-        "composite program must be compilable"
-    );
-
     let rc = compiled_exec.run(&program);
-    let ri = interp_exec.run(&program);
+    let ri = interp_exec.interpret(&program).expect("valid program");
     assert_eq!(rc.flips, ri.flips);
     assert_eq!(rc.reads, ri.reads);
     assert_eq!(rc.elapsed, ri.elapsed);

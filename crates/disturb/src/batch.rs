@@ -1,4 +1,4 @@
-//! Struct-of-arrays batching state for the compiled executor fast path.
+//! Struct-of-arrays batching state for the executor's compiled replay.
 //!
 //! [`crate::DisturbEngine::hammer`] recomputes three pure functions on
 //! every event: the per-row vulnerability sample (log-normal resampling
@@ -12,9 +12,11 @@
 //! without changing a single output bit.
 //!
 //! [`BatchState`] holds those caches. It belongs to the *caller* (the
-//! executor's compiled replay path), not to the engine: the interpreter
-//! path deliberately stays cache-free so compiled-vs-interpreted speedup
-//! numbers compare the optimisation, not two cached paths. Correctness
+//! executor's compiled replay), not to the engine: the uncached
+//! [`crate::DisturbEngine::hammer`] stays the reference the executor's
+//! interpreter oracle runs on, so differential tests and
+//! compiled-vs-interpreted speedup numbers compare against code without
+//! the optimisation. Correctness
 //! still never depends on the caches — every entry is a pure function of
 //! its key, and the data summary (the only entry whose input can mutate)
 //! is invalidated by the engine itself when it materializes flips and by

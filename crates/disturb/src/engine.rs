@@ -92,25 +92,11 @@ impl DisturbEngine {
     }
 
     /// Applies a batch of hammer cycles to a victim row, materializing any
-    /// resulting bitflips into `victim_data`.
+    /// resulting bitflips into `victim_data` and appending them to `out`.
     ///
-    /// Returns the flips produced by this call (possibly empty).
-    pub fn hammer(&mut self, ev: &HammerEvent, victim_data: &mut RowData) -> Vec<Bitflip> {
-        let mut flips = Vec::new();
-        self.hammer_into(ev, victim_data, &mut flips);
-        flips
-    }
-
-    /// As [`DisturbEngine::hammer`], but appends the produced flips to a
-    /// caller-provided buffer instead of allocating a fresh `Vec` per
-    /// event — the executor keeps one scratch buffer per run so the
-    /// interpreter hot loop stays allocation-free.
-    pub fn hammer_into(
-        &mut self,
-        ev: &HammerEvent,
-        victim_data: &mut RowData,
-        out: &mut Vec<Bitflip>,
-    ) {
+    /// The uncached reference for [`DisturbEngine::hammer_batched`]: every
+    /// per-event value is recomputed from the model.
+    pub fn hammer(&mut self, ev: &HammerEvent, victim_data: &mut RowData, out: &mut Vec<Bitflip>) {
         // A batched event with repeat N stands for N applied disturbance
         // events; the profiler's work counter weights it accordingly.
         pud_observe::profile::work_events(ev.repeat);
@@ -119,7 +105,7 @@ impl DisturbEngine {
         self.apply_weighted(ev, &vuln, w, victim_data, out, None);
     }
 
-    /// As [`DisturbEngine::hammer_into`], with the per-row vulnerability
+    /// As [`DisturbEngine::hammer`], with the per-row vulnerability
     /// sample, the per-event factor-curve product, and the victim data
     /// summary served from `batch`'s caches. Every cached value is a pure
     /// function of its key, so the accumulated disturbance and the
@@ -162,7 +148,7 @@ impl DisturbEngine {
         self.apply_weighted(ev, &vuln, w, victim_data, out, Some(batch));
     }
 
-    /// Shared back half of [`DisturbEngine::hammer_into`] and
+    /// Shared back half of [`DisturbEngine::hammer`] and
     /// [`DisturbEngine::hammer_batched`]: accumulates the weighted
     /// disturbance and evaluates both flip classes against the (stale, as
     /// of before this event) state snapshot.
@@ -549,6 +535,13 @@ mod tests {
         )
     }
 
+    /// The flips one uncached [`DisturbEngine::hammer`] call produces.
+    fn hammer(e: &mut DisturbEngine, ev: &HammerEvent, v: &mut RowData) -> Vec<Bitflip> {
+        let mut flips = Vec::new();
+        e.hammer(ev, v, &mut flips);
+        flips
+    }
+
     fn victim_row() -> RowData {
         RowData::filled(1024, DataPattern::CHECKER_AA)
     }
@@ -558,7 +551,7 @@ mod tests {
         let mut e = engine(1);
         let mut v = victim_row();
         let ev = checker_event(AggressionKind::RowHammerDouble, 10);
-        assert!(e.hammer(&ev, &mut v).is_empty());
+        assert!(hammer(&mut e, &ev, &mut v).is_empty());
         assert!(v.matches_pattern(DataPattern::CHECKER_AA));
     }
 
@@ -569,7 +562,7 @@ mod tests {
         let mut v = victim_row();
         // Hammer far past the threshold in one batch.
         let ev = checker_event(AggressionKind::RowHammerDouble, (vuln.t_rh * 60.0) as u64);
-        let flips = e.hammer(&ev, &mut v);
+        let flips = hammer(&mut e, &ev, &mut v);
         assert!(flips.len() > 20, "expected many flips, got {}", flips.len());
         // The victim data actually changed.
         assert!(v.diff_count(&victim_row()) as usize >= flips.len().min(1));
@@ -611,7 +604,7 @@ mod tests {
                 if step == 4 {
                     ev.temperature = pud_dram::Celsius(50.0);
                 }
-                let expected = plain.hammer(&ev, &mut v_plain);
+                let expected = hammer(&mut plain, &ev, &mut v_plain);
                 let mut got = Vec::new();
                 batched.hammer_batched(&ev, &mut v_batched, &mut batch, &mut got);
                 assert_eq!(expected, got, "flips diverge at step {step} {kind:?}");
@@ -641,9 +634,9 @@ mod tests {
         let mut v = victim_row();
         let ev_half = checker_event(AggressionKind::RowHammerDouble, 500);
         let ev_full = checker_event(AggressionKind::RowHammerDouble, 1000);
-        e1.hammer(&ev_half, &mut v);
-        e1.hammer(&ev_half, &mut v);
-        e2.hammer(&ev_full, &mut v);
+        hammer(&mut e1, &ev_half, &mut v);
+        hammer(&mut e1, &ev_half, &mut v);
+        hammer(&mut e2, &ev_full, &mut v);
         assert!(
             (e1.accumulated(BankId(0), RowAddr(10)).0 - e2.accumulated(BankId(0), RowAddr(10)).0)
                 .abs()
@@ -655,7 +648,8 @@ mod tests {
     fn restore_resets_disturbance() {
         let mut e = engine(1);
         let mut v = victim_row();
-        e.hammer(
+        hammer(
+            &mut e,
             &checker_event(AggressionKind::RowHammerDouble, 1000),
             &mut v,
         );
@@ -722,7 +716,7 @@ mod tests {
             0,
         );
         ev.repeat = (vuln.t_simra * vuln.simra_n_factor(4) * 16.0) as u64 + 16;
-        let flips = e.hammer(&ev, &mut v);
+        let flips = hammer(&mut e, &ev, &mut v);
         assert!(!flips.is_empty());
         // Dominant SiMRA direction is 1→0.
         let down = flips.iter().filter(|f| !f.to).count();
@@ -745,7 +739,7 @@ mod tests {
             DataSummary::from_pattern(DataPattern::ZEROS),
             10_000_000,
         );
-        assert!(e.hammer(&ev, &mut v).is_empty());
+        assert!(hammer(&mut e, &ev, &mut v).is_empty());
     }
 
     #[test]
@@ -773,7 +767,7 @@ mod tests {
                     mid,
                 );
                 ev.repeat = mid;
-                let flips = e.hammer(&ev, &mut v);
+                let flips = hammer(e, &ev, &mut v);
                 e.rewrite(BankId(0), RowAddr(10));
                 if flips.is_empty() {
                     lo = mid + 1;
@@ -810,7 +804,7 @@ mod tests {
         let mut ev = checker_event(simra_kind, 1);
         let w = combined.event_weight(&ev, &vuln);
         ev.repeat = (vuln.t_simra * 0.9 / w) as u64;
-        combined.hammer(&ev, &mut v);
+        hammer(&mut combined, &ev, &mut v);
         // Now count RowHammer hammers to first flip in both engines.
         let hc = |e: &mut DisturbEngine| -> u64 {
             let mut v = victim_row();
@@ -819,7 +813,7 @@ mod tests {
             loop {
                 let ev = checker_event(AggressionKind::RowHammerDouble, step);
                 total += step;
-                if !e.hammer(&ev, &mut v).is_empty() {
+                if !hammer(e, &ev, &mut v).is_empty() {
                     return total;
                 }
                 assert!(total < 1_000_000_000, "no flip reached");

@@ -39,7 +39,8 @@
 //!     DataSummary::from_pattern(DataPattern::CHECKER_55),
 //!     500_000,
 //! );
-//! let flips = engine.hammer(&event, &mut victim);
+//! let mut flips = Vec::new();
+//! engine.hammer(&event, &mut victim, &mut flips);
 //! assert!(!flips.is_empty(), "500K double-sided hammers exceed any HC_first");
 //! ```
 

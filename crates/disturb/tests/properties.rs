@@ -131,7 +131,8 @@ fn hammering_is_deterministic_per_seed() {
                 DataSummary::from_pattern(DataPattern::CHECKER_55),
                 count,
             );
-            let flips = e.hammer(&ev, &mut v);
+            let mut flips = Vec::new();
+            e.hammer(&ev, &mut v, &mut flips);
             (flips, v)
         };
         let (f1, v1) = run();
@@ -161,7 +162,9 @@ fn more_hammers_never_flip_fewer_bits() {
                 DataSummary::from_pattern(DataPattern::CHECKER_55),
                 count,
             );
-            e.hammer(&ev, &mut v).len()
+            let mut flips = Vec::new();
+            e.hammer(&ev, &mut v, &mut flips);
+            flips.len()
         };
         assert!(flips_for(base + extra) >= flips_for(base));
     }

@@ -148,8 +148,7 @@ pub fn fig24_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig24 {
     let reps = if scale.trr_hammers >= 500_000 { 5 } else { 2 };
     // The hero (most vulnerable) row anchors the RowHammer/CoMRA victims so
     // the without-TRR runs reliably flip.
-    let mut probe = Executor::new(profile, geometry, 0, scale.fleet.seed);
-    probe.set_compile(!scale.fleet.no_compile);
+    let probe = Executor::new(profile, geometry, 0, scale.fleet.seed);
     let (_, hero) = probe
         .engine()
         .model()
@@ -326,7 +325,6 @@ fn run_once(
     let geometry = scale.fleet.geometry;
     let bank = BankId(0);
     let mut exec = Executor::new(profile, geometry, 0, scale.fleet.seed);
-    exec.set_compile(!scale.fleet.no_compile);
     // During a parallel sweep the executor must not write to the global
     // sink it attached at construction; the caller supplies a private ring
     // (or the sweep runs untraced).

@@ -80,14 +80,6 @@ pub struct FleetConfig {
     /// itself — only the `repro` CLI resolves the environment into this
     /// field, so library callers and tests stay race-free.
     pub fault: Option<FaultConfig>,
-    /// Disables the compiled-replay fast path so every program runs
-    /// through the step interpreter. Results are bit-identical either way
-    /// (the equivalence suite enforces it), so this field is deliberately
-    /// NOT part of [`FleetConfig::fingerprint`]: checkpoints written by a
-    /// compiled run resume cleanly under `--no-compile` and vice versa.
-    /// Like `fault`, only the `repro` CLI resolves `PUD_NO_COMPILE` into
-    /// this field.
-    pub no_compile: bool,
     /// The chip roster (see [`Roster`]).
     pub roster: Roster,
     /// Page chips out after each sweep unit: the sweep engine drops the
@@ -108,7 +100,6 @@ impl FleetConfig {
             chips_per_family: 1,
             victims_per_subarray: 4,
             fault: None,
-            no_compile: false,
             roster: Roster::PerFamily,
             page_chips: false,
         }
@@ -263,7 +254,6 @@ impl ChipUnderTest {
                 self.chip_index,
                 self.config.seed,
             );
-            exec.set_compile(!self.config.no_compile);
             match self.fault_carry.take() {
                 // Rematerialization: the fault clock continues where the
                 // paged-out executor left off.

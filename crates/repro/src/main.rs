@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro <target> [--full] [--threads <n>] [--metrics] [--trace-out <path>] [--quiet]
-//!                [--fault-seed <u64>] [--no-compile] [--max-retries <n>]
+//!                [--fault-seed <u64>] [--max-retries <n>]
 //!                [--checkpoint <path>] [--deadline <secs>] [--deadline-units <n>]
 //!                [--strict]
 //! repro all [...same flags...]
@@ -44,10 +44,6 @@
 //!   and reported in a footer under the affected tables;
 //! - `--max-retries <n>` sets the per-chip transient retry budget
 //!   (default 3);
-//! - `--no-compile` (or `PUD_NO_COMPILE=1`) disables the compiled-replay
-//!   fast path so every test program runs through the step interpreter.
-//!   Output is bit-identical either way; the flag exists to bisect a
-//!   suspected compiled-path divergence and to benchmark the baseline;
 //! - `--checkpoint <path>` appends each completed unit (chip, family, or
 //!   technique) to a JSONL checkpoint and, on a re-run against the same
 //!   file, replays units already recorded instead of re-measuring them.
@@ -194,7 +190,6 @@ struct Options {
     profile_out: Option<String>,
     progress: bool,
     fault_seed: Option<u64>,
-    no_compile: bool,
     max_retries: Option<u32>,
     checkpoint: Option<String>,
     deadline: Option<f64>,
@@ -223,7 +218,7 @@ fn usage() {
     eprintln!(
         "usage: repro <target|all|list> [--full] [--threads <n>] [--metrics] \
          [--trace-out <path>] [--profile-out <path>] [--progress] [--quiet] \
-         [--fault-seed <u64>] [--no-compile] [--max-retries <n>] \
+         [--fault-seed <u64>] [--max-retries <n>] \
          [--checkpoint <path>] [--deadline <secs>] [--deadline-units <n>] \
          [--strict] [--fleet <per-family|paper|synth:n>] [--page-chips] \
          [--mem-stats] [--fault-worker-abort <permille>] \
@@ -260,7 +255,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         profile_out: None,
         progress: false,
         fault_seed: None,
-        no_compile: false,
         max_retries: None,
         checkpoint: None,
         deadline: None,
@@ -314,7 +308,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 };
                 opts.fault_seed = Some(seed);
             }
-            "--no-compile" => opts.no_compile = true,
             "--max-retries" => {
                 let Some(n) = it.next().and_then(|v| v.parse::<u32>().ok()) else {
                     return Err("--max-retries requires an unsigned integer".to_string());
@@ -1037,11 +1030,6 @@ fn build_scale(opts: &Options, zero_process_faults: bool) -> Scale {
             None => FaultConfig::worker_abort_only(0, 0).with_worker_hang(eff),
         });
     }
-    // `--no-compile` (or PUD_NO_COMPILE=1) pins every executor to the step
-    // interpreter — the escape hatch for bisecting a suspected compiled-
-    // replay divergence. Results are bit-identical either way.
-    scale.fleet.no_compile =
-        opts.no_compile || env::var("PUD_NO_COMPILE").is_ok_and(|v| !v.is_empty() && v != "0");
     if let Some(n) = opts.max_retries {
         scale.max_retries = n;
     }
@@ -1309,11 +1297,6 @@ fn run_metadata(
             "hcfirst_searches",
             snap.counter("hcfirst.searches").unwrap_or(0),
         );
-    // The interpreter key appears only under --no-compile, so a default
-    // (compiled) run's metadata is byte-identical to a pre-compile build.
-    if scale.fleet.no_compile {
-        obj = obj.bool("no_compile", true);
-    }
     // Fault-injection keys appear only when faults are enabled, so a
     // fault-free run's metadata is byte-identical to a pre-fault build.
     if scale.fleet.fault.is_some() {
@@ -1605,9 +1588,6 @@ fn coordinator_main(opts: &Options, target: &str) -> ExitCode {
         }
         if let Some(seed) = opts.fault_seed {
             cmd.arg("--fault-seed").arg(seed.to_string());
-        }
-        if opts.no_compile {
-            cmd.arg("--no-compile");
         }
         if let Some(n) = opts.max_retries {
             cmd.arg("--max-retries").arg(n.to_string());

@@ -1,182 +1,485 @@
-//! Interpreter-vs-compiled equivalence: the compiled replay fast path
-//! (`CompiledProgram` + batched disturbance accumulation) is a pure
-//! optimisation, so every observable artifact — rendered experiment
-//! output, trace streams, checkpoint records, fault-injection behavior —
-//! must be byte-identical to the step interpreter at any thread count.
+//! Differential test of the executor's one production path against its
+//! reference semantics. `Executor::try_run` compiles a program and replays
+//! it through the batched disturbance caches; `Executor::interpret` walks
+//! the program tree with the uncached engine. On identically seeded
+//! executors the two must agree on everything observable: the
+//! `RunReport`, the trace events each side sends to its own ring sink,
+//! every row's data and accumulated disturbance, and — under a fault plan
+//! — the sequence of `ExecError`s.
 
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use pudhammer_suite::bender::fault::FaultConfig;
-use pudhammer_suite::hammer::experiments::{comra, simra, table2, Scale};
-use pudhammer_suite::hammer::fleet::checkpoint::{CheckpointHeader, CheckpointStore};
+use pudhammer_suite::bender::fault::{FaultKind, FaultPlan, StuckCell, TransientFault};
+use pudhammer_suite::bender::{ExecError, Executor, RunReport, Step, TestEnv, TestProgram};
+use pudhammer_suite::dram::profiles::{self, TESTED_MODULES};
+use pudhammer_suite::dram::{BankId, DataPattern, ModuleProfile, Picos, RowAddr};
+use pudhammer_suite::hammer::fleet::{Fleet, FleetConfig};
+use pudhammer_suite::hammer::patterns::{self, Kernel};
 use pudhammer_suite::observe::{RingBufferSink, TraceEvent};
+use pudhammer_suite::trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
 
-/// Tests in this binary share process-global observability state (the
-/// global trace sink, the metrics registry), so they must not overlap.
-static GLOBAL_STATE: Mutex<()> = Mutex::new(());
-
-fn tiny_scale(threads: usize, no_compile: bool) -> Scale {
-    let mut s = Scale::quick();
-    s.fleet.victims_per_subarray = 1;
-    s.threads = threads;
-    s.fleet.no_compile = no_compile;
-    s
+/// One executor per path, built from the same profile, chip and seed, each
+/// tracing into its own ring.
+struct Pair {
+    compiled: Executor,
+    oracle: Executor,
+    rings: [Arc<Mutex<RingBufferSink>>; 2],
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("pud-ce-{name}-{}", std::process::id()));
+impl Pair {
+    fn new(profile: &ModuleProfile, chip_index: u32, seed: u64) -> Pair {
+        let geometry = FleetConfig::quick().geometry;
+        let rings = [(); 2].map(|_| Arc::new(Mutex::new(RingBufferSink::new(1 << 20))));
+        let mut compiled = Executor::new(profile, geometry, chip_index, seed);
+        let mut oracle = Executor::new(profile, geometry, chip_index, seed);
+        compiled.set_trace_sink(rings[0].clone());
+        oracle.set_trace_sink(rings[1].clone());
+        Pair {
+            compiled,
+            oracle,
+            rings,
+        }
+    }
+
+    /// Applies the same host-side set-up to both executors.
+    fn each(&mut self, mut f: impl FnMut(&mut Executor)) {
+        f(&mut self.compiled);
+        f(&mut self.oracle);
+    }
+
+    /// Writes `victim_dp` over the ±2 neighbourhood of every physical row
+    /// in `aggressors`, then `aggressor_dp` over the aggressors.
+    fn init(
+        &mut self,
+        bank: BankId,
+        aggressors: &[RowAddr],
+        victim_dp: DataPattern,
+        aggressor_dp: DataPattern,
+    ) {
+        let rows = self.compiled.chip().geometry().rows_per_bank();
+        self.each(|e| {
+            for &a in aggressors {
+                for r in a.0.saturating_sub(2)..=(a.0 + 2).min(rows - 1) {
+                    e.write_row(bank, e.chip().to_logical(RowAddr(r)), victim_dp);
+                }
+            }
+            for &a in aggressors {
+                e.write_row(bank, e.chip().to_logical(a), aggressor_dp);
+            }
+        });
+    }
+
+    /// Runs `program` on both paths, asserts they agree on every
+    /// observable, and returns the (shared) outcome.
+    fn run(&mut self, program: &TestProgram, what: &str) -> Result<RunReport, ExecError> {
+        let got = self.compiled.try_run(program);
+        let want = self.oracle.interpret(program);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.flips, w.flips, "{what}: flips");
+                assert_eq!(g.reads, w.reads, "{what}: reads");
+                assert_eq!(g.elapsed, w.elapsed, "{what}: elapsed");
+                assert_eq!(g.acts, w.acts, "{what}: acts");
+            }
+            _ => assert_eq!(got.as_ref().err(), want.as_ref().err(), "{what}: outcome"),
+        }
+        let [c, o] = [&self.rings[0], &self.rings[1]].map(drain);
+        assert_eq!(c.len(), o.len(), "{what}: trace length");
+        assert!(c == o, "{what}: trace events diverge");
+        self.assert_state_matches(what);
+        got
+    }
+
+    /// Row data and accumulated disturbance of every row in every bank.
+    fn assert_state_matches(&self, what: &str) {
+        let geometry = *self.compiled.chip().geometry();
+        for b in 0..geometry.banks {
+            let bank = BankId(b);
+            let c = self.compiled.chip().bank(bank).expect("valid bank");
+            let o = self.oracle.chip().bank(bank).expect("valid bank");
+            for r in 0..geometry.rows_per_bank() {
+                let row = RowAddr(r);
+                assert!(c.row(row) == o.row(row), "{what}: data of row {b}/{r}");
+                assert_eq!(
+                    self.compiled.engine().accumulated(bank, row),
+                    self.oracle.engine().accumulated(bank, row),
+                    "{what}: accumulated disturbance of row {b}/{r}"
+                );
+            }
+        }
+        assert_eq!(self.compiled.elapsed(), self.oracle.elapsed(), "{what}");
+        assert_eq!(
+            self.compiled.fault_commands(),
+            self.oracle.fault_commands(),
+            "{what}: fault clock"
+        );
+    }
+}
+
+fn drain(ring: &Arc<Mutex<RingBufferSink>>) -> Vec<TraceEvent> {
+    let mut ring = ring.lock().expect("ring poisoned");
+    assert_eq!(ring.dropped(), 0, "ring must hold the full event stream");
+    let events = ring.to_vec();
+    ring.clear();
+    events
+}
+
+/// Deepest loop nesting of `steps`.
+fn nesting(steps: &[Step]) -> u32 {
+    steps
+        .iter()
+        .map(|s| match s {
+            Step::Cmd(_) => 0,
+            Step::Loop { body, .. } => 1 + nesting(body),
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+#[test]
+fn driver_kernels_match_the_oracle() {
+    // Every kernel constructor the drivers and the server use, on every
+    // family of the quick fleet, at the default and a RowPress on-time,
+    // at hammer counts below, at and far beyond the loop-batching cutoff.
+    let config = FleetConfig::quick();
+    let mut fleet = Fleet::build(config);
+    let mut runs_with_flips = 0;
+    for chip in &mut fleet.chips {
+        let bank = chip.bank();
+        let victims = chip.victim_rows();
+        let sas = chip.tested_subarrays();
+        let supports_simra = chip.profile.supports_simra();
+        let c = chip.exec().chip();
+        let mut kernels: Vec<Kernel> = Vec::new();
+        for &v in victims.iter().step_by(victims.len().div_ceil(3)) {
+            kernels.extend(patterns::rowhammer_ds_for(c, v));
+            kernels.extend(patterns::rowhammer_ss_for(c, v));
+            kernels.extend(patterns::comra_ds_for(c, v, false));
+            kernels.extend(patterns::comra_ds_for(c, v, true));
+            kernels.extend(patterns::comra_ss_for(
+                c,
+                v,
+                patterns::DEFAULT_FAR_OFFSET,
+                false,
+            ));
+        }
+        if supports_simra {
+            for n in [2, 4, 8, 16, 32] {
+                kernels.extend(patterns::simra_ds_kernels(c, sas[1], n).first().copied());
+            }
+        }
+        let pressed: Vec<Kernel> = kernels
+            .iter()
+            .map(|k| k.with_t_aggon(Picos::from_ns(7800.0)))
+            .collect();
+        kernels.extend(pressed);
+        let aggressors: Vec<Vec<RowAddr>> = kernels
+            .iter()
+            .map(|k| {
+                patterns::simra_members(c, k)
+                    .unwrap_or_else(|| k.aggressors().iter().map(|&a| c.to_physical(a)).collect())
+            })
+            .collect();
+
+        let mut pair = Pair::new(chip.profile, chip.chip_index, config.seed);
+        for (kernel, aggs) in kernels.iter().zip(&aggressors) {
+            let (victim_dp, aggressor_dp) = match kernel {
+                Kernel::Simra { .. } => (DataPattern::ONES, DataPattern::ZEROS),
+                _ => (DataPattern::CHECKER_AA, DataPattern::CHECKER_55),
+            };
+            for count in [1, 3, 4, 2_000, 300_000] {
+                pair.init(bank, aggs, victim_dp, aggressor_dp);
+                let what = format!("{} {kernel:?} x{count}", chip.profile.key());
+                let report = pair
+                    .run(&kernel.program(bank, count), &what)
+                    .expect("kernel programs are valid");
+                runs_with_flips += usize::from(!report.flips.is_empty());
+            }
+        }
+    }
+    assert!(runs_with_flips > 0, "the kernels must reach HC_first");
+}
+
+#[test]
+fn trr_programs_with_refresh_and_nested_loops_match_the_oracle() {
+    // A sampling TRR observer on each side, refresh on: REF commands sweep
+    // rows and trigger TRR victim refreshes between hammer bursts.
+    let profile = profiles::most_simra_vulnerable();
+    let mut pair = Pair::new(profile, 0, 24);
+    pair.each(|e| {
+        e.set_env(TestEnv::with_refresh());
+        e.set_observer(Box::new(SamplingTrr::new(
+            SamplingTrrConfig::default(),
+            profile.mapping(),
+            0xC0FFEE,
+        )));
+    });
+    let bank = BankId(0);
+    let logical = |pair: &Pair, phys: u32| pair.compiled.chip().to_logical(RowAddr(phys));
+    let (a, b, dummy) = (logical(&pair, 20), logical(&pair, 22), logical(&pair, 60));
+    let simra = patterns::simra_for_mask(RowAddr(64), 0b0110);
+    let Kernel::Simra { r1, r2, .. } = simra else {
+        unreachable!("simra_for_mask builds a SiMRA kernel")
+    };
+    // Nested: hammer bursts and reads inside a refresh-interleaved loop.
+    let mut nested = TestProgram::new();
+    nested.repeat(40, |outer| {
+        outer.repeat(3, |mid| {
+            mid.repeat(50, |inner| {
+                inner
+                    .act(bank, a, Picos::from_ns(36.0))
+                    .pre(bank, Picos::from_ns(15.0))
+                    .act(bank, b, Picos::from_ns(36.0))
+                    .pre(bank, Picos::from_ns(15.0));
+            });
+            mid.act(bank, dummy, Picos::from_ns(36.0))
+                .rd(bank, Picos::from_ns(15.0))
+                .pre(bank, Picos::from_ns(15.0));
+        });
+        outer.refresh(Picos::from_ns(350.0));
+    });
+    let programs = [
+        (
+            "rowhammer evasion",
+            trr_patterns::rowhammer_evasion(bank, &[a, b], dummy, 3_000),
+        ),
+        (
+            "comra evasion",
+            trr_patterns::comra_evasion(bank, a, b, dummy, 2_000),
+        ),
+        (
+            "simra evasion",
+            trr_patterns::simra_evasion(bank, r1, r2, 2_000),
+        ),
+        ("nested refresh loops", nested),
+    ];
+    for (what, program) in &programs {
+        pair.init(
+            bank,
+            &[
+                RowAddr(20),
+                RowAddr(22),
+                RowAddr(60),
+                RowAddr(66),
+                RowAddr(70),
+            ],
+            DataPattern::CHECKER_AA,
+            DataPattern::CHECKER_55,
+        );
+        pair.run(program, what).expect("TRR programs are valid");
+    }
+}
+
+/// SplitMix64: a seeded, dependency-free source of program shapes.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+/// Delays spanning SiMRA (3 ns), CoMRA (7.5 ns), the violation threshold,
+/// nominal timings, tRFC and RowPress on-times.
+const DELAYS_NS: [f64; 9] = [1.0, 3.0, 7.5, 12.9, 13.5, 15.0, 36.0, 350.0, 7800.0];
+const PATTERNS: [DataPattern; 4] = [
+    DataPattern::ZEROS,
+    DataPattern::ONES,
+    DataPattern::CHECKER_55,
+    DataPattern::CHECKER_AA,
+];
+
+/// Appends one random command. `hammer_only` restricts the mix to the
+/// commands a batchable loop body may hold (ACT/PRE/PREA/NOP).
+fn random_cmd(rng: &mut Rng, p: &mut TestProgram, rows: &[RowAddr], hammer_only: bool) {
+    let bank = BankId(rng.below(2) as u8);
+    let delay = Picos::from_ns(rng.pick(&DELAYS_NS));
+    match rng.below(if hammer_only { 6 } else { 9 }) {
+        0..=2 => p.act(bank, rng.pick(rows), delay),
+        3 => p.pre(bank, delay),
+        4 => p.pre_all(delay),
+        5 => p.wait(delay),
+        6 => p.rd(bank, delay),
+        7 => p.wr(bank, rng.pick(&PATTERNS), delay),
+        _ => p.refresh(delay),
+    };
+}
+
+/// A random program whose loops nest exactly `depth` deep along one spine,
+/// with random commands and shallow side loops around it. Loop counts are
+/// clamped so the interpreter executes at most about `budget` commands per
+/// level; batchable loops (replayed in bulk) may count far higher.
+fn random_program(rng: &mut Rng, rows: &[RowAddr], depth: u32, budget: u64) -> TestProgram {
+    let mut p = TestProgram::new();
+    let hammer_only = rng.below(3) == 0;
+    let items = 1 + rng.below(4);
+    let spine = rng.below(items);
+    for i in 0..items {
+        let body_depth = if depth > 0 && i == spine {
+            Some(depth - 1)
+        } else if depth > 0 && rng.below(4) == 0 {
+            Some(rng.below(u64::from(depth.min(3))) as u32)
+        } else {
+            None
+        };
+        let Some(body_depth) = body_depth else {
+            random_cmd(rng, &mut p, rows, hammer_only);
+            continue;
+        };
+        let body = random_program(rng, rows, body_depth, budget / 2);
+        let per_iter = body.cmd_count().max(1);
+        let batchable = body.steps().iter().all(Step::is_batchable_cmd);
+        let mut count = rng.pick(&[1, 2, 3, 4, 5, 17, 1_000, 100_000]);
+        if !batchable {
+            count = count.min((budget / per_iter).max(1));
+        }
+        p.repeat(count, |b| {
+            b.extend(&body);
+        });
+    }
     p
 }
 
 #[test]
-fn table2_output_and_traces_match_across_paths_and_thread_counts() {
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    // A global ring sink captures every command-stream event the
-    // experiments' executors emit. The compiled replay path must feed it
-    // the exact event sequence the interpreter produces.
-    let global = Arc::new(Mutex::new(RingBufferSink::new(1 << 20)));
-    pudhammer_suite::observe::set_global_sink(global.clone());
-    let drain = |ring: &Arc<Mutex<RingBufferSink>>| -> Vec<TraceEvent> {
-        let mut ring = ring.lock().unwrap();
-        assert_eq!(ring.dropped(), 0, "ring must hold the full event stream");
-        let events = ring.to_vec();
-        ring.clear();
-        events
-    };
-    let run = |threads, no_compile| {
-        let rendered = table2::table2(&tiny_scale(threads, no_compile)).to_string();
-        (rendered, drain(&global))
-    };
-
-    let (reference, ref_events) = run(1, false);
-    assert!(!ref_events.is_empty(), "table2 must emit trace events");
-    for (threads, no_compile) in [(1, true), (4, false), (4, true)] {
-        let (rendered, events) = run(threads, no_compile);
-        assert_eq!(
-            reference, rendered,
-            "table2 output must not depend on the execution path \
-             (threads={threads}, no_compile={no_compile})"
-        );
-        assert_eq!(
-            ref_events, events,
-            "table2 trace stream must not depend on the execution path \
-             (threads={threads}, no_compile={no_compile})"
-        );
+fn random_programs_nested_up_to_depth_22_match_the_oracle() {
+    let mut total_flips = 0;
+    for seed in 0..36u64 {
+        let profile = &TESTED_MODULES[seed as usize % TESTED_MODULES.len()];
+        let mut pair = Pair::new(profile, 0, seed);
+        let mut rng = Rng(seed);
+        // Logical rows straddling a 32-row SiMRA block boundary and a
+        // subarray boundary (128), so ACT pairs hit CoMRA copies, SiMRA
+        // groups and subarray edges.
+        let rows: Vec<RowAddr> = (14..=42).chain(124..=132).map(RowAddr).collect();
+        let phys: Vec<RowAddr> = rows
+            .iter()
+            .map(|&r| pair.compiled.chip().to_physical(r))
+            .collect();
+        for bank in [BankId(0), BankId(1)] {
+            pair.init(
+                bank,
+                &phys,
+                DataPattern::CHECKER_AA,
+                DataPattern::CHECKER_55,
+            );
+        }
+        // Deep programs first (depth 20 was past the old compiler's nesting
+        // cap), then shallower ones on the state they leave behind.
+        for (i, depth) in [20 + (seed % 3) as u32, rng.below(6) as u32, 1]
+            .into_iter()
+            .enumerate()
+        {
+            let program = random_program(&mut rng, &rows, depth, 4_000);
+            assert_eq!(nesting(program.steps()), depth);
+            let what = format!("seed {seed} program {i} (depth {depth})");
+            let report = pair.run(&program, &what).expect("programs are valid");
+            total_flips += report.flips.len();
+        }
     }
-    pudhammer_suite::observe::clear_global_sink();
-}
-
-#[test]
-fn fig10_and_fig14_render_identically_on_both_paths() {
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    for threads in [1, 4] {
-        let compiled = comra::fig10(&tiny_scale(threads, false)).to_string();
-        let interpreted = comra::fig10(&tiny_scale(threads, true)).to_string();
-        assert_eq!(
-            compiled, interpreted,
-            "fig10 must not depend on the execution path (threads={threads})"
-        );
-        let compiled = simra::fig14(&tiny_scale(threads, false)).to_string();
-        let interpreted = simra::fig14(&tiny_scale(threads, true)).to_string();
-        assert_eq!(
-            compiled, interpreted,
-            "fig14 must not depend on the execution path (threads={threads})"
-        );
-    }
-}
-
-#[test]
-fn checkpoint_records_match_and_interoperate_across_paths() {
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let compiled_scale = tiny_scale(1, false);
-    let interp_scale = tiny_scale(1, true);
-    // `no_compile` is deliberately excluded from the fleet fingerprint:
-    // both paths produce the same results, so their checkpoints belong to
-    // the same campaign and must interoperate.
-    assert_eq!(
-        compiled_scale.fleet.fingerprint(),
-        interp_scale.fleet.fingerprint(),
-        "no_compile must not change the campaign fingerprint"
-    );
-    let header = |scale: &Scale| CheckpointHeader {
-        target: "table2".to_string(),
-        scale: "quick".to_string(),
-        fingerprint: scale.fleet.fingerprint(),
-        fault_seed: None,
-        shard: None,
-    };
-    let path_compiled = temp_path("ckpt-compiled");
-    let path_interp = temp_path("ckpt-interp");
-    let _ = std::fs::remove_file(&path_compiled);
-    let _ = std::fs::remove_file(&path_interp);
-
-    let store = CheckpointStore::open(&path_compiled, header(&compiled_scale)).expect("create");
-    let reference = table2::table2_ckpt(&compiled_scale, Some(&store)).to_string();
-    drop(store);
-    let store = CheckpointStore::open(&path_interp, header(&interp_scale)).expect("create");
-    let interpreted = table2::table2_ckpt(&interp_scale, Some(&store)).to_string();
-    drop(store);
-    assert_eq!(reference, interpreted, "rendered tables must match");
-    let bytes_compiled = std::fs::read(&path_compiled).expect("read compiled checkpoint");
-    let bytes_interp = std::fs::read(&path_interp).expect("read interpreter checkpoint");
-    assert_eq!(
-        bytes_compiled, bytes_interp,
-        "checkpoint records must be byte-identical across execution paths"
-    );
-
-    // Cross-resume: a checkpoint written by the compiled path replays on
-    // the interpreter path (and vice versa, by the byte-equality above)
-    // without re-measuring anything.
-    let store = CheckpointStore::open(&path_compiled, header(&interp_scale)).expect("cross-open");
-    assert_eq!(store.recovered(), 14, "all rows recovered");
-    let resumed = table2::table2_ckpt(&interp_scale, Some(&store)).to_string();
-    assert_eq!(
-        reference, resumed,
-        "cross-path resume must be byte-identical"
-    );
-    let _ = std::fs::remove_file(&path_compiled);
-    let _ = std::fs::remove_file(&path_interp);
+    assert!(total_flips > 0, "random programs must reach HC_first");
 }
 
 #[test]
 fn fault_plan_fires_identically_on_both_paths() {
-    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    // Seed 103 is the curated campaign (see examples/fault_seed_scan.rs):
-    // one chip dies, three transient faults are retried. The fault plan
-    // triggers on executed-command counts, so the compiled replay must
-    // advance the same counters the interpreter does.
-    let run = |threads, no_compile| {
-        let mut s = tiny_scale(threads, no_compile);
-        s.fleet.fault = Some(FaultConfig::from_seed(103));
-        table2::table2(&s)
+    // One plan on both sides: transient faults, stuck cells forced after
+    // every write, and a chip death. The fault clock advances by each
+    // program's full command count, bulk-replayed iterations included.
+    let profile = &TESTED_MODULES[1];
+    let mut pair = Pair::new(profile, 0, 103);
+    let plan = FaultPlan {
+        transients: vec![
+            TransientFault {
+                kind: FaultKind::CommandTimeout,
+                at_cmd: 150,
+            },
+            TransientFault {
+                kind: FaultKind::BusGlitch,
+                at_cmd: 60_000,
+            },
+            TransientFault {
+                kind: FaultKind::ActDrop,
+                at_cmd: 60_001,
+            },
+        ],
+        dead_after: Some(1_500_000),
+        stuck: vec![
+            StuckCell {
+                bank: 0,
+                row: 21,
+                col: 3,
+                value: true,
+            },
+            StuckCell {
+                bank: 0,
+                row: 22,
+                col: 7,
+                value: false,
+            },
+        ],
+        abort_after: None,
+        hang_after: None,
     };
-    let compiled = run(1, false);
-    let interpreted = run(1, true);
+    pair.each(|e| e.install_fault_plan(plan.clone()));
+    let bank = BankId(0);
+    let a = pair.compiled.chip().to_logical(RowAddr(20));
+    let b = pair.compiled.chip().to_logical(RowAddr(22));
+    let mut errors = Vec::new();
+    for round in 0..16u64 {
+        let count = [100, 5_000, 40_000, 250_000][round as usize % 4];
+        let mut program = TestProgram::new();
+        // Rewrite the aggressor through the command path (stuck cells are
+        // forced on it), then hammer and read the victim's neighbour.
+        program
+            .act(bank, b, Picos::from_ns(36.0))
+            .wr(bank, DataPattern::CHECKER_55, Picos::from_ns(15.0))
+            .pre(bank, Picos::from_ns(15.0));
+        program.repeat(count, |body| {
+            body.act(bank, a, Picos::from_ns(36.0))
+                .pre(bank, Picos::from_ns(15.0))
+                .act(bank, b, Picos::from_ns(36.0))
+                .pre(bank, Picos::from_ns(15.0));
+        });
+        program
+            .act(bank, b, Picos::from_ns(36.0))
+            .rd(bank, Picos::from_ns(15.0))
+            .pre(bank, Picos::from_ns(15.0));
+        pair.init(
+            bank,
+            &[RowAddr(20), RowAddr(22)],
+            DataPattern::CHECKER_AA,
+            DataPattern::CHECKER_55,
+        );
+        if let Err(e) = pair.run(&program, &format!("round {round} x{count}")) {
+            errors.push(e);
+        }
+    }
+    let kinds: Vec<FaultKind> = errors
+        .iter()
+        .map(|e| match e {
+            ExecError::Fault { kind, .. } => *kind,
+            other => panic!("unexpected error {other:?}"),
+        })
+        .collect();
     assert_eq!(
-        compiled.to_string(),
-        interpreted.to_string(),
-        "fault-seeded table2 must not depend on the execution path"
+        kinds[..3],
+        [
+            FaultKind::CommandTimeout,
+            FaultKind::BusGlitch,
+            FaultKind::ActDrop
+        ]
     );
-    let quarantined = |t: &table2::Table2| {
-        t.sweep
-            .chips
-            .iter()
-            .filter(|c| c.quarantined.is_some())
-            .map(|c| c.label.clone())
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(quarantined(&compiled), quarantined(&interpreted));
-    assert_eq!(quarantined(&compiled), vec!["Micron-E-16Gb#0".to_string()]);
-    assert_eq!(
-        compiled.sweep.retries(),
-        3,
-        "1 + 2 transient faults retried"
-    );
-    assert_eq!(interpreted.sweep.retries(), 3);
-
-    // Four interpreter workers still reproduce the compiled reference.
-    let interpreted4 = run(4, true);
-    assert_eq!(compiled.to_string(), interpreted4.to_string());
+    assert!(kinds.len() > 3, "the chip must die before the last round");
+    assert!(kinds[3..].iter().all(|&k| k == FaultKind::ChipDead));
 }

@@ -161,11 +161,12 @@ fn engine_accumulation_is_linear() {
             )
         };
         let mut victim = RowData::filled(1024, DataPattern::CHECKER_AA);
+        let mut flips = Vec::new();
         let mut e1 = mk();
-        e1.hammer(&ev(reps), &mut victim);
+        e1.hammer(&ev(reps), &mut victim, &mut flips);
         let mut e2 = mk();
-        e2.hammer(&ev(split), &mut victim);
-        e2.hammer(&ev(reps - split), &mut victim);
+        e2.hammer(&ev(split), &mut victim, &mut flips);
+        e2.hammer(&ev(reps - split), &mut victim, &mut flips);
         let (a1, _) = e1.accumulated(BankId(0), RowAddr(9));
         let (a2, _) = e2.accumulated(BankId(0), RowAddr(9));
         assert!((a1 - a2).abs() < 1e-6 * a1.max(1.0));
