@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
 //! hammer path, the HC_first bisection, the executor's batched hammer
-//! loops, and one memory-system simulation slice.
+//! loops, SiMRA charge sharing, and one memory-system simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
 //! per-iteration timings also land in the `bench.*` histograms of the
@@ -153,6 +153,45 @@ fn bench_fleet_sweep_serial_vs_parallel() {
     pud_bench::perf::append(&record);
 }
 
+/// A paper-width row of seeded random bits.
+fn random_row(seed: u64) -> RowData {
+    let mut row = RowData::filled(8192, DataPattern::ZEROS);
+    for col in 0..8192u32 {
+        let word = pud_disturb::rng::mix_all(&[seed, u64::from(col / 64)]);
+        row.set_bit(col, (word >> (col % 64)) & 1 == 1);
+    }
+    row
+}
+
+/// The charge-sharing kernel alone: the majority of a SiMRA-32 group plus
+/// its tiebreaking row, 33 random paper-width rows.
+fn bench_row_majority() {
+    let rows: Vec<RowData> = (0..33).map(random_row).collect();
+    let refs: Vec<&RowData> = rows.iter().collect();
+    run_micro("row_majority_33x8192", SAMPLES, 100, || {
+        black_box(RowData::majority(black_box(&refs)))
+    });
+}
+
+/// One SiMRA-32 activation at paper scale through the executor: decode,
+/// charge sharing across the 32 rows, and the group's disturbance event.
+fn bench_simra32_activation() {
+    let profile = &TESTED_MODULES[1];
+    let geometry = ChipGeometry::paper_scale();
+    let mut exec = Executor::new(profile, geometry, 0, 42);
+    let bank = BankId(0);
+    let base = RowAddr(geometry.rows_per_subarray * 4);
+    let mask = pud_bender::simra_decode::contiguous_mask(32);
+    for i in 0..32u32 {
+        exec.write_row(bank, RowAddr(base.0 + i), DataPattern(i as u8 * 8 + 1));
+    }
+    let program = ops::simra_mask(bank, base, mask, 1);
+    run_micro("simra32_activation_paper_scale", SAMPLES, 100, || {
+        exec.quiesce();
+        black_box(exec.run(black_box(&program)))
+    });
+}
+
 fn bench_memsim_slice() {
     let mix = &pud_memsim::workload::build_mixes(1, 3)[0];
     run_micro("memsim_20k_instr", SAMPLES, 1, || {
@@ -171,6 +210,8 @@ fn main() {
     bench_executor_loop();
     bench_hc_first_search();
     bench_fleet_sweep_serial_vs_parallel();
+    bench_row_majority();
+    bench_simra32_activation();
     bench_memsim_slice();
     eprintln!();
     eprint!(

@@ -1048,27 +1048,23 @@ impl Executor {
     }
 
     fn charge_share(&mut self, bank: BankId, members: &[RowAddr], first: RowAddr) {
-        let cols = self.chip.geometry().cols_per_row;
-        let fetch = |chip: &Chip, r: RowAddr| {
-            chip.bank(bank)
-                .ok()
-                .and_then(|b| b.row(r))
-                .cloned()
-                .unwrap_or_else(|| RowData::filled(cols, DataPattern::ZEROS))
-        };
-        let contents: Vec<RowData> = members.iter().map(|&r| fetch(&self.chip, r)).collect();
-        let result = if contents.is_empty() {
+        if members.is_empty() {
             return;
-        } else if contents.len() % 2 == 1 {
-            let refs: Vec<&RowData> = contents.iter().collect();
-            RowData::majority(&refs)
-        } else {
-            // Even group: the first-activated row's charge breaks ties.
-            let tiebreak = fetch(&self.chip, first);
-            let mut refs: Vec<&RowData> = contents.iter().collect();
-            refs.push(&tiebreak);
-            RowData::majority(&refs)
-        };
+        }
+        let cols = self.chip.geometry().cols_per_row;
+        // Even group: the first-activated row's charge breaks ties.
+        let tiebreak = members.len().is_multiple_of(2).then_some(first);
+        let voters = members.len() + usize::from(tiebreak.is_some());
+        // Rows never written read as zeros: they vote without being
+        // materialized.
+        let bank_rows = self.chip.bank(bank).ok();
+        let present: Vec<&RowData> = members
+            .iter()
+            .copied()
+            .chain(tiebreak)
+            .filter_map(|r| bank_rows.and_then(|b| b.row(r)))
+            .collect();
+        let result = RowData::majority_with_zeros(cols, &present, voters - present.len());
         for &r in members {
             self.chip
                 .bank_mut(bank)

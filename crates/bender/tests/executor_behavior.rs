@@ -431,3 +431,94 @@ fn strict_env_allows_long_programs_when_refresh_is_on() {
     let report = exec.run(&prog);
     assert_eq!(report.acts, 1_300_000);
 }
+
+/// `n` distinct seeded patterns.
+fn distinct_patterns(n: usize, seed: u64) -> Vec<DataPattern> {
+    let mut bytes: Vec<u8> = Vec::with_capacity(n);
+    let mut draw = 0u64;
+    while bytes.len() < n {
+        let b = pud_disturb::rng::mix_all(&[seed, draw]) as u8;
+        draw += 1;
+        if !bytes.contains(&b) {
+            bytes.push(b);
+        }
+    }
+    bytes.into_iter().map(DataPattern).collect()
+}
+
+/// Bit-by-bit majority of the voters' bytes: the expected charge-sharing
+/// outcome of a SiMRA group, independent of the executor.
+fn byte_majority(voters: &[u8]) -> u8 {
+    (0..8).fold(0u8, |acc, bit| {
+        let ones = voters.iter().filter(|&&v| (v >> bit) & 1 == 1).count();
+        acc | (u8::from(ones > voters.len() / 2) << bit)
+    })
+}
+
+#[test]
+fn simra_charge_sharing_computes_the_majority_at_paper_scale() {
+    let bank = BankId(1);
+    let profile = &TESTED_MODULES[1];
+    assert!(profile.supports_simra());
+    let g = ChipGeometry::paper_scale();
+    for n in [2u8, 4, 8, 16, 32] {
+        for case in 0..3u64 {
+            let mut exec = Executor::new(profile, g, 0, 0xC5 + case);
+            let base = RowAddr(g.rows_per_subarray * (3 + case as u32) + 64);
+            let mask = pud_bender::simra_decode::sandwiching_mask(n);
+            let inputs = distinct_patterns(n as usize, u64::from(n) << 8 | case);
+            let out =
+                ops::in_dram_maj(&mut exec, bank, base, mask, &inputs).expect("group decodes");
+            // The first-activated row is the group's lowest logical row,
+            // which `in_dram_maj` fills with `inputs[0]`; it breaks the tie
+            // of every even group.
+            let mut voters: Vec<u8> = inputs.iter().map(|p| p.0).collect();
+            voters.push(inputs[0].0);
+            let expected = DataPattern(byte_majority(&voters));
+            assert!(
+                out.matches_pattern(expected),
+                "SiMRA-{n}, case {case}: expected {:#04x}",
+                expected.0
+            );
+            let (r1, r2) = pud_bender::simra_decode::pair_for_mask(base, mask);
+            let group = pud_bender::simra_decode::simra_group(&g, r1, r2).unwrap();
+            assert_eq!(group.len(), n as usize);
+            for row in group {
+                assert_eq!(exec.read_row(bank, row).as_ref(), Some(&out), "{row}");
+            }
+        }
+    }
+}
+
+#[test]
+fn unwritten_group_members_vote_as_zeros() {
+    let bank = BankId(0);
+    let mut exec = executor();
+    let g = *exec.chip().geometry();
+    let base = RowAddr(g.rows_per_subarray * 2 + 32);
+    let mask = pud_bender::simra_decode::sandwiching_mask(4);
+    let (r1, r2) = pud_bender::simra_decode::pair_for_mask(base, mask);
+    let group = pud_bender::simra_decode::simra_group(&g, r1, r2).unwrap();
+    // Two ones rows (one of them the tiebreaking first row) against two
+    // rows never written: 3 of 5 votes are ones.
+    exec.write_row(bank, group[0], DataPattern::ONES);
+    exec.write_row(bank, group[2], DataPattern::ONES);
+    exec.run(&ops::simra_mask(bank, base, mask, 1));
+    for &row in &group {
+        let data = exec
+            .read_row(bank, row)
+            .expect("charge sharing writes every member");
+        assert!(data.matches_pattern(DataPattern::ONES), "{row}");
+    }
+    // With the first row left unwritten the zeros win the tie.
+    let mut exec = executor();
+    exec.write_row(bank, group[1], DataPattern::ONES);
+    exec.write_row(bank, group[2], DataPattern::ONES);
+    exec.run(&ops::simra_mask(bank, base, mask, 1));
+    for &row in &group {
+        let data = exec
+            .read_row(bank, row)
+            .expect("charge sharing writes every member");
+        assert!(data.matches_pattern(DataPattern::ZEROS), "{row}");
+    }
+}

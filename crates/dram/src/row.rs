@@ -154,23 +154,67 @@ impl RowData {
     /// Panics if `rows` is empty, has an even length, or widths differ.
     pub fn majority(rows: &[&RowData]) -> RowData {
         assert!(!rows.is_empty(), "majority needs at least one row");
-        assert!(rows.len() % 2 == 1, "majority needs an odd number of rows");
-        let cols = rows[0].cols;
+        RowData::majority_with_zeros(rows[0].cols, rows, 0)
+    }
+
+    /// Bitwise majority of `rows` plus `zeros` further all-zero rows, all
+    /// `cols` columns wide.
+    ///
+    /// An all-zero row adds no votes, so rows that were never written take
+    /// part in the vote without being materialized.
+    ///
+    /// The count is bit-sliced: each column's vote total is held across
+    /// bit-planes (bit `j` of every column's total lives in plane `j`, one
+    /// `u64` per 64 columns), each row is added with a ripple carry, and the
+    /// totals are compared with the threshold one plane at a time. That
+    /// costs O(n·log n) word operations per 64 columns instead of 64·n bit
+    /// tests, in loops over whole rows that the compiler vectorizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are no rows at all, if `rows.len() + zeros` is even,
+    /// or if any row is not `cols` wide.
+    pub fn majority_with_zeros(cols: u32, rows: &[&RowData], zeros: usize) -> RowData {
+        let n = rows.len() + zeros;
+        assert!(n > 0, "majority needs at least one row");
+        assert!(n % 2 == 1, "majority needs an odd number of rows");
         assert!(
             rows.iter().all(|r| r.cols == cols),
             "rows must have equal widths"
         );
+        let planes_for = |count: usize| (usize::BITS - count.leading_zeros()) as usize;
         let mut out = RowData::filled(cols, DataPattern::ZEROS);
-        let threshold = rows.len() / 2;
-        for w in 0..out.words.len() {
-            let mut word = 0u64;
-            for bit in 0..64 {
-                let ones = rows.iter().filter(|r| (r.words[w] >> bit) & 1 == 1).count();
-                if ones > threshold {
-                    word |= 1 << bit;
+        let width = out.words.len();
+        let mut planes = vec![0u64; planes_for(n) * width];
+        let mut carry = vec![0u64; width];
+        for (i, r) in rows.iter().enumerate() {
+            carry.copy_from_slice(&r.words);
+            // After i + 1 rows no total needs more than planes_for(i + 1)
+            // bits, so the carry dies out by then.
+            for plane in planes.chunks_exact_mut(width).take(planes_for(i + 1)) {
+                for (p, c) in plane.iter_mut().zip(&mut carry) {
+                    let next = *p & *c;
+                    *p ^= *c;
+                    *c = next;
                 }
             }
-            out.words[w] = word;
+        }
+        // total > threshold, decided from the most significant plane down:
+        // a column is greater once it has a 1 where the threshold has a 0
+        // and every higher plane was equal.
+        let threshold = n / 2;
+        let mut equal = vec![!0u64; width];
+        for (j, plane) in planes.chunks_exact(width).enumerate().rev() {
+            if (threshold >> j) & 1 == 1 {
+                for (e, &p) in equal.iter_mut().zip(plane) {
+                    *e &= p;
+                }
+            } else {
+                for ((g, e), &p) in out.words.iter_mut().zip(&mut equal).zip(plane) {
+                    *g |= *e & p;
+                    *e &= !p;
+                }
+            }
         }
         out.mask_tail();
         out

@@ -155,3 +155,128 @@ fn region_banding_is_stable_under_scaling() {
         assert_eq!(a, b);
     }
 }
+
+/// Per-column majority of `rows` (each a column-indexed bit vector), counted
+/// one bit at a time: the reference for the bit-sliced [`RowData::majority`].
+fn reference_majority(rows: &[Vec<bool>]) -> Vec<bool> {
+    let width = rows[0].len();
+    (0..width)
+        .map(|col| rows.iter().filter(|r| r[col]).count() > rows.len() / 2)
+        .collect()
+}
+
+fn to_row(bits: &[bool]) -> RowData {
+    let mut row = RowData::filled(bits.len() as u32, DataPattern::ZEROS);
+    for (col, &bit) in bits.iter().enumerate() {
+        if bit {
+            row.set_bit(col as u32, true);
+        }
+    }
+    row
+}
+
+fn random_bits(width: u32, tag: &[u64]) -> Vec<bool> {
+    let mut key = tag.to_vec();
+    key.push(0);
+    let mut bits = Vec::with_capacity(width as usize);
+    for word in 0..width.div_ceil(64) {
+        *key.last_mut().unwrap() = u64::from(word);
+        let x = rng::mix_all(&key);
+        let take = (width - word * 64).min(64);
+        bits.extend((0..take).map(|b| (x >> b) & 1 == 1));
+    }
+    bits
+}
+
+/// The row shapes the differential test feeds the kernel.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Random,
+    AllEqual,
+    OneDissenter,
+    /// Each column holds exactly ⌊n/2⌋ ones (one vote short) or ⌊n/2⌋ + 1
+    /// (just enough), placed at a random rotation.
+    AtThreshold,
+}
+
+/// `n` rows of `width` columns in the given shape.
+fn shaped_rows(shape: Shape, width: u32, n: usize, seed: u64) -> Vec<Vec<bool>> {
+    let tag = |t: u64| [seed, u64::from(width), n as u64, t];
+    match shape {
+        Shape::Random => (0..n)
+            .map(|i| random_bits(width, &tag(100 + i as u64)))
+            .collect(),
+        Shape::AllEqual => vec![random_bits(width, &tag(0)); n],
+        Shape::OneDissenter => {
+            let base = random_bits(width, &tag(0));
+            let at = gen_u64(seed, n as u64, u64::from(width), 0, n as u64) as usize;
+            let mut rows = vec![base; n];
+            rows[at] = rows[at].iter().map(|b| !b).collect();
+            rows
+        }
+        Shape::AtThreshold => {
+            let half = n / 2;
+            let above = random_bits(width, &tag(1));
+            let mut rows = vec![vec![false; width as usize]; n];
+            for col in 0..width as usize {
+                let ones = half + usize::from(above[col]);
+                let offset = gen_u64(seed, col as u64, u64::from(width), 0, n as u64) as usize;
+                for k in 0..ones {
+                    rows[(offset + k) % n][col] = true;
+                }
+            }
+            rows
+        }
+    }
+}
+
+#[test]
+fn majority_matches_per_bit_reference() {
+    for width in [1u32, 63, 64, 65, 1024, 8192] {
+        for n in (1..=65usize).step_by(2) {
+            for (s, shape) in [
+                Shape::Random,
+                Shape::AllEqual,
+                Shape::OneDissenter,
+                Shape::AtThreshold,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let seed = 0xD7 + s as u64;
+                let bits = shaped_rows(shape, width, n, seed);
+                let rows: Vec<RowData> = bits.iter().map(|b| to_row(b)).collect();
+                let refs: Vec<&RowData> = rows.iter().collect();
+                let expected = to_row(&reference_majority(&bits));
+                assert_eq!(
+                    RowData::majority(&refs),
+                    expected,
+                    "width {width}, {n} rows, {shape:?}"
+                );
+                // The same vote with the all-zero rows left implicit.
+                let present: Vec<&RowData> = refs
+                    .iter()
+                    .zip(&bits)
+                    .filter(|(_, b)| b.iter().any(|&bit| bit))
+                    .map(|(&r, _)| r)
+                    .collect();
+                assert_eq!(
+                    RowData::majority_with_zeros(width, &present, n - present.len()),
+                    expected,
+                    "width {width}, {n} rows, {shape:?}, zero rows implicit"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn majority_with_zeros_counts_the_implicit_rows() {
+    let ones = RowData::filled(70, DataPattern::ONES);
+    let zeros = RowData::filled(70, DataPattern::ZEROS);
+    // Two ones against one implicit zero, then against three.
+    assert_eq!(RowData::majority_with_zeros(70, &[&ones, &ones], 1), ones);
+    assert_eq!(RowData::majority_with_zeros(70, &[&ones, &ones], 3), zeros);
+    // No explicit rows at all.
+    assert_eq!(RowData::majority_with_zeros(70, &[], 5), zeros);
+}
