@@ -58,15 +58,6 @@ fn bench_executor_loop() {
     });
     let speedup = interp / compiled;
     println!("[executor_compiled] compiled replay speedup: {speedup:.1}x over interpreter");
-    let record = pud_bench::perf::PerfRecord::from_samples(
-        &pud_bench::perf::current_group(),
-        "executor_compiled_vs_interp",
-        &[compiled, interp],
-    )
-    .counter("compiled_ns", compiled)
-    .counter("interp_ns", interp)
-    .counter("speedup", speedup);
-    pud_bench::perf::append(&record);
     // CI sets PUD_BENCH_MIN_SPEEDUP to fail the job on a fast-path
     // regression; unset (local runs), the measurement is informational.
     if let Some(min) = std::env::var("PUD_BENCH_MIN_SPEEDUP")
@@ -136,21 +127,6 @@ fn bench_fleet_sweep_serial_vs_parallel() {
         serial / parallel,
         hits as f64 / total as f64 * 100.0,
     );
-    // One combined trajectory record so the serial-vs-parallel comparison
-    // survives as a single row (the per-run records above carry the full
-    // percentile detail).
-    let record = pud_bench::perf::PerfRecord::from_samples(
-        &pud_bench::perf::current_group(),
-        "fleet_sweep_serial_vs_parallel",
-        &[serial, parallel],
-    )
-    .threads(4)
-    .counter("serial_ns", serial)
-    .counter("parallel4_ns", parallel)
-    .counter("speedup", serial / parallel)
-    .counter("warm_hit_rate", hits as f64 / total as f64)
-    .counter("cores", cores as f64);
-    pud_bench::perf::append(&record);
 }
 
 /// A paper-width row of seeded random bits.

@@ -2,8 +2,8 @@
 //!
 //! Every public function regenerates one table or figure of the paper and
 //! returns a typed result whose `Display` implementation prints the same
-//! rows/series the paper reports. The bench harness (`pud-bench`) and the
-//! `repro` binary are thin wrappers over these functions.
+//! rows/series the paper reports. The `repro` binary is a thin wrapper over
+//! these functions.
 
 pub mod combined;
 pub mod comra;

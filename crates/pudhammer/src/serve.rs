@@ -687,14 +687,8 @@ impl ServeConfig {
             sim_budget: None,
             max_wait: Duration::from_secs(60),
             idle_timeout: Duration::from_secs(30),
-            interrupt: &ABANDON, // placeholder; overwritten below
+            interrupt,
         }
-        .with_interrupt(interrupt)
-    }
-
-    fn with_interrupt(mut self, interrupt: &'static AtomicBool) -> ServeConfig {
-        self.interrupt = interrupt;
-        self
     }
 }
 

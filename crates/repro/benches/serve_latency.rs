@@ -15,6 +15,7 @@ use std::net::TcpStream;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use pud_bench::percentile;
 use pudhammer::fleet::wire::{Frame, FrameReader, QueryStatus};
 
 const KEY: &str = "family=SK Hynix-A-4Gb;chip=0;pattern=rh-ds";
@@ -85,22 +86,13 @@ fn main() {
         samples.push(ns);
     }
 
-    let record = pud_bench::perf::PerfRecord::from_samples(
-        &pud_bench::perf::current_group(),
-        "serve_cache_hit_roundtrip",
-        &samples,
-    )
-    .counter("connections", 1.0)
-    .counter("warmup", WARMUP as f64);
-    let mut sorted = samples.clone();
-    sorted.sort_by(|a, b| a.total_cmp(b));
+    samples.sort_by(f64::total_cmp);
     println!(
         "[serve_latency] cache-hit round trip over {} samples: p50 {:.1} µs, p99 {:.1} µs",
         SAMPLES,
-        sorted[SAMPLES / 2] / 1e3,
-        sorted[SAMPLES * 99 / 100] / 1e3,
+        percentile(&samples, 50.0) / 1e3,
+        percentile(&samples, 99.0) / 1e3,
     );
-    pud_bench::perf::append(&record);
 
     let _ = Command::new("kill")
         .args(["-TERM", &server.id().to_string()])

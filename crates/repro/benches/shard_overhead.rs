@@ -79,15 +79,4 @@ fn main() {
         overhead_1 / 1e6,
         overhead_4 / 1e6,
     );
-    let record = pud_bench::perf::PerfRecord::from_samples(
-        &pud_bench::perf::current_group(),
-        "shard_coordinator_overhead",
-        &[single, one_shard, four_shards],
-    )
-    .counter("single_process_ns", single)
-    .counter("shards1_ns", one_shard)
-    .counter("shards4_ns", four_shards)
-    .counter("overhead_shards1_ns", overhead_1)
-    .counter("overhead_shards4_ns", overhead_4);
-    pud_bench::perf::append(&record);
 }
