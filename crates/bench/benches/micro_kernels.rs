@@ -13,7 +13,7 @@ use pud_bender::{ops, Executor};
 use pud_disturb::{AggressionKind, DataSummary, DisturbEngine, HammerEvent};
 use pud_dram::{profiles::TESTED_MODULES, BankId, ChipGeometry, DataPattern, RowAddr, RowData};
 use pudhammer::fleet::{sweep, ChipUnderTest, Fleet, FleetConfig};
-use pudhammer::hcfirst::{measure_hc_first, HcSearch};
+use pudhammer::hcfirst::{measure_hc_first, HcSearch, WarmStart};
 use pudhammer::patterns::rowhammer_ds_for;
 use pudhammer::wcdp::find_wcdp;
 
@@ -104,6 +104,7 @@ fn sweep_work(_: usize, chip: &mut ChipUnderTest) {
         &kernel,
         victim,
         &HcSearch::default(),
+        &mut WarmStart::new(),
     ));
 }
 

@@ -11,11 +11,12 @@ use std::fmt;
 use pud_bender::Executor;
 use pud_dram::{BankId, DataPattern, RowAddr};
 
-use crate::experiments::{measure_with_dp, sweep_fleet, Scale};
+use crate::experiments::{measure, sweep_fleet, DpSpec, Scale};
 use crate::fleet::checkpoint::{CheckpointStore, RunCtx};
 use crate::fleet::sweep::SweepReport;
 use crate::fleet::Fleet;
 use crate::hcfirst::prepare;
+use crate::hcfirst::WarmStart;
 use crate::patterns::{comra_ds_for, rowhammer_ds_for, Kernel};
 use crate::report::{fmt_hc, Table};
 use crate::stats::{fraction_where, percent_change, Summary};
@@ -134,8 +135,10 @@ fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Com
                 continue;
             };
             let comra_kernel = comra_ds_for(chip.exec().chip(), victim, false);
-            let Some(h_rh) = measure_with_dp(scale, chip.exec(), bank, &rh_kernel, victim, dp)
-            else {
+            let spec = DpSpec::Fixed(dp);
+            let mut hc =
+                |k: &Kernel| measure(scale, chip, k, victim, spec, &mut WarmStart::new()).0;
+            let Some(h_rh) = hc(&rh_kernel) else {
                 continue;
             };
             baseline_vals.push(h_rh as f64);
@@ -143,22 +146,14 @@ fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Com
             let mut stage_kernels: Vec<(Kernel, u64)> = Vec::new();
             let stages_ok = match plan {
                 StagePlan::Comra => comra_kernel
-                    .and_then(|k| {
-                        measure_with_dp(scale, chip.exec(), bank, &k, victim, dp)
-                            .map(|h| stage_kernels.push((k, h)))
-                    })
+                    .and_then(|k| hc(&k).map(|h| stage_kernels.push((k, h))))
                     .is_some(),
-                StagePlan::Simra => {
-                    measure_with_dp(scale, chip.exec(), bank, &simra_kernel, victim, dp)
-                        .map(|h| stage_kernels.push((simra_kernel, h)))
-                        .is_some()
-                }
+                StagePlan::Simra => hc(&simra_kernel)
+                    .map(|h| stage_kernels.push((simra_kernel, h)))
+                    .is_some(),
                 StagePlan::ComraThenSimra => {
-                    let c = comra_kernel.and_then(|k| {
-                        measure_with_dp(scale, chip.exec(), bank, &k, victim, dp).map(|h| (k, h))
-                    });
-                    let s = measure_with_dp(scale, chip.exec(), bank, &simra_kernel, victim, dp)
-                        .map(|h| (simra_kernel, h));
+                    let c = comra_kernel.and_then(|k| hc(&k).map(|h| (k, h)));
+                    let s = hc(&simra_kernel).map(|h| (simra_kernel, h));
                     match (c, s) {
                         (Some(c), Some(s)) => {
                             stage_kernels.push(c);

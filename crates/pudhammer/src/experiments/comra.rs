@@ -7,13 +7,13 @@ use std::fmt;
 use pud_bender::TestEnv;
 use pud_dram::{Celsius, DataPattern, Manufacturer, Picos, SubarrayRegion};
 
-use crate::experiments::{collect_hc, hc_values, measure_with_dp_warm, sweep_fleet, Record, Scale};
+use crate::experiments::{collect_hc, hc_values, measure, sweep_fleet, DpSpec, Record, Scale};
 use crate::fleet::checkpoint::{CheckpointStore, RunCtx};
 use crate::fleet::sweep::SweepReport;
 use crate::fleet::Fleet;
+use crate::hcfirst::WarmStart;
 use crate::patterns::{
-    comra_ds_for, comra_ss_for, rowhammer_ds_for, rowhammer_far_ds_for, rowhammer_ss_for,
-    DEFAULT_FAR_OFFSET,
+    comra_ds_for, comra_ss_for, rowhammer_far_ds_for, PatternClass, DEFAULT_FAR_OFFSET,
 };
 use crate::report::{fmt_hc, Table};
 use crate::stats::{fraction_where, percent_change, sorted_changes, Summary};
@@ -44,22 +44,16 @@ pub fn fig4_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig4 {
     let ctx = ckpt.map(|s| RunCtx::new(s, "fig4"));
     let mut fleet = Fleet::build(scale.fleet);
     let mut sweep = SweepReport::default();
-    let rh = collect_hc(
-        scale,
-        &mut fleet,
-        rowhammer_ds_for,
-        None,
-        &mut sweep,
-        ctx.as_ref(),
-    );
-    let comra = collect_hc(
-        scale,
-        &mut fleet,
-        |c, v| comra_ds_for(c, v, false),
-        None,
-        &mut sweep,
-        ctx.as_ref(),
-    );
+    let [rh, comra] = [PatternClass::RhDs, PatternClass::ComraDs].map(|class| {
+        collect_hc(
+            scale,
+            &mut fleet,
+            |c, v| class.kernel_for(c, v),
+            scale.dp_policy(class),
+            &mut sweep,
+            ctx.as_ref(),
+        )
+    });
     let mut changes = Vec::new();
     let mut lowest: BTreeMap<Manufacturer, (f64, f64)> = BTreeMap::new();
     for r in &rh {
@@ -150,8 +144,8 @@ pub fn fig5_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig5 {
         let recs = collect_hc(
             scale,
             &mut fleet,
-            |c, v| comra_ds_for(c, v, false),
-            Some(dp),
+            |c, v| PatternClass::ComraDs.kernel_for(c, v),
+            DpSpec::Fixed(dp),
             &mut sweep,
             ctx.as_ref(),
         );
@@ -225,8 +219,8 @@ pub fn fig6_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig6 {
         let recs = collect_hc(
             scale,
             &mut fleet,
-            |c, v| comra_ds_for(c, v, false),
-            None,
+            |c, v| PatternClass::ComraDs.kernel_for(c, v),
+            scale.dp_policy(PatternClass::ComraDs),
             &mut sweep,
             ctx.as_ref(),
         );
@@ -303,19 +297,19 @@ pub fn fig7_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig7 {
     let ctx = ckpt.map(|s| RunCtx::new(s, "fig7"));
     let mut fleet = Fleet::build(scale.fleet);
     let techniques: [(&'static str, KernelFn); 3] = [
-        ("ss-CoMRA", &|c, v| {
-            comra_ss_for(c, v, DEFAULT_FAR_OFFSET, false)
-        }),
-        ("ss-RowHammer", &|c, v| rowhammer_ss_for(c, v)),
+        ("ss-CoMRA", &|c, v| PatternClass::ComraSs.kernel_for(c, v)),
+        ("ss-RowHammer", &|c, v| PatternClass::RhSs.kernel_for(c, v)),
         ("far-ds-RowHammer", &|c, v| {
             rowhammer_far_ds_for(c, v, DEFAULT_FAR_OFFSET)
         }),
     ];
+    // All three are RowHammer/CoMRA-class kernels: one pattern policy.
+    let dp = scale.dp_policy(PatternClass::RhSs);
     let mut sweep = SweepReport::default();
     let mut cells = Vec::new();
     let mut per_technique: Vec<Vec<Record>> = Vec::new();
     for (name, make) in techniques {
-        let recs = collect_hc(scale, &mut fleet, make, None, &mut sweep, ctx.as_ref());
+        let recs = collect_hc(scale, &mut fleet, make, dp, &mut sweep, ctx.as_ref());
         for mfr in Manufacturer::ALL {
             let vals = hc_values(&recs, |r| r.mfr == mfr);
             cells.push((mfr, name, Summary::from_values(&vals)));
@@ -408,16 +402,24 @@ pub fn fig8_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig8 {
         let comra = collect_hc(
             scale,
             &mut fleet,
-            |c, v| comra_ds_for(c, v, false).map(|k| k.with_t_aggon(t_on)),
-            None,
+            |c, v| {
+                PatternClass::ComraDs
+                    .kernel_for(c, v)
+                    .map(|k| k.with_t_aggon(t_on))
+            },
+            scale.dp_policy(PatternClass::ComraDs),
             &mut sweep,
             ctx.as_ref(),
         );
         let press = collect_hc(
             scale,
             &mut fleet,
-            |c, v| rowhammer_ds_for(c, v).map(|k| k.with_t_aggon(t_on)),
-            None,
+            |c, v| {
+                PatternClass::RhDs
+                    .kernel_for(c, v)
+                    .map(|k| k.with_t_aggon(t_on))
+            },
+            scale.dp_policy(PatternClass::RhDs),
             &mut sweep,
             ctx.as_ref(),
         );
@@ -489,7 +491,7 @@ pub fn fig9_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig9 {
             scale,
             &mut fleet,
             |c, v| {
-                comra_ds_for(c, v, false).map(|k| match k {
+                PatternClass::ComraDs.kernel_for(c, v).map(|k| match k {
                     crate::patterns::Kernel::Comra {
                         src, dst, t_aggon, ..
                     } => crate::patterns::Kernel::Comra {
@@ -501,7 +503,7 @@ pub fn fig9_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig9 {
                     other => other,
                 })
             },
-            None,
+            scale.dp_policy(PatternClass::ComraDs),
             &mut sweep,
             ctx.as_ref(),
         );
@@ -592,10 +594,9 @@ pub fn fig10_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig10 {
     let _span = pud_observe::span("experiment.fig10");
     let ctx = ckpt.map(|s| RunCtx::new(s, "fig10"));
     let mut fleet = Fleet::build(scale.fleet);
-    let dp = DataPattern::CHECKER_55;
+    let dp = DpSpec::Fixed(DataPattern::CHECKER_55);
     let mut sweep = SweepReport::default();
     let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-        let bank = chip.bank();
         let mut ds_changes = Vec::new();
         let mut ss_changes = Vec::new();
         for victim in chip.victim_rows() {
@@ -613,11 +614,9 @@ pub fn fig10_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig10 {
                 let (Some(fwd), Some(rev)) = (fwd, rev) else {
                     continue;
                 };
-                let mut warm = crate::hcfirst::WarmStart::new();
-                let hf =
-                    measure_with_dp_warm(scale, chip.exec(), bank, &fwd, victim, dp, &mut warm);
-                let hr =
-                    measure_with_dp_warm(scale, chip.exec(), bank, &rev, victim, dp, &mut warm);
+                let mut warm = WarmStart::new();
+                let (hf, _) = measure(scale, chip, &fwd, victim, dp, &mut warm);
+                let (hr, _) = measure(scale, chip, &rev, victim, dp, &mut warm);
                 if let (Some(a), Some(b)) = (hf, hr) {
                     let change = percent_change(b as f64, a as f64);
                     if idx == 0 {
@@ -710,8 +709,8 @@ pub fn fig11_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig11 {
     let recs: Vec<Record> = collect_hc(
         scale,
         &mut fleet,
-        |c, v| comra_ds_for(c, v, false),
-        None,
+        |c, v| PatternClass::ComraDs.kernel_for(c, v),
+        scale.dp_policy(PatternClass::ComraDs),
         &mut sweep,
         ctx.as_ref(),
     );

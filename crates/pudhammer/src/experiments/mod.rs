@@ -11,15 +11,15 @@ pub mod simra;
 pub mod table2;
 pub mod trr_eval;
 
-use pud_dram::DataPattern;
+use pud_dram::{DataPattern, RowAddr};
 use pud_observe::json::JsonArray;
 use pud_observe::JsonValue;
 
 use crate::fleet::checkpoint::{Codec, RunCtx};
 use crate::fleet::supervisor;
-use crate::fleet::FleetConfig;
-use crate::hcfirst::HcSearch;
-use crate::patterns::Kernel;
+use crate::fleet::{ChipUnderTest, FleetConfig};
+use crate::hcfirst::{HcSearch, WarmStart};
+use crate::patterns::{Kernel, PatternClass};
 
 /// Experiment scale: fleet density, search parameters, and whether the full
 /// per-row WCDP search is performed (quick runs fix the usual worst-case
@@ -91,72 +91,86 @@ impl Default for Scale {
     }
 }
 
-/// The default aggressor data pattern for a kernel class when the full
-/// WCDP search is skipped: checkerboard for RowHammer/CoMRA-class kernels
-/// (Observation 3), all-zeros for SiMRA (Observations 13–14: the victim
-/// then holds 0xFF, the most flippable pattern for 1→0 disturbance).
-pub fn default_aggressor_dp(kernel: &Kernel) -> DataPattern {
-    match kernel {
-        Kernel::Simra { .. } => DataPattern::ZEROS,
-        _ => DataPattern::CHECKER_55,
+/// The aggressor data pattern of one measurement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DpSpec {
+    /// One fixed aggressor pattern (victims hold its negation).
+    Fixed(DataPattern),
+    /// The full four-pattern worst-case search; the result names the winner.
+    Wcdp,
+}
+
+impl DpSpec {
+    /// Canonical wire text (`0x55`, `wcdp`, ...).
+    pub(crate) fn canonical(self) -> String {
+        match self {
+            DpSpec::Fixed(dp) => format!("0x{:02x}", dp.0),
+            DpSpec::Wcdp => "wcdp".to_string(),
+        }
+    }
+
+    /// Parses the canonical wire text.
+    pub(crate) fn parse(s: &str) -> Result<DpSpec, String> {
+        match s {
+            "wcdp" => Ok(DpSpec::Wcdp),
+            "0x00" => Ok(DpSpec::Fixed(DataPattern::ZEROS)),
+            "0x55" => Ok(DpSpec::Fixed(DataPattern::CHECKER_55)),
+            "0xaa" => Ok(DpSpec::Fixed(DataPattern::CHECKER_AA)),
+            "0xff" => Ok(DpSpec::Fixed(DataPattern::ONES)),
+            other => Err(format!(
+                "unknown data pattern {other:?} (expected 0x00, 0x55, 0xaa, 0xff, or wcdp)"
+            )),
+        }
     }
 }
 
-pub(crate) fn measure_with_policy(
-    scale: &Scale,
-    exec: &mut pud_bender::Executor,
-    bank: pud_dram::BankId,
-    kernel: &Kernel,
-    victim: pud_dram::RowAddr,
-) -> Option<u64> {
-    if scale.use_wcdp {
-        crate::wcdp::find_wcdp(exec, bank, kernel, victim, &scale.search).hc
-    } else {
-        let dp = default_aggressor_dp(kernel);
-        crate::hcfirst::measure_hc_first(
-            exec,
-            bank,
-            kernel,
-            victim,
-            dp,
-            dp.negated(),
-            &scale.search,
-        )
+impl Scale {
+    /// The data pattern of drivers that leave it to the scale: the full
+    /// WCDP search when [`Scale::use_wcdp`] is set, else the class's
+    /// [`PatternClass::default_dp`].
+    pub fn dp_policy(&self, class: PatternClass) -> DpSpec {
+        if self.use_wcdp {
+            DpSpec::Wcdp
+        } else {
+            DpSpec::Fixed(class.default_dp())
+        }
     }
 }
 
-pub(crate) fn measure_with_dp(
+/// One §4.2 measurement: HC_first of the physical `victim` under `kernel`
+/// on `chip`, with the aggressor pattern `dp` names (or the lowest over
+/// the four tested patterns for [`DpSpec::Wcdp`]). Returns the HC_first
+/// and the pattern it was measured with. `warm` seeds the bisection
+/// bracket from the previous search on the same victim; pass a fresh
+/// [`WarmStart`] for a cold search.
+pub fn measure(
     scale: &Scale,
-    exec: &mut pud_bender::Executor,
-    bank: pud_dram::BankId,
+    chip: &mut ChipUnderTest,
     kernel: &Kernel,
-    victim: pud_dram::RowAddr,
-    dp: DataPattern,
-) -> Option<u64> {
-    crate::hcfirst::measure_hc_first(exec, bank, kernel, victim, dp, dp.negated(), &scale.search)
-}
-
-/// [`measure_with_dp`] with a caller-held warm-start cache, for call sites
-/// that measure one victim under several patterns or kernels in a row.
-pub(crate) fn measure_with_dp_warm(
-    scale: &Scale,
-    exec: &mut pud_bender::Executor,
-    bank: pud_dram::BankId,
-    kernel: &Kernel,
-    victim: pud_dram::RowAddr,
-    dp: DataPattern,
-    warm: &mut crate::hcfirst::WarmStart,
-) -> Option<u64> {
-    crate::hcfirst::measure_hc_first_warm(
-        exec,
-        bank,
-        kernel,
-        victim,
-        dp,
-        dp.negated(),
-        &scale.search,
-        warm,
-    )
+    victim: RowAddr,
+    dp: DpSpec,
+    warm: &mut WarmStart,
+) -> (Option<u64>, DataPattern) {
+    let bank = chip.bank();
+    match dp {
+        DpSpec::Fixed(dp) => {
+            let hc = crate::hcfirst::measure_hc_first_warm(
+                chip.exec(),
+                bank,
+                kernel,
+                victim,
+                dp,
+                dp.negated(),
+                &scale.search,
+                warm,
+            );
+            (hc, dp)
+        }
+        DpSpec::Wcdp => {
+            let w = crate::wcdp::find_wcdp(chip.exec(), bank, kernel, victim, &scale.search, warm);
+            (w.hc, w.pattern)
+        }
+    }
 }
 
 /// One HC_first measurement over the fleet.
@@ -263,8 +277,8 @@ pub(crate) fn sweep_fleet<R: Send + Codec>(
 }
 
 /// Measures HC_first for every fleet victim under the kernel produced by
-/// `make_kernel`, using `dp` as the aggressor pattern (or the per-class
-/// default policy when `None`). Chips are swept in parallel per
+/// `make_kernel`, with the aggressor pattern `dp` names (each victim's
+/// search runs cold). Chips are swept in parallel per
 /// [`Scale::threads`]; records come back in fleet order regardless.
 ///
 /// The sweep is fault-isolating (see [`sweep_fleet`]): a chip whose
@@ -276,22 +290,18 @@ pub(crate) fn collect_hc(
     scale: &Scale,
     fleet: &mut crate::fleet::Fleet,
     make_kernel: impl Fn(&pud_dram::Chip, pud_dram::RowAddr) -> Option<Kernel> + Sync,
-    dp: Option<DataPattern>,
+    dp: DpSpec,
     sweep: &mut crate::fleet::sweep::SweepReport,
     ctx: Option<&RunCtx<'_>>,
 ) -> Vec<Record> {
     let per_chip = sweep_fleet(scale, fleet, sweep, ctx, |chip_idx, chip| {
         let _sweep = pud_observe::span(&format!("fleet.sweep.{}", chip.profile.key()));
-        let bank = chip.bank();
         let mut records = Vec::new();
         for victim in chip.victim_rows() {
             let Some(kernel) = make_kernel(chip.exec().chip(), victim) else {
                 continue;
             };
-            let hc = match dp {
-                Some(dp) => measure_with_dp(scale, chip.exec(), bank, &kernel, victim, dp),
-                None => measure_with_policy(scale, chip.exec(), bank, &kernel, victim),
-            };
+            let (hc, _) = measure(scale, chip, &kernel, victim, dp, &mut WarmStart::new());
             records.push(Record {
                 chip: chip_idx,
                 mfr: chip.profile.chip_vendor,
@@ -317,49 +327,28 @@ pub(crate) fn hc_values<'a>(
         .collect()
 }
 
-/// Test/debug-only re-exports of internal helpers.
-#[doc(hidden)]
-pub fn measure_with_dp_pub(
-    scale: &Scale,
-    exec: &mut pud_bender::Executor,
-    bank: pud_dram::BankId,
-    kernel: &Kernel,
-    victim: pud_dram::RowAddr,
-    dp: DataPattern,
-) -> Option<u64> {
-    measure_with_dp(scale, exec, bank, kernel, victim, dp)
-}
-
-/// Test/debug-only re-export of the SiMRA target enumeration.
-#[doc(hidden)]
-pub fn simra_debug_targets(
-    chip: &mut crate::fleet::ChipUnderTest,
-    n: u8,
-    cap: usize,
-) -> Vec<(Kernel, pud_dram::RowAddr)> {
-    simra::ds_targets(chip, n, cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pud_dram::{Picos, RowAddr};
+    use crate::fleet::Fleet;
+    use crate::patterns;
+    use crate::serve::{resolve_with_retry, ProfileKey};
+    use pud_dram::Chip;
 
     #[test]
     fn default_patterns_per_kernel_class() {
-        let rh = Kernel::RowHammerSingle {
-            a: RowAddr(1),
-            t_aggon: Picos::from_ns(36.0),
-        };
-        assert_eq!(default_aggressor_dp(&rh), DataPattern::CHECKER_55);
-        let si = Kernel::Simra {
-            r1: RowAddr(0),
-            r2: RowAddr(2),
-            act_to_pre: Picos::from_ns(3.0),
-            pre_to_act: Picos::from_ns(3.0),
-            t_aggon: Picos::from_ns(36.0),
-        };
-        assert_eq!(default_aggressor_dp(&si), DataPattern::ZEROS);
+        let quick = Scale::quick();
+        for class in [PatternClass::RhDs, PatternClass::ComraSs] {
+            assert_eq!(
+                quick.dp_policy(class),
+                DpSpec::Fixed(DataPattern::CHECKER_55)
+            );
+        }
+        assert_eq!(
+            quick.dp_policy(PatternClass::Simra(4)),
+            DpSpec::Fixed(DataPattern::ZEROS)
+        );
+        assert_eq!(Scale::full().dp_policy(PatternClass::RhDs), DpSpec::Wcdp);
     }
 
     #[test]
@@ -367,5 +356,48 @@ mod tests {
         assert!(Scale::full().use_wcdp);
         assert!(!Scale::quick().use_wcdp);
         assert!(Scale::full().trr_hammers > Scale::quick().trr_hammers);
+    }
+
+    /// The oracle: each class's kernel built from its paper definition
+    /// (not through [`PatternClass`]), measured by the drivers' fleet
+    /// sweep. The served value of every family's chip 0 must equal that
+    /// chip's first record, victim included.
+    #[test]
+    fn served_values_equal_driver_records() {
+        let scale = Scale::quick();
+        let mut fleet = Fleet::build(scale.fleet);
+        let families: Vec<(usize, String)> = fleet
+            .chips
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.chip_index == 0)
+            .map(|(i, c)| (i, c.profile.key()))
+            .collect();
+        assert_eq!(families.len(), 14);
+        for class in ["rh-ds", "rh-ss", "comra-ds", "comra-ss"] {
+            let make = |c: &Chip, v: RowAddr| match class {
+                "rh-ds" => patterns::rowhammer_ds_for(c, v),
+                "rh-ss" => patterns::rowhammer_ss_for(c, v),
+                "comra-ds" => patterns::comra_ds_for(c, v, false),
+                _ => patterns::comra_ss_for(c, v, patterns::DEFAULT_FAR_OFFSET, false),
+            };
+            let dp = DpSpec::Fixed(DataPattern::CHECKER_55);
+            let mut sweep = crate::fleet::sweep::SweepReport::default();
+            let records = collect_hc(&scale, &mut fleet, make, dp, &mut sweep, None);
+            for (idx, family) in &families {
+                let first = records.iter().find(|r| r.chip == *idx).expect("a record");
+                let hc = first.hc.map_or("none".to_string(), |h| h.to_string());
+                let key =
+                    ProfileKey::parse(&format!("family={family};chip=0;pattern={class};dp=0x55"))
+                        .expect("valid key");
+                let served = resolve_with_retry(&scale, &key);
+                assert_eq!(
+                    served.value,
+                    format!("victim={} hc_first={hc}", first.victim.0),
+                    "{}",
+                    key.canonical()
+                );
+            }
+        }
     }
 }

@@ -6,15 +6,21 @@ use std::fmt;
 use pud_bender::TestEnv;
 use pud_dram::{Celsius, DataPattern, Picos, RowAddr, SubarrayRegion};
 
-use crate::experiments::{measure_with_dp, measure_with_dp_warm, sweep_fleet, Scale};
+use crate::experiments::{measure, sweep_fleet, DpSpec, Scale};
 use crate::fleet::checkpoint::{CheckpointStore, RunCtx};
 use crate::fleet::sweep::SweepReport;
 use crate::fleet::{ChipUnderTest, Fleet};
+use crate::hcfirst::WarmStart;
 use crate::patterns::{
     rowhammer_ds_for, rowhammer_ss_for, simra_ds_kernels, simra_ss_kernels, simra_victims, Kernel,
 };
 use crate::report::{fmt_hc, Table};
 use crate::stats::{fraction_where, percent_change, sorted_changes, Summary};
+
+/// The SiMRA aggressor pattern (`PatternClass::Simra(_).default_dp()`).
+const ZEROS: DpSpec = DpSpec::Fixed(DataPattern::ZEROS);
+/// The RowHammer (and single-sided SiMRA) aggressor pattern.
+const CHECKER: DpSpec = DpSpec::Fixed(DataPattern::CHECKER_55);
 
 /// Group sizes with double-sided (sandwiching) kernels.
 pub const DS_GROUP_SIZES: [u8; 4] = [2, 4, 8, 16];
@@ -140,30 +146,23 @@ pub fn fig13_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig13 {
     let mut lowest_rh = f64::INFINITY;
     for n in DS_GROUP_SIZES {
         let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-            let bank = chip.bank();
             let mut changes = Vec::new();
             let mut lowest = f64::INFINITY;
             let mut lowest_rh = f64::INFINITY;
             for (kernel, victim) in ds_targets(chip, n, cap) {
-                let hc_si = measure_with_dp(
-                    scale,
-                    chip.exec(),
-                    bank,
-                    &kernel,
-                    victim,
-                    DataPattern::ZEROS,
-                );
+                let hc_si = measure(scale, chip, &kernel, victim, ZEROS, &mut WarmStart::new()).0;
                 let Some(rh_kernel) = rowhammer_ds_for(chip.exec().chip(), victim) else {
                     continue;
                 };
-                let hc_rh = measure_with_dp(
+                let hc_rh = measure(
                     scale,
-                    chip.exec(),
-                    bank,
+                    chip,
                     &rh_kernel,
                     victim,
-                    DataPattern::CHECKER_55,
-                );
+                    CHECKER,
+                    &mut WarmStart::new(),
+                )
+                .0;
                 if let Some(h) = hc_si {
                     lowest = lowest.min(h as f64);
                 }
@@ -252,20 +251,13 @@ pub fn fig14_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig14 {
     let mut cells = Vec::new();
     for n in DS_GROUP_SIZES {
         let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-            let bank = chip.bank();
             let mut by_dp: Vec<Vec<f64>> = vec![Vec::new(); DataPattern::TESTED.len()];
             for (kernel, victim) in ds_targets(chip, n, cap) {
-                let mut warm = crate::hcfirst::WarmStart::new();
+                let mut warm = WarmStart::new();
                 for (i, dp) in DataPattern::TESTED.into_iter().enumerate() {
-                    if let Some(h) = measure_with_dp_warm(
-                        scale,
-                        chip.exec(),
-                        bank,
-                        &kernel,
-                        victim,
-                        dp,
-                        &mut warm,
-                    ) {
+                    if let Some(h) =
+                        measure(scale, chip, &kernel, victim, DpSpec::Fixed(dp), &mut warm).0
+                    {
                         by_dp[i].push(h as f64);
                     }
                 }
@@ -339,19 +331,13 @@ pub fn fig15_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig15 {
         // matches the serial path exactly.
         let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
             chip.set_env(TestEnv::characterization().at_temperature(temp));
-            let bank = chip.bank();
             let mut by_n: Vec<Vec<f64>> = Vec::with_capacity(DS_GROUP_SIZES.len());
             for n in DS_GROUP_SIZES {
                 let mut vals = Vec::new();
                 for (kernel, victim) in ds_targets(chip, n, cap) {
-                    if let Some(h) = measure_with_dp(
-                        scale,
-                        chip.exec(),
-                        bank,
-                        &kernel,
-                        victim,
-                        DataPattern::ZEROS,
-                    ) {
+                    if let Some(h) =
+                        measure(scale, chip, &kernel, victim, ZEROS, &mut WarmStart::new()).0
+                    {
                         vals.push(h as f64);
                     }
                 }
@@ -416,30 +402,19 @@ pub fn fig16_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig16 {
     let mut rh_vals = Vec::new();
     for n in SS_GROUP_SIZES {
         let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-            let bank = chip.bank();
             let mut vals = Vec::new();
             let mut rh_vals = Vec::new();
             for (kernel, victim) in ss_targets(chip, n, cap) {
-                if let Some(h) = measure_with_dp(
-                    scale,
-                    chip.exec(),
-                    bank,
-                    &kernel,
-                    victim,
-                    DataPattern::CHECKER_55,
-                ) {
+                if let Some(h) =
+                    measure(scale, chip, &kernel, victim, CHECKER, &mut WarmStart::new()).0
+                {
                     vals.push(h as f64);
                 }
                 if n == 2 {
                     if let Some(rk) = rowhammer_ss_for(chip.exec().chip(), victim) {
-                        if let Some(h) = measure_with_dp(
-                            scale,
-                            chip.exec(),
-                            bank,
-                            &rk,
-                            victim,
-                            DataPattern::CHECKER_55,
-                        ) {
+                        if let Some(h) =
+                            measure(scale, chip, &rk, victim, CHECKER, &mut WarmStart::new()).0
+                        {
                             rh_vals.push(h as f64);
                         }
                     }
@@ -508,21 +483,14 @@ pub fn fig17_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig17 {
         // One sweep per on-time: each chip runs the RowPress baseline
         // (double-sided RowHammer held open) and then both SiMRA sizes.
         let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-            let bank = chip.bank();
             let mut press_vals = Vec::new();
             for victim in chip.victim_rows() {
                 let Some(k) = rowhammer_ds_for(chip.exec().chip(), victim) else {
                     continue;
                 };
                 let k = k.with_t_aggon(t_on);
-                if let Some(h) = measure_with_dp(
-                    scale,
-                    chip.exec(),
-                    bank,
-                    &k,
-                    victim,
-                    DataPattern::CHECKER_55,
-                ) {
+                if let Some(h) = measure(scale, chip, &k, victim, CHECKER, &mut WarmStart::new()).0
+                {
                     press_vals.push(h as f64);
                 }
             }
@@ -532,7 +500,7 @@ pub fn fig17_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig17 {
                 for (kernel, victim) in ds_targets(chip, n, cap) {
                     let k = kernel.with_t_aggon(t_on);
                     if let Some(h) =
-                        measure_with_dp(scale, chip.exec(), bank, &k, victim, DataPattern::ZEROS)
+                        measure(scale, chip, &k, victim, ZEROS, &mut WarmStart::new()).0
                     {
                         vals.push(h as f64);
                     }
@@ -613,7 +581,6 @@ pub fn fig18_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig18 {
     for a2p in delays {
         for p2a in delays {
             let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-                let bank = chip.bank();
                 let mut vals = Vec::new();
                 for (kernel, victim) in ds_targets(chip, 16, cap) {
                     let Kernel::Simra {
@@ -630,7 +597,7 @@ pub fn fig18_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig18 {
                         t_aggon,
                     };
                     if let Some(h) =
-                        measure_with_dp(scale, chip.exec(), bank, &k, victim, DataPattern::ZEROS)
+                        measure(scale, chip, &k, victim, ZEROS, &mut WarmStart::new()).0
                     {
                         vals.push(h as f64);
                     }
@@ -691,18 +658,12 @@ pub fn fig19_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig19 {
     let mut cells = Vec::new();
     for n in DS_GROUP_SIZES {
         let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx.as_ref(), |_, chip| {
-            let bank = chip.bank();
             let mut by_region: Vec<Vec<f64>> = vec![Vec::new(); 5];
             for (kernel, victim) in ds_targets(chip, n, cap) {
                 let region = chip.exec().chip().geometry().region_of(victim);
-                if let Some(h) = measure_with_dp(
-                    scale,
-                    chip.exec(),
-                    bank,
-                    &kernel,
-                    victim,
-                    DataPattern::ZEROS,
-                ) {
+                if let Some(h) =
+                    measure(scale, chip, &kernel, victim, ZEROS, &mut WarmStart::new()).0
+                {
                     by_region[region.index()].push(h as f64);
                 }
             }

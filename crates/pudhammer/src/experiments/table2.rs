@@ -8,11 +8,12 @@ use pud_dram::DataPattern;
 use pud_observe::json::JsonObject;
 use pud_observe::JsonValue;
 
-use crate::experiments::{measure_with_dp, Scale};
+use crate::experiments::{measure, DpSpec, Scale};
 use crate::fleet::checkpoint::CheckpointStore;
 use crate::fleet::sweep::{SweepOutcome, SweepReport};
 use crate::fleet::Fleet;
-use crate::patterns::{comra_ds_for, rowhammer_ds_for};
+use crate::hcfirst::WarmStart;
+use crate::patterns::PatternClass;
 use crate::report::{fmt_hc, Table};
 
 /// Measured `(min, avg)` HC_first of one technique on one family.
@@ -98,47 +99,32 @@ pub fn table2_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Table2 {
                     return Some(row);
                 }
             }
-            let bank = chip.bank();
             let mut rh_vals = Vec::new();
             let mut comra_vals = Vec::new();
             for victim in chip.victim_rows() {
-                if let Some(k) = rowhammer_ds_for(chip.exec().chip(), victim) {
-                    if let Some(h) = measure_with_dp(
-                        scale,
-                        chip.exec(),
-                        bank,
-                        &k,
-                        victim,
-                        DataPattern::CHECKER_55,
-                    ) {
-                        rh_vals.push(h as f64);
-                    }
-                }
-                if let Some(k) = comra_ds_for(chip.exec().chip(), victim, false) {
-                    if let Some(h) = measure_with_dp(
-                        scale,
-                        chip.exec(),
-                        bank,
-                        &k,
-                        victim,
-                        DataPattern::CHECKER_55,
-                    ) {
-                        comra_vals.push(h as f64);
+                for (class, vals) in [
+                    (PatternClass::RhDs, &mut rh_vals),
+                    (PatternClass::ComraDs, &mut comra_vals),
+                ] {
+                    let Some(k) = class.kernel_for(chip.exec().chip(), victim) else {
+                        continue;
+                    };
+                    let dp = DpSpec::Fixed(class.default_dp());
+                    if let (Some(h), _) =
+                        measure(scale, chip, &k, victim, dp, &mut WarmStart::new())
+                    {
+                        vals.push(h as f64);
                     }
                 }
             }
             let mut simra_vals = Vec::new();
             if chip.profile.supports_simra() {
+                let dp = DpSpec::Fixed(DataPattern::ZEROS);
                 for n in crate::experiments::simra::DS_GROUP_SIZES {
                     for (kernel, victim) in crate::experiments::simra::ds_targets(chip, n, cap) {
-                        if let Some(h) = measure_with_dp(
-                            scale,
-                            chip.exec(),
-                            bank,
-                            &kernel,
-                            victim,
-                            DataPattern::ZEROS,
-                        ) {
+                        if let (Some(h), _) =
+                            measure(scale, chip, &kernel, victim, dp, &mut WarmStart::new())
+                        {
                             simra_vals.push(h as f64);
                         }
                     }

@@ -208,12 +208,11 @@ pub struct ShardRun {
     pub last_error: Option<String>,
 }
 
-/// Base of the real (slept) exponential respawn backoff:
+/// Base of the exponential respawn backoff:
 /// `RESPAWN_BACKOFF_MS << (attempt - 1)`, capped at
-/// [`RESPAWN_BACKOFF_CAP_MS`]. Unlike the sweep engine's *virtual* retry
-/// backoff, this one really waits — a worker that died of a transient
-/// resource spike deserves a breather, and coordinator wall-clock never
-/// feeds experiment output.
+/// [`RESPAWN_BACKOFF_CAP_MS`]. It really waits — a worker that died of a
+/// transient resource spike deserves a breather, and coordinator
+/// wall-clock never feeds experiment output.
 pub const RESPAWN_BACKOFF_MS: u64 = 50;
 
 /// Upper bound on one respawn backoff sleep.
@@ -500,7 +499,11 @@ fn supervise_shard(
             break;
         }
         if attempt > 0 {
-            let backoff = (RESPAWN_BACKOFF_MS << (attempt - 1).min(16)).min(RESPAWN_BACKOFF_CAP_MS);
+            let backoff = super::sweep::capped_backoff_ms(
+                RESPAWN_BACKOFF_MS,
+                RESPAWN_BACKOFF_CAP_MS,
+                attempt - 1,
+            );
             std::thread::sleep(std::time::Duration::from_millis(backoff));
             log(
                 index,

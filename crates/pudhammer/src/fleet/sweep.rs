@@ -280,13 +280,6 @@ where
     (results, traces)
 }
 
-/// Virtual backoff before the first retry of a transient failure, doubled
-/// per subsequent retry. *Recorded, never slept*: real sleeps would make
-/// wall-clock (and thus scheduling) depend on the fault schedule, and the
-/// byte-identity guarantee across thread counts forbids that. The recorded
-/// nanoseconds model what a real campaign harness would wait.
-pub const BACKOFF_BASE_NS: u64 = 1_000_000;
-
 /// Retry policy for an isolating sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepPolicy {
@@ -402,8 +395,6 @@ pub struct ChipStatus {
     pub label: String,
     /// Transient failures retried.
     pub retries: u32,
-    /// Total virtual backoff attributed to the retries.
-    pub backoff_ns: u64,
     /// Quarantine reason, or `None` for a healthy chip.
     pub quarantined: Option<String>,
     /// Cancellation reason, or `None` when the unit ran to a verdict.
@@ -461,14 +452,13 @@ impl SweepReport {
     }
 
     /// Merges another report (typically from a later sweep over the same
-    /// fleet) into this one: retries and backoff accumulate per label, and
+    /// fleet) into this one: retries accumulate per label, and
     /// the first quarantine reason wins.
     pub fn absorb(&mut self, other: &SweepReport) {
         for theirs in &other.chips {
             match self.chips.iter_mut().find(|c| c.label == theirs.label) {
                 Some(ours) => {
                     ours.retries += theirs.retries;
-                    ours.backoff_ns += theirs.backoff_ns;
                     if ours.quarantined.is_none() {
                         ours.quarantined.clone_from(&theirs.quarantined);
                     }
@@ -566,7 +556,7 @@ thread_local! {
     static SUPPRESS_PANIC_REPORT: Cell<bool> = const { Cell::new(false) };
 }
 
-pub(crate) fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn std::any::Any + Send>> {
+fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn std::any::Any + Send>> {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
@@ -587,7 +577,7 @@ pub(crate) fn catch_quiet<R>(f: impl FnOnce() -> R) -> Result<R, Box<dyn std::an
 /// transience; anything else — a plain `assert!`, an index out of bounds —
 /// is permanent: retrying deterministic code on unchanged state would fail
 /// identically.
-pub(crate) fn classify_payload(payload: Box<dyn std::any::Any + Send>) -> (bool, String) {
+fn classify_payload(payload: Box<dyn std::any::Any + Send>) -> (bool, String) {
     match payload.downcast::<ExecError>() {
         Ok(err) => (err.is_transient(), err.to_string()),
         Err(payload) => {
@@ -601,69 +591,78 @@ pub(crate) fn classify_payload(payload: Box<dyn std::any::Any + Send>) -> (bool,
     }
 }
 
-/// The shared per-unit harness of every isolating sweep: supervisor
-/// pre-check, `catch_unwind` isolation, transient retry with virtual
-/// backoff, quarantine — and cooperative cancellation, which is checked
-/// *before* fault classification so a [`Cancelled`] unwind is never
-/// mistaken for a chip fault (and never retried).
-fn run_supervised<R>(
-    policy: SweepPolicy,
+/// The capped exponential delay before retry `n` (0-based): `base << n`,
+/// at most `cap`, without overflow at any `n`. Serve's transient-fault
+/// retries and the shard respawns sleep it, each with its own constants.
+pub(crate) fn capped_backoff_ms(base: u64, cap: u64, n: u32) -> u64 {
+    base.saturating_mul(2u64.saturating_pow(n)).min(cap)
+}
+
+/// The isolation/retry core shared by sweeps and the query server: runs
+/// `attempt` under `catch_unwind`, retries a typed transient [`ExecError`]
+/// up to `max_retries` times (calling `on_retry` with the retry's 1-based
+/// number before each), and returns the outcome with the retries spent.
+/// A [`Cancelled`] unwind is checked *before* fault classification, so it
+/// is never mistaken for a chip fault (and never retried). Never returns
+/// [`SweepOutcome::Skipped`].
+pub(crate) fn retry_isolated<R>(
+    max_retries: u32,
     mut attempt: impl FnMut() -> R,
-) -> (SweepOutcome<R>, u32, u64) {
+    mut on_retry: impl FnMut(u32),
+) -> (SweepOutcome<R>, u32) {
     let mut retries = 0u32;
-    let mut backoff_ns = 0u64;
+    loop {
+        let payload = match catch_quiet(&mut attempt) {
+            Ok(r) => return (SweepOutcome::Done(r), retries),
+            Err(payload) => payload,
+        };
+        let payload = match payload.downcast::<Cancelled>() {
+            Ok(cancelled) => return (SweepOutcome::Cancelled(cancelled.reason), retries),
+            Err(payload) => payload,
+        };
+        let (transient, message) = classify_payload(payload);
+        if transient && retries < max_retries {
+            retries += 1;
+            on_retry(retries);
+            continue;
+        }
+        let error = SweepError {
+            transient,
+            message,
+            attempts: retries + 1,
+        };
+        return (SweepOutcome::Quarantined(error), retries);
+    }
+}
+
+/// The per-unit harness of every isolating sweep: the supervisor
+/// pre-check, then [`retry_isolated`] with the supervisor and live
+/// telemetry bookkeeping of each verdict.
+fn run_supervised<R>(policy: SweepPolicy, attempt: impl FnMut() -> R) -> (SweepOutcome<R>, u32) {
     // Workers still claim every queued unit after a cancellation; the
     // pre-check turns the remainder into `Cancelled` outcomes without
     // starting any measurement, bounding the shutdown grace period.
     if let Some(reason) = supervisor::is_cancelled() {
         supervisor::record_cancelled();
-        return (SweepOutcome::Cancelled(reason), retries, backoff_ns);
+        return (SweepOutcome::Cancelled(reason), 0);
     }
-    loop {
-        match catch_quiet(&mut attempt) {
-            Ok(r) => {
-                supervisor::complete_unit();
-                return (SweepOutcome::Done(r), retries, backoff_ns);
-            }
-            Err(payload) => {
-                let payload = match payload.downcast::<Cancelled>() {
-                    Ok(cancelled) => {
-                        supervisor::record_cancelled();
-                        return (
-                            SweepOutcome::Cancelled(cancelled.reason),
-                            retries,
-                            backoff_ns,
-                        );
-                    }
-                    Err(payload) => payload,
-                };
-                let (transient, message) = classify_payload(payload);
-                if transient && retries < policy.max_retries {
-                    // Exponential virtual backoff: recorded, not slept (see
-                    // BACKOFF_BASE_NS) — determinism across thread counts.
-                    backoff_ns += BACKOFF_BASE_NS << retries;
-                    retries += 1;
-                    pud_observe::live::retry();
-                    continue;
-                }
-                let error = SweepError {
-                    transient,
-                    message,
-                    attempts: retries + 1,
-                };
-                pud_observe::live::quarantine();
-                return (SweepOutcome::Quarantined(error), retries, backoff_ns);
-            }
-        }
+    let (outcome, retries) = retry_isolated(policy.max_retries, attempt, |_| {
+        pud_observe::live::retry();
+    });
+    match outcome {
+        SweepOutcome::Done(_) => supervisor::complete_unit(),
+        SweepOutcome::Cancelled(_) => supervisor::record_cancelled(),
+        SweepOutcome::Quarantined(_) => pud_observe::live::quarantine(),
+        SweepOutcome::Skipped(_) => {}
     }
+    (outcome, retries)
 }
 
 /// Panic- and error-isolating variant of [`sweep`].
 ///
 /// Each chip closure runs under `catch_unwind`: a typed transient
 /// [`ExecError`] (injected command timeout, bus glitch, ACT drop) is
-/// retried up to `policy.max_retries` times with exponential *virtual*
-/// backoff; permanent errors (dead chip, invalid program, any other panic)
+/// retried up to `policy.max_retries` times; permanent errors (dead chip, invalid program, any other panic)
 /// quarantine the chip immediately. The sweep always completes — failed
 /// chips come back as [`SweepOutcome::Quarantined`] and the accompanying
 /// [`SweepReport`] says what happened to every chip.
@@ -685,7 +684,7 @@ where
     let n = chips.len();
     let raw = sweep(threads, chips, |i, chip| {
         match super::shard::skip_for(i, n) {
-            Some(reason) => (SweepOutcome::Skipped(reason), 0, 0),
+            Some(reason) => (SweepOutcome::Skipped(reason), 0),
             None => {
                 let out = run_supervised(policy, || f(i, &mut *chip));
                 // Unit boundary: with paging on, drop the materialized
@@ -702,19 +701,18 @@ where
     collate_outcomes(labels, raw)
 }
 
-/// Zips raw `(outcome, retries, backoff)` rows with their labels into the
+/// Zips raw `(outcome, retries)` rows with their labels into the
 /// caller-facing `(outcomes, report)` pair.
 fn collate_outcomes<R>(
     labels: Vec<String>,
-    raw: Vec<(SweepOutcome<R>, u32, u64)>,
+    raw: Vec<(SweepOutcome<R>, u32)>,
 ) -> (Vec<SweepOutcome<R>>, SweepReport) {
     let mut outcomes = Vec::with_capacity(raw.len());
     let mut status = Vec::with_capacity(raw.len());
-    for (label, (outcome, retries, backoff_ns)) in labels.into_iter().zip(raw) {
+    for (label, (outcome, retries)) in labels.into_iter().zip(raw) {
         status.push(ChipStatus {
             label,
             retries,
-            backoff_ns,
             quarantined: outcome.quarantine().map(|e| e.to_string()),
             cancelled: outcome.cancelled(),
             skipped: outcome.skipped(),
@@ -744,7 +742,7 @@ where
     let n = items.len();
     let raw = sweep_items(threads, items, |i, item| {
         match super::shard::skip_for(i, n) {
-            Some(reason) => (SweepOutcome::Skipped(reason), 0, 0),
+            Some(reason) => (SweepOutcome::Skipped(reason), 0),
             None => run_supervised(policy, || f(i, &mut *item)),
         }
     });
@@ -853,6 +851,19 @@ mod tests {
     }
 
     #[test]
+    fn capped_backoff_doubles_to_its_cap_without_overflow() {
+        assert_eq!(capped_backoff_ms(2, 50, 0), 2, "base at n=0");
+        assert_eq!(capped_backoff_ms(2, 50, 1), 4);
+        assert_eq!(capped_backoff_ms(2, 50, 4), 32);
+        assert_eq!(capped_backoff_ms(2, 50, 5), 50, "64 is capped");
+        assert_eq!(capped_backoff_ms(50, 2_000, 6), 2_000);
+        for n in [63, 64, 65, u32::MAX] {
+            assert_eq!(capped_backoff_ms(50, 2_000, n), 2_000, "n={n}");
+        }
+        assert_eq!(capped_backoff_ms(0, 50, u32::MAX), 0);
+    }
+
+    #[test]
     fn isolated_sweep_matches_plain_sweep_on_a_healthy_fleet() {
         let mut fleet = Fleet::build(FleetConfig::quick());
         let plain = sweep(4, &mut fleet.chips, |_, chip| chip.label());
@@ -894,7 +905,6 @@ mod tests {
         assert_eq!(report.retries(), 4);
         assert_eq!(report.quarantined(), 0);
         assert_eq!(report.chips[2].retries, 2);
-        assert_eq!(report.chips[2].backoff_ns, BACKOFF_BASE_NS * 3);
         assert_eq!(report.chips[0].retries, 0);
     }
 
@@ -946,10 +956,6 @@ mod tests {
         assert!(err.transient);
         assert_eq!(err.attempts, 3);
         assert_eq!(report.chips[0].retries, 2);
-        assert_eq!(
-            report.chips[0].backoff_ns,
-            BACKOFF_BASE_NS + (BACKOFF_BASE_NS << 1)
-        );
     }
 
     #[test]
@@ -972,7 +978,6 @@ mod tests {
             chips: vec![ChipStatus {
                 label: "a".to_string(),
                 retries: 1,
-                backoff_ns: BACKOFF_BASE_NS,
                 quarantined: None,
                 cancelled: None,
                 skipped: None,
@@ -983,7 +988,6 @@ mod tests {
                 ChipStatus {
                     label: "a".to_string(),
                     retries: 2,
-                    backoff_ns: 3 * BACKOFF_BASE_NS,
                     quarantined: Some("injected fault: chip_dead".to_string()),
                     cancelled: None,
                     skipped: None,
@@ -991,7 +995,6 @@ mod tests {
                 ChipStatus {
                     label: "b".to_string(),
                     retries: 0,
-                    backoff_ns: 0,
                     quarantined: None,
                     cancelled: Some(CancelReason::Interrupted),
                     skipped: None,
@@ -1000,7 +1003,6 @@ mod tests {
         });
         assert_eq!(total.chips.len(), 2);
         assert_eq!(total.chips[0].retries, 3);
-        assert_eq!(total.chips[0].backoff_ns, 4 * BACKOFF_BASE_NS);
         assert!(total.chips[0].quarantined.is_some());
         assert_eq!(total.retries(), 3);
         assert_eq!(total.quarantined(), 1);
@@ -1036,9 +1038,8 @@ mod tests {
             "cancellation is not a fault"
         );
         assert!(outcomes[1].quarantine().is_none());
-        // Never retried: a cancelled unit costs no retry budget or backoff.
+        // Never retried: a cancelled unit costs no retry budget.
         assert_eq!(report.chips[1].retries, 0);
-        assert_eq!(report.chips[1].backoff_ns, 0);
         assert_eq!(report.cancelled(), 1);
         let footer = report.footer_lines();
         assert!(
@@ -1055,16 +1056,14 @@ mod tests {
 
     #[test]
     fn skipped_units_yield_no_result_and_only_failed_shards_foul_the_report() {
-        let raw: Vec<(SweepOutcome<u32>, u32, u64)> = vec![
-            (SweepOutcome::Done(7), 0, 0),
+        let raw: Vec<(SweepOutcome<u32>, u32)> = vec![
+            (SweepOutcome::Done(7), 0),
             (
                 SweepOutcome::Skipped(SkipReason::OutOfShard { shard: 1 }),
-                0,
                 0,
             ),
             (
                 SweepOutcome::Skipped(SkipReason::FailedShard { shard: 2 }),
-                0,
                 0,
             ),
         ];
@@ -1090,7 +1089,6 @@ mod tests {
             vec!["a".to_string()],
             vec![(
                 SweepOutcome::Skipped(SkipReason::OutOfShard { shard: 0 }),
-                0,
                 0,
             )],
         );

@@ -8,7 +8,8 @@
 //! complete characterization methodology on top of the simulated substrate:
 //!
 //! - [`patterns`] — victim-centric construction of RowHammer / RowPress /
-//!   CoMRA / SiMRA hammering kernels, including the SiMRA group search;
+//!   CoMRA / SiMRA hammering kernels, including the SiMRA group search,
+//!   and the pattern-class vocabulary the drivers and the server share;
 //! - [`hcfirst`] — the HC_first bisection algorithm (§4.2);
 //! - [`wcdp`] — worst-case data pattern search;
 //! - [`rev_eng`] — reverse engineering of subarray boundaries, physical

@@ -8,7 +8,9 @@
 
 use pud_bender::{ops, simra_decode, TestProgram};
 use pud_disturb::calib;
-use pud_dram::{BankId, Chip, Picos, RowAddr, SubarrayId};
+use pud_dram::{BankId, Chip, DataPattern, Picos, RowAddr, SubarrayId};
+
+use crate::fleet::ChipUnderTest;
 
 /// Default far-row offset (in physical rows) for single-sided CoMRA and far
 /// double-sided RowHammer kernels.
@@ -106,6 +108,113 @@ impl Kernel {
             | Kernel::Simra { t_aggon, .. } => *t_aggon = t,
         }
         self
+    }
+}
+
+/// The hammering-pattern class of one §4.2 measurement: the vocabulary
+/// profile keys name and the drivers measure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PatternClass {
+    /// Double-sided RowHammer (two adjacent aggressors).
+    RhDs,
+    /// Single-sided RowHammer.
+    RhSs,
+    /// Double-sided CoMRA (in-DRAM copy sandwiching the victim).
+    ComraDs,
+    /// Single-sided CoMRA (adjacent source, far destination).
+    ComraSs,
+    /// SiMRA-N multi-row activation, N ∈ {2, 4, 8, 16, 32}.
+    Simra(u8),
+}
+
+impl PatternClass {
+    /// Canonical wire text (`rh-ds`, `comra-ss`, `simra-8`, ...).
+    pub fn canonical(self) -> String {
+        match self {
+            PatternClass::RhDs => "rh-ds".to_string(),
+            PatternClass::RhSs => "rh-ss".to_string(),
+            PatternClass::ComraDs => "comra-ds".to_string(),
+            PatternClass::ComraSs => "comra-ss".to_string(),
+            PatternClass::Simra(n) => format!("simra-{n}"),
+        }
+    }
+
+    /// Parses the canonical wire text.
+    pub(crate) fn parse(s: &str) -> Result<PatternClass, String> {
+        match s {
+            "rh-ds" => Ok(PatternClass::RhDs),
+            "rh-ss" => Ok(PatternClass::RhSs),
+            "comra-ds" => Ok(PatternClass::ComraDs),
+            "comra-ss" => Ok(PatternClass::ComraSs),
+            _ => {
+                let n = s
+                    .strip_prefix("simra-")
+                    .and_then(|n| n.parse::<u8>().ok())
+                    .filter(|n| matches!(n, 2 | 4 | 8 | 16 | 32));
+                n.map(PatternClass::Simra).ok_or_else(|| {
+                    format!(
+                        "unknown pattern class {s:?} (expected rh-ds, rh-ss, comra-ds, \
+                         comra-ss, or simra-<2|4|8|16|32>)"
+                    )
+                })
+            }
+        }
+    }
+
+    /// The aggressor data pattern measured when the full WCDP search is
+    /// skipped: checkerboard for RowHammer/CoMRA (Observation 3),
+    /// all-zeros for SiMRA (Observations 13–14: the victim then holds
+    /// 0xFF, the most flippable pattern for 1→0 disturbance).
+    pub fn default_dp(self) -> DataPattern {
+        match self {
+            PatternClass::Simra(_) => DataPattern::ZEROS,
+            _ => DataPattern::CHECKER_55,
+        }
+    }
+
+    /// The class's kernel for the physical `victim`, or `None` if the
+    /// victim cannot host it. SiMRA kernels are found by group search, not
+    /// built around a victim: always `None` (see [`Self::target`]).
+    pub fn kernel_for(self, chip: &Chip, victim: RowAddr) -> Option<Kernel> {
+        match self {
+            PatternClass::RhDs => rowhammer_ds_for(chip, victim),
+            PatternClass::RhSs => rowhammer_ss_for(chip, victim),
+            PatternClass::ComraDs => comra_ds_for(chip, victim, false),
+            PatternClass::ComraSs => comra_ss_for(chip, victim, DEFAULT_FAR_OFFSET, false),
+            PatternClass::Simra(_) => None,
+        }
+    }
+
+    /// The deterministic `(kernel, victim)` pair this class measures on a
+    /// chip: the first sampled victim [`Self::kernel_for`] admits (the
+    /// chip's first record in a driver sweep), or for SiMRA the first
+    /// sandwiched victim of the first group-search kernel in the second
+    /// tested subarray.
+    pub fn target(self, chip: &mut ChipUnderTest) -> Result<(Kernel, RowAddr), String> {
+        if let PatternClass::Simra(n) = self {
+            if !chip.profile.supports_simra() {
+                return Err(format!(
+                    "family {:?} does not support multi-row activation",
+                    chip.profile.key()
+                ));
+            }
+            let sas = chip.tested_subarrays();
+            let sa = sas.get(1).copied().or_else(|| sas.first().copied());
+            let sa = sa.ok_or("chip has no tested subarrays")?;
+            let kernels = simra_ds_kernels(chip.exec().chip(), sa, n);
+            let kernel = *kernels
+                .first()
+                .ok_or("no SiMRA group with sandwiched victims in the tested subarray")?;
+            let (sandwiched, _) = simra_victims(chip.exec().chip(), &kernel);
+            let victim = *sandwiched.first().ok_or("SiMRA group lost its victims")?;
+            return Ok((kernel, victim));
+        }
+        for victim in chip.victim_rows() {
+            if let Some(kernel) = self.kernel_for(chip.exec().chip(), victim) {
+                return Ok((kernel, victim));
+            }
+        }
+        Err("no sampled victim admits this pattern class".to_string())
     }
 }
 

@@ -49,17 +49,18 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pud_bender::TestEnv;
-use pud_dram::{profiles, Celsius, DataPattern, Picos, RowAddr};
+use pud_dram::{profiles, Celsius, Picos};
 use pud_observe::json::JsonObject;
 use pud_observe::JsonValue;
 
-use crate::experiments::Scale;
+use crate::experiments::{measure, DpSpec, Scale};
 use crate::fleet::checkpoint::{CheckpointError, CheckpointHeader, CheckpointStore};
-use crate::fleet::supervisor::{self, CancelReason, CancelToken, Cancelled};
-use crate::fleet::sweep::{catch_quiet, classify_payload};
+use crate::fleet::supervisor::{self, CancelReason, CancelToken};
+use crate::fleet::sweep::{capped_backoff_ms, retry_isolated, SweepOutcome};
 use crate::fleet::wire::{Frame, FrameStream, Heartbeat, QueryStatus};
 use crate::fleet::{ChipUnderTest, Fleet, Roster};
-use crate::patterns::{self, Kernel};
+use crate::hcfirst::WarmStart;
+use crate::patterns::PatternClass;
 
 /// The checkpoint stage every profile row is recorded under.
 const STAGE: &str = "profile";
@@ -68,93 +69,19 @@ const STAGE: &str = "profile";
 /// any index, but an absurd one is a malformed query, not a real chip.
 const MAX_CHIP_INDEX: u32 = 1 << 14;
 
+/// Upper bound on a key's aggressor on-time: the refresh window tREFW.
+const MAX_AGGON_PS: u64 = pud_disturb::calib::T_REFW_NS as u64 * 1_000;
+
 /// Base real-time backoff between transient-fault retry attempts.
 const RETRY_BACKOFF_MS: u64 = 2;
+
+/// Upper bound on one transient-fault retry sleep.
+const RETRY_BACKOFF_CAP_MS: u64 = 50;
 
 /// Process-wide abandon latch: set when the drain deadline forces the
 /// server to give up on in-flight simulations. Wired into every worker's
 /// per-request token as its interrupt flag.
 static ABANDON: AtomicBool = AtomicBool::new(false);
-
-/// The hammering-pattern class a profile key selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PatternClass {
-    /// Double-sided RowHammer (two adjacent aggressors).
-    RhDs,
-    /// Single-sided RowHammer.
-    RhSs,
-    /// Double-sided CoMRA (in-DRAM copy sandwiching the victim).
-    ComraDs,
-    /// Single-sided CoMRA (adjacent source, far destination).
-    ComraSs,
-    /// SiMRA-N multi-row activation, N ∈ {2, 4, 8, 16, 32}.
-    Simra(u8),
-}
-
-impl PatternClass {
-    /// Canonical wire text (`rh-ds`, `comra-ss`, `simra-8`, ...).
-    pub fn canonical(self) -> String {
-        match self {
-            PatternClass::RhDs => "rh-ds".to_string(),
-            PatternClass::RhSs => "rh-ss".to_string(),
-            PatternClass::ComraDs => "comra-ds".to_string(),
-            PatternClass::ComraSs => "comra-ss".to_string(),
-            PatternClass::Simra(n) => format!("simra-{n}"),
-        }
-    }
-
-    fn parse(s: &str) -> Result<PatternClass, String> {
-        match s {
-            "rh-ds" => Ok(PatternClass::RhDs),
-            "rh-ss" => Ok(PatternClass::RhSs),
-            "comra-ds" => Ok(PatternClass::ComraDs),
-            "comra-ss" => Ok(PatternClass::ComraSs),
-            _ => {
-                let n = s
-                    .strip_prefix("simra-")
-                    .and_then(|n| n.parse::<u8>().ok())
-                    .filter(|n| matches!(n, 2 | 4 | 8 | 16 | 32));
-                n.map(PatternClass::Simra).ok_or_else(|| {
-                    format!(
-                        "unknown pattern class {s:?} (expected rh-ds, rh-ss, comra-ds, \
-                         comra-ss, or simra-<2|4|8|16|32>)"
-                    )
-                })
-            }
-        }
-    }
-}
-
-/// The aggressor data pattern a profile key selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DpSpec {
-    /// One fixed aggressor pattern (victims hold its negation).
-    Fixed(DataPattern),
-    /// The full four-pattern worst-case search; the value names the winner.
-    Wcdp,
-}
-
-impl DpSpec {
-    fn canonical(self) -> String {
-        match self {
-            DpSpec::Fixed(dp) => format!("0x{:02x}", dp.0),
-            DpSpec::Wcdp => "wcdp".to_string(),
-        }
-    }
-
-    fn parse(s: &str) -> Result<DpSpec, String> {
-        match s {
-            "wcdp" => Ok(DpSpec::Wcdp),
-            "0x00" => Ok(DpSpec::Fixed(DataPattern::ZEROS)),
-            "0x55" => Ok(DpSpec::Fixed(DataPattern::CHECKER_55)),
-            "0xaa" => Ok(DpSpec::Fixed(DataPattern::CHECKER_AA)),
-            "0xff" => Ok(DpSpec::Fixed(DataPattern::ONES)),
-            other => Err(format!(
-                "unknown data pattern {other:?} (expected 0x00, 0x55, 0xaa, 0xff, or wcdp)"
-            )),
-        }
-    }
-}
 
 /// One point in the fleet vulnerability profile: the key a query names and
 /// the store indexes by. The canonical text form is `;`-separated
@@ -184,9 +111,11 @@ pub struct ProfileKey {
 
 impl ProfileKey {
     /// Parses the `;`-separated `key=value` text form. `family`, `chip`,
-    /// and `pattern` are required; `dp` defaults to the class's usual
-    /// worst pattern (0x00 for SiMRA, 0x55 otherwise), `temp_cc` to 8000,
-    /// and `aggon_ps` to 0.
+    /// and `pattern` are required; `dp` defaults to the class's
+    /// [`PatternClass::default_dp`] (0x00 for SiMRA, 0x55 otherwise),
+    /// `temp_cc` to 8000, and `aggon_ps` to 0. `aggon_ps` is bounded by the
+    /// refresh window tREFW (64 ms): past it the disturbance model leaves
+    /// its calibrated range and the values stop being monotone.
     pub fn parse(text: &str) -> Result<ProfileKey, String> {
         let mut family: Option<String> = None;
         let mut chip: Option<u32> = None;
@@ -224,7 +153,11 @@ impl ProfileKey {
                 "aggon_ps" => {
                     aggon_ps = v
                         .parse::<u64>()
-                        .map_err(|_| "aggon_ps must be an unsigned integer".to_string())?;
+                        .ok()
+                        .filter(|&t| t <= MAX_AGGON_PS)
+                        .ok_or_else(|| {
+                            format!("aggon_ps must be an integer in 0..={MAX_AGGON_PS}")
+                        })?;
                 }
                 other => return Err(format!("unknown key field {other:?}")),
             }
@@ -235,10 +168,7 @@ impl ProfileKey {
         }
         let chip = chip.ok_or("missing field chip")?;
         let pattern = pattern.ok_or("missing field pattern")?;
-        let dp = dp.unwrap_or(DpSpec::Fixed(match pattern {
-            PatternClass::Simra(_) => DataPattern::ZEROS,
-            _ => DataPattern::CHECKER_55,
-        }));
+        let dp = dp.unwrap_or(DpSpec::Fixed(pattern.default_dp()));
         Ok(ProfileKey {
             family,
             chip,
@@ -332,88 +262,29 @@ fn build_chip(scale: &Scale, key: &ProfileKey) -> Result<ChipUnderTest, String> 
         .ok_or_else(|| format!("unknown module family {:?}", key.family))
 }
 
-/// Selects the deterministic (kernel, victim) pair for a pattern class on
-/// a chip: the first sampled victim the class's kernel constructor accepts
-/// (SiMRA: the first group-search kernel's first sandwiched victim).
-fn select_kernel(
-    chip: &mut ChipUnderTest,
-    class: PatternClass,
-) -> Result<(Kernel, RowAddr), String> {
-    if let PatternClass::Simra(n) = class {
-        if !chip.profile.supports_simra() {
-            return Err(format!(
-                "family {:?} does not support multi-row activation",
-                chip.profile.key()
-            ));
-        }
-        let sas = chip.tested_subarrays();
-        let sa = sas.get(1).copied().or_else(|| sas.first().copied());
-        let sa = sa.ok_or("chip has no tested subarrays")?;
-        let kernels = patterns::simra_ds_kernels(chip.exec().chip(), sa, n);
-        let kernel = *kernels
-            .first()
-            .ok_or("no SiMRA group with sandwiched victims in the tested subarray")?;
-        let (sandwiched, _) = patterns::simra_victims(chip.exec().chip(), &kernel);
-        let victim = *sandwiched.first().ok_or("SiMRA group lost its victims")?;
-        return Ok((kernel, victim));
-    }
-    for victim in chip.victim_rows() {
-        let kernel = match class {
-            PatternClass::RhDs => patterns::rowhammer_ds_for(chip.exec().chip(), victim),
-            PatternClass::RhSs => patterns::rowhammer_ss_for(chip.exec().chip(), victim),
-            PatternClass::ComraDs => patterns::comra_ds_for(chip.exec().chip(), victim, false),
-            PatternClass::ComraSs => patterns::comra_ss_for(
-                chip.exec().chip(),
-                victim,
-                patterns::DEFAULT_FAR_OFFSET,
-                false,
-            ),
-            PatternClass::Simra(_) => unreachable!("handled above"),
-        };
-        if let Some(kernel) = kernel {
-            return Ok((kernel, victim));
-        }
-    }
-    Err("no sampled victim admits this pattern class".to_string())
-}
-
 /// One measurement attempt: builds nothing, retries nothing — panics with
 /// a typed `ExecError` on an injected chip fault and unwinds with
-/// [`Cancelled`] past an expired deadline, exactly like a sweep unit.
-fn measure(scale: &Scale, key: &ProfileKey, chip: &mut ChipUnderTest) -> Result<String, String> {
+/// [`Cancelled`](crate::fleet::supervisor::Cancelled) past an expired
+/// deadline, exactly like a sweep unit.
+fn measure_key(
+    scale: &Scale,
+    key: &ProfileKey,
+    chip: &mut ChipUnderTest,
+) -> Result<String, String> {
     chip.set_env(
         TestEnv::characterization().at_temperature(Celsius(f64::from(key.temp_cc) / 100.0)),
     );
-    let bank = chip.bank();
-    let (kernel, victim) = select_kernel(chip, key.pattern)?;
+    let (kernel, victim) = key.pattern.target(chip)?;
     let kernel = if key.aggon_ps > 0 {
         kernel.with_t_aggon(Picos(key.aggon_ps))
     } else {
         kernel
     };
-    let fmt_hc = |hc: Option<u64>| hc.map_or("none".to_string(), |n| n.to_string());
+    let (hc, dp) = measure(scale, chip, &kernel, victim, key.dp, &mut WarmStart::new());
+    let hc = hc.map_or("none".to_string(), |n| n.to_string());
     Ok(match key.dp {
-        DpSpec::Wcdp => {
-            let w = crate::wcdp::find_wcdp(chip.exec(), bank, &kernel, victim, &scale.search);
-            format!(
-                "victim={} wcdp=0x{:02x} hc_first={}",
-                victim.0,
-                w.pattern.0,
-                fmt_hc(w.hc)
-            )
-        }
-        DpSpec::Fixed(dp) => {
-            let hc = crate::hcfirst::measure_hc_first(
-                chip.exec(),
-                bank,
-                &kernel,
-                victim,
-                dp,
-                dp.negated(),
-                &scale.search,
-            );
-            format!("victim={} hc_first={}", victim.0, fmt_hc(hc))
-        }
+        DpSpec::Wcdp => format!("victim={} wcdp=0x{:02x} hc_first={hc}", victim.0, dp.0),
+        DpSpec::Fixed(_) => format!("victim={} hc_first={hc}", victim.0),
     })
 }
 
@@ -421,8 +292,8 @@ fn measure(scale: &Scale, key: &ProfileKey, chip: &mut ChipUnderTest) -> Result<
 /// faults retried with backoff on the *same* chip (the fault clock
 /// carries, so the returned value equals the fault-free one), typed
 /// verdicts for everything else. This is the single compute path shared by
-/// the server's workers and `repro query --local` — byte-identity between
-/// the two is structural, not tested-in.
+/// the server's workers and `repro query --local`; it measures through
+/// the drivers' [`measure`] and isolates through the sweeps' retry core.
 ///
 /// Cancellation comes from whatever supervisor token is installed (the
 /// server installs a per-request one thread-locally): a deadline unwind
@@ -433,42 +304,33 @@ pub fn resolve_with_retry(scale: &Scale, key: &ProfileKey) -> Resolution {
         Ok(chip) => chip,
         Err(detail) => return Resolution::verdict(QueryStatus::BadRequest, detail),
     };
-    let mut retries = 0u32;
-    loop {
-        match catch_quiet(|| measure(scale, key, &mut chip)) {
-            Ok(Ok(value)) => return Resolution::ok(value, retries),
-            Ok(Err(detail)) => return Resolution::verdict(QueryStatus::BadRequest, detail),
-            Err(payload) => {
-                let payload = match payload.downcast::<Cancelled>() {
-                    Ok(cancelled) => {
-                        return match cancelled.reason {
-                            CancelReason::DeadlineExpired => Resolution::verdict(
-                                QueryStatus::Expired,
-                                "deadline expired during simulation",
-                            ),
-                            CancelReason::Interrupted => Resolution::verdict(
-                                QueryStatus::Unavailable,
-                                "simulation abandoned by shutdown drain",
-                            ),
-                        };
-                    }
-                    Err(payload) => payload,
-                };
-                let (transient, message) = classify_payload(payload);
-                if transient && retries < scale.max_retries {
-                    retries += 1;
-                    pud_observe::counter("serve.retries").incr();
-                    std::thread::sleep(Duration::from_millis(
-                        (RETRY_BACKOFF_MS << (retries - 1)).min(50),
-                    ));
-                    continue;
-                }
-                return Resolution::verdict(
-                    QueryStatus::Unavailable,
-                    format!("simulation failed: {message}"),
-                );
-            }
+    let (outcome, retries) = retry_isolated(
+        scale.max_retries,
+        || measure_key(scale, key, &mut chip),
+        |n| {
+            pud_observe::counter("serve.retries").incr();
+            std::thread::sleep(Duration::from_millis(capped_backoff_ms(
+                RETRY_BACKOFF_MS,
+                RETRY_BACKOFF_CAP_MS,
+                n - 1,
+            )));
+        },
+    );
+    match outcome {
+        SweepOutcome::Done(Ok(value)) => Resolution::ok(value, retries),
+        SweepOutcome::Done(Err(detail)) => Resolution::verdict(QueryStatus::BadRequest, detail),
+        SweepOutcome::Cancelled(CancelReason::DeadlineExpired) => {
+            Resolution::verdict(QueryStatus::Expired, "deadline expired during simulation")
         }
+        SweepOutcome::Cancelled(CancelReason::Interrupted) => Resolution::verdict(
+            QueryStatus::Unavailable,
+            "simulation abandoned by shutdown drain",
+        ),
+        SweepOutcome::Quarantined(e) => Resolution::verdict(
+            QueryStatus::Unavailable,
+            format!("simulation failed: {}", e.message),
+        ),
+        SweepOutcome::Skipped(_) => unreachable!("the retry core never skips"),
     }
 }
 
@@ -1154,6 +1016,7 @@ pub fn run(config: ServeConfig) -> Result<ServeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pud_dram::DataPattern;
 
     fn quick_key(pattern: &str) -> ProfileKey {
         ProfileKey::parse(&format!("family=SK Hynix-A-4Gb;chip=0;pattern={pattern}"))
@@ -1177,6 +1040,9 @@ mod tests {
         // SiMRA defaults to the all-zeros aggressor pattern.
         let simra = quick_key("simra-4");
         assert!(matches!(simra.dp, DpSpec::Fixed(DataPattern::ZEROS)));
+        // The on-time bound is inclusive: tREFW itself is a valid key.
+        let refw = ProfileKey::parse(&format!("{};aggon_ps=64000000000", key.canonical()));
+        assert_eq!(refw.map(|k| k.aggon_ps), Ok(64_000_000_000));
     }
 
     #[test]
@@ -1204,6 +1070,10 @@ mod tests {
             (
                 "family=SK Hynix-A-4Gb;chip=0;pattern=rh-ds;temp_cc=999999",
                 "temp_cc",
+            ),
+            (
+                "family=SK Hynix-A-4Gb;chip=0;pattern=rh-ds;aggon_ps=64000000001",
+                "aggon_ps must be an integer in 0..=64000000000",
             ),
             (
                 "family=SK Hynix-A-4Gb;chip=0;pattern=rh-ds;bogus=1",

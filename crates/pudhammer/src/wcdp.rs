@@ -23,36 +23,28 @@ pub struct WcdpResult {
 /// Finds the worst-case aggressor data pattern for `victim` under `kernel`
 /// by measuring HC_first for all four tested patterns.
 ///
-/// The four searches target one victim, so each seeds the next through a
-/// [`WarmStart`]: patterns whose HC_first lands inside the previous
-/// converged bracket skip the exponential probe (see `hcfirst.warm.*`
-/// metrics for the realized hit rate).
+/// The four searches target one victim, so each seeds the next through
+/// `warm` (pass a fresh [`WarmStart`] for a cold first search): patterns
+/// whose HC_first lands inside the previous converged bracket skip the
+/// exponential probe (see `hcfirst.warm.*` metrics for the realized hit
+/// rate).
 pub fn find_wcdp(
     exec: &mut Executor,
     bank: BankId,
     kernel: &Kernel,
     victim: RowAddr,
     search: &HcSearch,
+    warm: &mut WarmStart,
 ) -> WcdpResult {
     let mut best = WcdpResult {
         pattern: DataPattern::CHECKER_55,
         hc: None,
     };
-    let mut warm = WarmStart::new();
     for dp in DataPattern::TESTED {
         // Poll between per-pattern searches so a cancelled WCDP sweep
         // unwinds without starting the next full HC_first search.
         crate::fleet::supervisor::poll_cancel();
-        let hc = measure_hc_first_warm(
-            exec,
-            bank,
-            kernel,
-            victim,
-            dp,
-            dp.negated(),
-            search,
-            &mut warm,
-        );
+        let hc = measure_hc_first_warm(exec, bank, kernel, victim, dp, dp.negated(), search, warm);
         match (best.hc, hc) {
             (None, Some(_)) => best = WcdpResult { pattern: dp, hc },
             (Some(b), Some(h)) if h < b => best = WcdpResult { pattern: dp, hc },
@@ -81,7 +73,14 @@ mod tests {
             let Some(kernel) = patterns::comra_ds_for(exec.chip(), victim, false) else {
                 continue;
             };
-            let w = find_wcdp(&mut exec, BankId(0), &kernel, victim, &search);
+            let w = find_wcdp(
+                &mut exec,
+                BankId(0),
+                &kernel,
+                victim,
+                &search,
+                &mut WarmStart::new(),
+            );
             assert!(w.hc.is_some());
             total += 1;
             if w.pattern.is_checkerboard() {
@@ -105,7 +104,14 @@ mod tests {
         let kernel = kernels[0];
         let (sandwiched, _) = patterns::simra_victims(exec.chip(), &kernel);
         let victim = sandwiched[0];
-        let w = find_wcdp(&mut exec, BankId(0), &kernel, victim, &search);
+        let w = find_wcdp(
+            &mut exec,
+            BankId(0),
+            &kernel,
+            victim,
+            &search,
+            &mut WarmStart::new(),
+        );
         assert!(w.hc.is_some());
         assert_eq!(
             w.pattern,
