@@ -800,4 +800,185 @@ mod tests {
         assert_eq!(FaultConfig::from_env(), None);
         std::env::remove_var(FAULT_SEED_ENV);
     }
+
+    #[test]
+    fn storage_schedules_are_pinned() {
+        // (seed, scope) → (kind, at_record, bit_draw) at permille 1000:
+        // a campaign's base file and both shard files of a two-shard run.
+        use StorageFaultKind::{BitCorrupt, NoSpace, ShortWrite};
+        let expected = [
+            (7, "run.jsonl", ShortWrite, 2, 16_743_231_883_656_479_865),
+            (
+                7,
+                "run.jsonl.shard0of2",
+                BitCorrupt,
+                0,
+                13_769_579_943_151_366_019,
+            ),
+            (
+                7,
+                "run.jsonl.shard1of2",
+                BitCorrupt,
+                3,
+                15_595_405_130_887_084_863,
+            ),
+            (103, "run.jsonl", BitCorrupt, 3, 9_439_532_319_389_386_939),
+            (
+                103,
+                "run.jsonl.shard0of2",
+                NoSpace,
+                1,
+                7_089_452_195_288_991_329,
+            ),
+            (
+                103,
+                "run.jsonl.shard1of2",
+                BitCorrupt,
+                1,
+                12_771_254_224_447_179_720,
+            ),
+            (
+                0xDEAD_BEEF,
+                "run.jsonl",
+                NoSpace,
+                3,
+                11_244_540_903_577_905_467,
+            ),
+            (
+                0xDEAD_BEEF,
+                "run.jsonl.shard0of2",
+                BitCorrupt,
+                2,
+                4_935_622_907_794_680_231,
+            ),
+            (
+                0xDEAD_BEEF,
+                "run.jsonl.shard1of2",
+                ShortWrite,
+                1,
+                13_354_676_477_786_074_816,
+            ),
+        ];
+        for (seed, scope, kind, at_record, bit_draw) in expected {
+            let plan = StorageFaultPlan::derive(seed, 1000, scope);
+            assert_eq!(
+                plan.fault,
+                Some(StorageFault {
+                    at_record,
+                    kind,
+                    bit_draw
+                }),
+                "seed {seed} scope {scope}"
+            );
+        }
+    }
+
+    #[test]
+    fn client_schedules_are_pinned() {
+        // Seed 103 at the chaos client's default permille (700):
+        // (behaviour, draw tag 5, tag 6, tag 7) for connections 0..8.
+        use ClientFaultKind::{MalformedFrame, MidFrameCut, SlowLoris};
+        let expected = [
+            (
+                Some(SlowLoris),
+                0xc903_04a3_c0a6_b688,
+                0x161b_c217_314f_884a,
+                0x54a9_bf9d_6991_a820,
+            ),
+            (
+                Some(SlowLoris),
+                0x94e7_b09e_e308_7b0d,
+                0x2b6d_aaec_a367_cadd,
+                0x8be2_9e86_4f99_8d7a,
+            ),
+            (
+                Some(SlowLoris),
+                0x6dec_54e8_d5df_e00e,
+                0xbcf0_f589_b6dd_8dc1,
+                0x8146_a936_b979_277f,
+            ),
+            (
+                Some(MalformedFrame),
+                0x1b3d_5f7a_2a38_6687,
+                0x9061_6614_1b60_3fbe,
+                0x46a5_ada5_3862_f081,
+            ),
+            (
+                Some(MalformedFrame),
+                0x3180_e6db_8ed1_ead5,
+                0x1f6a_ceaa_985f_2785,
+                0xef19_201e_b472_34cb,
+            ),
+            (
+                Some(MidFrameCut),
+                0xeb45_2efb_cbb7_4a40,
+                0x12a6_f2c2_3748_2ac8,
+                0xea40_26fa_8486_25c4,
+            ),
+            (
+                None,
+                0xb6ed_7868_94ef_5599,
+                0x8ccd_60b3_16e3_5105,
+                0x1453_eebe_3696_3a20,
+            ),
+            (
+                Some(MidFrameCut),
+                0x428c_bdff_aa23_4f04,
+                0x308e_bdd0_2921_ffd9,
+                0x77f3_86f5_07e5_4941,
+            ),
+        ];
+        let plan = ClientFaultPlan::new(103, 700);
+        for (conn, want) in (0u64..).zip(expected) {
+            let got = (
+                plan.classify(conn),
+                plan.draw(conn, 5),
+                plan.draw(conn, 6),
+                plan.draw(conn, 7),
+            );
+            assert_eq!(got, want, "conn {conn}");
+        }
+    }
+
+    #[test]
+    fn chip_schedules_are_pinned() {
+        // Chip 0 of every quick-fleet family under the curated CI seed 103:
+        // (transient faults, dead-after ordinal, stuck-cell count).
+        use FaultKind::{BusGlitch, CommandTimeout};
+        type Pin = Option<(Vec<TransientFault>, Option<u64>, usize)>;
+        let t = |kind, at_cmd| TransientFault { kind, at_cmd };
+        let expected: [(&str, Pin); 14] = [
+            ("SK Hynix-A-4Gb", None),
+            ("SK Hynix-A-8Gb", None),
+            ("SK Hynix-C-16Gb", None),
+            ("SK Hynix-D-8Gb", None),
+            ("Micron-B-4Gb", None),
+            ("Micron-E-16Gb", Some((vec![], Some(396_440), 0))),
+            (
+                "Micron-F-16Gb",
+                Some((vec![t(BusGlitch, 100_103)], None, 0)),
+            ),
+            ("Micron-R-8Gb", None),
+            ("Samsung-A-16Gb", None),
+            ("Samsung-B-16Gb", None),
+            ("Samsung-C-4Gb", None),
+            (
+                "Samsung-C-16Gb",
+                Some((
+                    vec![t(CommandTimeout, 80_778), t(BusGlitch, 191_196)],
+                    None,
+                    0,
+                )),
+            ),
+            ("Samsung-E-4Gb", None),
+            ("Nanya-C-8Gb", None),
+        ];
+        let cfg = FaultConfig::from_seed(103);
+        for (module, (key, want)) in pud_dram::profiles::TESTED_MODULES.iter().zip(expected) {
+            assert_eq!(module.key(), key);
+            let got = FaultPlan::derive(&cfg, key, 0, &geometry())
+                .map(|p| (p.transients, p.dead_after, p.stuck.len()));
+            assert_eq!(got, want, "{key}");
+        }
+    }
 }
