@@ -323,25 +323,6 @@ impl Executor {
                     fault: kind.name(),
                     at_cmd,
                 });
-                if kind == crate::fault::FaultKind::WorkerAbort {
-                    // The injected fault models an OOM-kill / stray SIGKILL
-                    // of the hosting worker process: tear the process down
-                    // abruptly, exactly like the real thing. Recovery is
-                    // the shard coordinator's job, not this process's.
-                    eprintln!("worker-abort fault: aborting process at command {at_cmd}");
-                    std::process::abort();
-                }
-                if kind == crate::fault::FaultKind::WorkerHang {
-                    // The injected fault models a wedged worker — a driver
-                    // deadlock, a runaway board, an NFS stall. The process
-                    // stays alive but stops making progress forever; only
-                    // the coordinator's heartbeat watchdog (SIGKILL +
-                    // respawn) can clear it.
-                    eprintln!("worker-hang fault: process wedged at command {at_cmd}");
-                    loop {
-                        std::thread::sleep(std::time::Duration::from_secs(3600));
-                    }
-                }
                 Err(ExecError::Fault { kind, at_cmd })
             }
         }

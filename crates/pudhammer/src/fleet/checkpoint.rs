@@ -27,10 +27,11 @@
 //! - **Append**: each record is one `write` + `flush` of a complete line,
 //!   so a kill leaves at most one truncated trailing line.
 //! - **Commit barriers**: at sweep barriers (and before a shard worker
-//!   reports `Done`) [`CheckpointStore::commit`] rewrites the file through
-//!   a temp file, `fsync`s it, renames it over the original, and `fsync`s
-//!   the parent directory — after which every recorded row survives power
-//!   loss, not just process death.
+//!   reports `Done`) [`CheckpointStore::commit`] rewrites the file, its
+//!   records sorted by `(stage, chip)`, through a temp file, `fsync`s it,
+//!   renames it over the original, and `fsync`s the parent directory —
+//!   after which every recorded row survives power loss, not just
+//!   process death.
 //!
 //! On reopen the longest intact prefix is kept and everything from the
 //! first damaged line onward is truncated away — a [`SalvageReport`]
@@ -47,7 +48,7 @@ use std::io::{ErrorKind, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use pud_bender::fault::{StorageFaultKind, StorageFaultPlan};
+use pud_disturb::rng::{mix_all, unit};
 use pud_observe::json::{JsonArray, JsonObject};
 use pud_observe::JsonValue;
 
@@ -452,20 +453,132 @@ pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     File::open(parent)?.sync_all()
 }
 
-/// The temp-file sibling `commit` stages through.
+/// The temp-file sibling a checkpoint image is staged through.
 fn commit_tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".commit-tmp");
     PathBuf::from(os)
 }
 
+/// Writes a whole checkpoint image — `header`, then one record line each —
+/// to `path` atomically: staged in the `.commit-tmp` sibling, `fsync`ed,
+/// renamed over `path`, and the parent directory `fsync`ed. A crash
+/// leaves the old file or the new one, never a torn hybrid; a failure
+/// removes the staging file. Returns the new file, positioned at its end.
+pub(crate) fn write_image<'a>(
+    path: &Path,
+    header: &CheckpointHeader,
+    lines: impl IntoIterator<Item = &'a str>,
+) -> std::io::Result<File> {
+    let mut buf = header.render();
+    buf.push('\n');
+    for line in lines {
+        buf.push_str(line);
+        buf.push('\n');
+    }
+    let tmp = commit_tmp_path(path);
+    let result = (|| {
+        let mut file = File::create(&tmp)?;
+        file.write_all(buf.as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
+        Ok(file)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Salt of the storage-fault draws: the checkpoint layer's faults never
+/// correlate with the chip faults drawn from the same campaign seed.
+const STORAGE_FAULT_SALT: u64 = 0x5704_A6EF_AA17_0002;
+
+/// The kinds of injected storage fault (see [`StorageFaultPlan`]). They
+/// corrupt or refuse the durable record stream so the recovery paths (CRC
+/// salvage, typed write-error latch, fsck repair) are drilled
+/// deterministically.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StorageFaultKind {
+    /// The write tears mid-record: only a prefix of the line reaches the
+    /// file (simulates a kill or power cut between `write` and completion).
+    ShortWrite,
+    /// The write fails outright with `ENOSPC` — nothing reaches the file.
+    NoSpace,
+    /// The record is written in full but with one bit flipped (simulates
+    /// media corruption; only the CRC frame can catch it later).
+    BitCorrupt,
+}
+
+/// One scheduled storage fault.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StorageFault {
+    /// 0-based ordinal of the *appended* record the fault fires on
+    /// (records replayed from a resumed file do not count).
+    at_record: u64,
+    /// What happens to that record's write.
+    kind: StorageFaultKind,
+    /// Raw draw used to pick the flipped bit for [`StorageFaultKind::BitCorrupt`].
+    bit_draw: u64,
+}
+
+/// Seeded storage-fault schedule for one checkpoint file.
+///
+/// At most one fault is scheduled per file — enough to drill every
+/// recovery path (a torn tail salvages, `ENOSPC` latches a typed error,
+/// a flipped bit trips the CRC at the next reopen or `fsck`) while
+/// keeping campaigns convergent: respawned worker attempts run with
+/// storage faults disabled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct StorageFaultPlan {
+    fault: Option<StorageFault>,
+}
+
+impl StorageFaultPlan {
+    /// Derives the schedule for the checkpoint file identified by `scope`
+    /// (its file name) under `seed`. `permille` is the probability the
+    /// file draws a fault at all; the record ordinal, kind, and corrupted
+    /// bit all derive from `(seed, scope)` deterministically.
+    fn derive(seed: u64, permille: u32, scope: &str) -> StorageFaultPlan {
+        let mut plan = StorageFaultPlan::default();
+        if permille == 0 {
+            return plan;
+        }
+        let scope_hash = mix_all(&scope.bytes().map(u64::from).collect::<Vec<u64>>());
+        let id = [seed ^ STORAGE_FAULT_SALT, scope_hash, 0];
+        let draw = |tag: u64| mix_all(&[id[0], id[1], id[2], tag]);
+        if unit(&[id[0], id[1], id[2], 1]) < f64::from(permille) / 1000.0 {
+            let kind = match draw(2) % 3 {
+                0 => StorageFaultKind::ShortWrite,
+                1 => StorageFaultKind::NoSpace,
+                _ => StorageFaultKind::BitCorrupt,
+            };
+            plan.fault = Some(StorageFault {
+                // Early ordinals so quick-fleet shards (a handful of
+                // records each) still reach the fault.
+                at_record: draw(3) % 4,
+                kind,
+                bit_draw: draw(4),
+            });
+        }
+        plan
+    }
+
+    /// The fault firing on appended record `ordinal`, if any.
+    fn fault_at(&self, ordinal: u64) -> Option<StorageFault> {
+        self.fault.filter(|f| f.at_record == ordinal)
+    }
+}
+
 /// Append-side state, under one lock: the file handle plus the in-memory
 /// copy of every committed line that `commit` rewrites atomically.
 struct Writer {
     file: File,
-    /// Every record line (framed, no trailing newline) in file order —
-    /// both lines recovered at open and lines appended since.
-    lines: Vec<String>,
+    /// Every record line (framed, no trailing newline) with its
+    /// `(stage, chip)` key — both lines recovered at open and lines
+    /// appended since, in file order until `commit` sorts them.
+    lines: Vec<((String, String), String)>,
     /// Records appended by this process (recovered lines don't count);
     /// the ordinal storage faults key on.
     appended: u64,
@@ -599,8 +712,8 @@ impl CheckpointStore {
                 }
                 match unframe_record(body).and_then(parse_record) {
                     Ok((stage, chip, data)) => {
+                        lines.push(((stage.clone(), chip.clone()), body.to_string()));
                         completed.insert((stage, chip), data);
-                        lines.push(body.to_string());
                     }
                     Err(reason) => {
                         first_bad = Some((idx, reason));
@@ -654,16 +767,21 @@ impl CheckpointStore {
         self.salvage.as_ref()
     }
 
-    /// Arms the seeded storage-fault schedule: subsequent [`Self::record`]
-    /// calls consult `plan` by append ordinal and inject the scheduled
-    /// fault (short write, `ENOSPC`, bit flip) instead of / on top of the
-    /// real write. Drills the salvage, latch, and fsck paths — see
-    /// [`StorageFaultPlan`].
-    pub fn arm_storage_faults(&self, plan: StorageFaultPlan) {
+    /// Arms the seeded storage-fault schedule of this file: with
+    /// probability `permille`/1000 one of the next few [`Self::record`]
+    /// calls injects a short write, an `ENOSPC` or a bit flip instead of /
+    /// on top of the real write. The schedule derives from `seed` and the
+    /// file's name, so every shard file (and the merged base) draws
+    /// independently. Drills the salvage, latch, and fsck paths.
+    pub fn arm_storage_faults(&self, seed: u64, permille: u32) {
+        let scope = self.path.file_name().map_or_else(
+            || self.path.to_string_lossy(),
+            |name| name.to_string_lossy(),
+        );
         self.writer
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .storage = plan;
+            .storage = StorageFaultPlan::derive(seed, permille, &scope);
     }
 
     /// Looks up the saved result of `chip` in `stage`, if it completed in
@@ -767,18 +885,21 @@ impl CheckpointStore {
             // barrier must not silently heal what the media damaged.
             Ok(()) => {
                 let written = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
-                writer.lines.push(written);
+                writer
+                    .lines
+                    .push(((stage.to_string(), chip.to_string()), written));
             }
             Err(e) => *error = Some(WriteFailure::classify(self.path.clone(), e)),
         }
     }
 
-    /// Atomically commits everything recorded so far: header + records are
-    /// rewritten to a `.commit-tmp` sibling, `fsync`ed, renamed over the
-    /// checkpoint, and the parent directory `fsync`ed. After it returns,
-    /// every recorded row survives power loss — the append path alone only
-    /// guarantees surviving process death. Called at sweep barriers and
-    /// before a shard worker reports `Done`.
+    /// Atomically commits everything recorded so far: header + records,
+    /// stable-sorted by `(stage, chip)`, are rewritten through
+    /// [`write_image`]. After it returns, every recorded row survives power
+    /// loss — the append path alone only guarantees surviving process
+    /// death — and the file's bytes no longer depend on the order units
+    /// completed in. Called at sweep barriers and before a shard worker
+    /// reports `Done`.
     ///
     /// Failures latch like append failures (no panic mid-campaign); a
     /// latched store skips the commit entirely, leaving the append-side
@@ -789,32 +910,14 @@ impl CheckpointStore {
             return;
         }
         let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        if let Err(e) = self.commit_locked(&mut writer) {
-            let _ = std::fs::remove_file(commit_tmp_path(&self.path));
-            *error = Some(WriteFailure::classify(self.path.clone(), e));
+        writer.lines.sort_by(|a, b| a.0.cmp(&b.0));
+        let lines = writer.lines.iter().map(|(_, line)| line.as_str());
+        match write_image(&self.path, &self.header, lines) {
+            // The handle followed the rename (same inode) and sits at end of
+            // file: appends continue against the committed image.
+            Ok(file) => writer.file = file,
+            Err(e) => *error = Some(WriteFailure::classify(self.path.clone(), e)),
         }
-    }
-
-    fn commit_locked(&self, writer: &mut Writer) -> std::io::Result<()> {
-        let tmp = commit_tmp_path(&self.path);
-        let mut buf = String::with_capacity(
-            self.header.render().len() + writer.lines.iter().map(|l| l.len() + 1).sum::<usize>(),
-        );
-        buf.push_str(&self.header.render());
-        buf.push('\n');
-        for line in &writer.lines {
-            buf.push_str(line);
-            buf.push('\n');
-        }
-        let mut file = File::create(&tmp)?;
-        file.write_all(buf.as_bytes())?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, &self.path)?;
-        sync_parent_dir(&self.path)?;
-        // The handle followed the rename (same inode) and sits at end of
-        // file: appends continue against the committed image.
-        writer.file = file;
-        Ok(())
     }
 
     /// Takes the first append/commit failure, if any occurred (see
@@ -1344,18 +1447,23 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    fn storage_plan_with(kind: StorageFaultKind, at_record: u64) -> StorageFaultPlan {
-        // Scan seeds until the deterministic derive lands on the wanted
-        // (kind, ordinal) — keeps this test independent of draw details.
-        for seed in 0..50_000u64 {
-            let plan = StorageFaultPlan::derive(seed, 1000, "test-scope");
-            if let Some(f) = plan.fault_at(at_record) {
-                if f.kind == kind {
-                    return plan;
-                }
-            }
-        }
-        panic!("no seed lands {kind:?} at record {at_record}");
+    /// Arms `store` with the first seed whose schedule for its file lands
+    /// on the wanted (kind, ordinal) — keeps these tests independent of
+    /// draw details.
+    fn arm_with(store: &CheckpointStore, kind: StorageFaultKind, at_record: u64) {
+        let scope = store
+            .path()
+            .file_name()
+            .expect("file name")
+            .to_string_lossy();
+        let seed = (0..50_000u64)
+            .find(|&seed| {
+                StorageFaultPlan::derive(seed, 1000, &scope)
+                    .fault_at(at_record)
+                    .is_some_and(|f| f.kind == kind)
+            })
+            .unwrap_or_else(|| panic!("no seed lands {kind:?} at record {at_record}"));
+        store.arm_storage_faults(seed, 1000);
     }
 
     #[test]
@@ -1363,7 +1471,7 @@ mod tests {
         let path = temp_path("inj-enospc");
         let _ = std::fs::remove_file(&path);
         let store = CheckpointStore::open(&path, header()).expect("create");
-        store.arm_storage_faults(storage_plan_with(StorageFaultKind::NoSpace, 1));
+        arm_with(&store, StorageFaultKind::NoSpace, 1);
         store.record("rh", "A#0", "1");
         let before = std::fs::read(&path).expect("read");
         store.record("rh", "B#0", "2");
@@ -1384,7 +1492,7 @@ mod tests {
         let path = temp_path("inj-short");
         let _ = std::fs::remove_file(&path);
         let store = CheckpointStore::open(&path, header()).expect("create");
-        store.arm_storage_faults(storage_plan_with(StorageFaultKind::ShortWrite, 1));
+        arm_with(&store, StorageFaultKind::ShortWrite, 1);
         store.record("rh", "A#0", "1");
         store.record("rh", "B#0", "2");
         let failure = store.take_write_error().expect("latched");
@@ -1401,7 +1509,7 @@ mod tests {
         let path = temp_path("inj-bit");
         let _ = std::fs::remove_file(&path);
         let store = CheckpointStore::open(&path, header()).expect("create");
-        store.arm_storage_faults(storage_plan_with(StorageFaultKind::BitCorrupt, 1));
+        arm_with(&store, StorageFaultKind::BitCorrupt, 1);
         store.record("rh", "A#0", "1");
         store.record("rh", "B#0", "2");
         store.record("rh", "C#0", "3");
@@ -1418,6 +1526,134 @@ mod tests {
         // dropped segment count is at least the two damaged-or-later rows.
         assert!(report.dropped_records >= 2, "{report}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn commit_writes_records_sorted_by_stage_and_chip() {
+        let path = temp_path("commit-sorted");
+        let _ = std::fs::remove_file(&path);
+        let store = CheckpointStore::open(&path, header()).expect("create");
+        for (stage, chip) in [
+            ("rh", "B#0"),
+            ("rh", "A#1"),
+            ("rh", "A#0"),
+            ("comra", "C#0"),
+        ] {
+            store.record(stage, chip, "1");
+        }
+        store.commit();
+        assert!(store.take_write_error().is_none(), "commit must succeed");
+        let text = std::fs::read_to_string(&path).expect("read");
+        let keys: Vec<(String, String)> = text
+            .lines()
+            .skip(1)
+            .map(|line| {
+                let (stage, chip, _) =
+                    parse_record(unframe_record(line).expect("framed")).expect("record");
+                (stage, chip)
+            })
+            .collect();
+        let want = [
+            ("comra", "C#0"),
+            ("rh", "A#0"),
+            ("rh", "A#1"),
+            ("rh", "B#0"),
+        ];
+        assert_eq!(keys, want.map(|(s, c)| (s.to_string(), c.to_string())));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn storage_plans_are_deterministic_and_scoped_per_file() {
+        let a = StorageFaultPlan::derive(7, 1000, "run.jsonl.shard0of2");
+        let b = StorageFaultPlan::derive(7, 1000, "run.jsonl.shard0of2");
+        assert_eq!(a, b, "same (seed, scope) must draw the same schedule");
+        assert!(a.fault.is_some(), "permille 1000 always fires");
+        let fault = (0..4).find_map(|n| a.fault_at(n)).expect("early ordinal");
+        assert_eq!(a.fault_at(fault.at_record), Some(fault));
+        assert_eq!(a.fault_at(fault.at_record + 1), None, "one fault per file");
+        // Different scopes decorrelate (kind or ordinal differs for at
+        // least one of a handful of sibling shard names).
+        let siblings: Vec<StorageFaultPlan> = (0..6)
+            .map(|i| StorageFaultPlan::derive(7, 1000, &format!("run.jsonl.shard{i}of6")))
+            .collect();
+        assert!(
+            siblings.iter().any(|s| s != &a),
+            "six sibling files should not all share one schedule: {siblings:?}"
+        );
+        assert_eq!(StorageFaultPlan::derive(7, 0, "run.jsonl").fault, None);
+    }
+
+    #[test]
+    fn storage_schedules_are_pinned() {
+        // (seed, scope) → (kind, at_record, bit_draw) at permille 1000:
+        // a campaign's base file and both shard files of a two-shard run.
+        use StorageFaultKind::{BitCorrupt, NoSpace, ShortWrite};
+        let expected = [
+            (7, "run.jsonl", ShortWrite, 2, 16_743_231_883_656_479_865),
+            (
+                7,
+                "run.jsonl.shard0of2",
+                BitCorrupt,
+                0,
+                13_769_579_943_151_366_019,
+            ),
+            (
+                7,
+                "run.jsonl.shard1of2",
+                BitCorrupt,
+                3,
+                15_595_405_130_887_084_863,
+            ),
+            (103, "run.jsonl", BitCorrupt, 3, 9_439_532_319_389_386_939),
+            (
+                103,
+                "run.jsonl.shard0of2",
+                NoSpace,
+                1,
+                7_089_452_195_288_991_329,
+            ),
+            (
+                103,
+                "run.jsonl.shard1of2",
+                BitCorrupt,
+                1,
+                12_771_254_224_447_179_720,
+            ),
+            (
+                0xDEAD_BEEF,
+                "run.jsonl",
+                NoSpace,
+                3,
+                11_244_540_903_577_905_467,
+            ),
+            (
+                0xDEAD_BEEF,
+                "run.jsonl.shard0of2",
+                BitCorrupt,
+                2,
+                4_935_622_907_794_680_231,
+            ),
+            (
+                0xDEAD_BEEF,
+                "run.jsonl.shard1of2",
+                ShortWrite,
+                1,
+                13_354_676_477_786_074_816,
+            ),
+        ];
+        for (seed, scope, kind, at_record, bit_draw) in expected {
+            let plan = StorageFaultPlan::derive(seed, 1000, scope);
+            assert_eq!(
+                plan.fault,
+                Some(StorageFault {
+                    at_record,
+                    kind,
+                    bit_draw
+                }),
+                "seed {seed} scope {scope}"
+            );
+        }
     }
 
     #[test]

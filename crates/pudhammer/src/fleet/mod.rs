@@ -134,11 +134,8 @@ impl FleetConfig {
     /// header so a resume against a differently-shaped fleet is rejected
     /// instead of silently mixing incompatible rows.
     ///
-    /// Two deliberate exclusions keep shard recovery sound:
-    /// worker-abort probabilities (they kill the hosting process, never a
-    /// measurement, and a respawned worker zeroes them) and
-    /// [`FleetConfig::page_chips`] are results-neutral, so checkpoints
-    /// written with or without them interchange freely.
+    /// [`FleetConfig::page_chips`] is excluded: paging is results-neutral,
+    /// so checkpoints written with or without it interchange freely.
     pub fn fingerprint(&self) -> u64 {
         let mut words = vec![
             self.seed,
@@ -149,7 +146,7 @@ impl FleetConfig {
             u64::from(self.chips_per_family),
             u64::from(self.victims_per_subarray),
         ];
-        match self.fault.filter(FaultConfig::affects_chips) {
+        match self.fault {
             None => words.push(0),
             Some(f) => {
                 words.push(1);
@@ -547,19 +544,13 @@ mod tests {
         assert_ne!(base.fingerprint(), paper.fingerprint());
         assert_ne!(base.fingerprint(), synth.fingerprint());
         assert_ne!(paper.fingerprint(), synth.fingerprint());
-        // Results-neutral knobs are excluded: worker aborts and paging.
-        let mut abort_only = base;
-        abort_only.fault = Some(FaultConfig::worker_abort_only(9, 1000));
-        assert_eq!(base.fingerprint(), abort_only.fingerprint());
+        // Paging is results-neutral and excluded.
         let mut paged = base;
         paged.page_chips = true;
         assert_eq!(base.fingerprint(), paged.fingerprint());
         let mut faulted = base;
         faulted.fault = Some(FaultConfig::from_seed(103));
-        let mut faulted_abort = base;
-        faulted_abort.fault = Some(FaultConfig::from_seed(103).with_worker_abort(500));
         assert_ne!(base.fingerprint(), faulted.fingerprint());
-        assert_eq!(faulted.fingerprint(), faulted_abort.fingerprint());
     }
 
     #[test]

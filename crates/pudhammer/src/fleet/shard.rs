@@ -21,7 +21,9 @@
 //!   campaigns never touch this module's global state.
 //! - **Worker** ([`install_worker`]): units outside the worker's shard are
 //!   skipped as [`SkipReason::OutOfShard`] — silently, another worker owns
-//!   them.
+//!   them. A worker may carry a seeded [`ProcessFaultPlan`] (the
+//!   `--fault-worker-abort`/`--fault-worker-hang` drills) that aborts or
+//!   wedges the process as it starts an owned unit.
 //! - **Replay** ([`install_replay`]): units of shards whose worker
 //!   exhausted its respawn budget are skipped as
 //!   [`SkipReason::FailedShard`] and surface as `FAILED SHARD` report
@@ -35,9 +37,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
+use pud_disturb::rng::unit;
+
 use super::checkpoint::{
-    frame_record, sync_parent_dir, CheckpointError, CheckpointHeader, CheckpointStore,
-    SalvageReport, ShardSlot,
+    frame_record, write_image, CheckpointError, CheckpointHeader, CheckpointStore, SalvageReport,
+    ShardSlot,
 };
 use super::supervisor;
 use super::sweep::SkipReason;
@@ -54,6 +58,8 @@ enum ShardMode {
         index: u32,
         /// Total shard count.
         count: u32,
+        /// The process-fault drill this worker runs (inert by default).
+        faults: ProcessFaultPlan,
     },
     /// This process replays a merged campaign of `count` shards; units
     /// owned by a shard in `failed` were never measured and are skipped.
@@ -63,6 +69,82 @@ enum ShardMode {
         /// Shards whose worker exhausted its respawn budget (sorted).
         failed: Vec<u32>,
     },
+}
+
+/// Salt of the process-fault draws: uncorrelated with the chip and
+/// storage faults drawn from the same campaign seed.
+const PROCESS_FAULT_SALT: u64 = 0x9A0C_E55F_A017_0004;
+
+/// A fault of the worker process itself, not of a chip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ProcessFault {
+    /// The process aborts, like an OOM-kill or a stray SIGKILL.
+    Abort,
+    /// The process wedges without exiting, like a driver deadlock or an
+    /// NFS stall; only the coordinator's heartbeat watchdog clears it.
+    Hang,
+}
+
+/// Seeded abort/hang drill of one shard worker: as the worker starts an
+/// owned unit, it draws from `(seed, unit index, item count)` whether the
+/// process aborts (probability `abort_permille`/1000) or wedges
+/// (`hang_permille`/1000); abort wins when both fire. Respawned attempts
+/// run with the plan zeroed, so a drilled campaign converges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProcessFaultPlan {
+    seed: u64,
+    abort_permille: u32,
+    hang_permille: u32,
+}
+
+impl ProcessFaultPlan {
+    /// The plan of spawn `attempt` (0 = first): the given rates on the
+    /// first attempt, zero on every respawn.
+    pub fn new(seed: u64, abort_permille: u32, hang_permille: u32, attempt: u32) -> Self {
+        if attempt > 0 {
+            return ProcessFaultPlan::default();
+        }
+        ProcessFaultPlan {
+            seed,
+            abort_permille,
+            hang_permille,
+        }
+    }
+
+    /// The fault that fires as the worker starts item `i` of a sweep over
+    /// `n` items, if any.
+    fn fault_at(&self, i: usize, n: usize) -> Option<ProcessFault> {
+        let id = [self.seed ^ PROCESS_FAULT_SALT, i as u64, n as u64];
+        let fires = |tag: u64, permille: u32| {
+            unit(&[id[0], id[1], id[2], tag]) < f64::from(permille) / 1000.0
+        };
+        if fires(1, self.abort_permille) {
+            Some(ProcessFault::Abort)
+        } else if fires(2, self.hang_permille) {
+            Some(ProcessFault::Hang)
+        } else {
+            None
+        }
+    }
+}
+
+/// Tears the process down (abort) or wedges the calling sweep thread
+/// forever (hang): the other sweep threads drain, the live counters
+/// freeze, and the progress sampler keeps sending the frozen counters
+/// until the coordinator's watchdog kills the process.
+fn inject(fault: ProcessFault, i: usize, n: usize) -> ! {
+    match fault {
+        ProcessFault::Abort => {
+            eprintln!("worker-abort fault: aborting process at unit {i} of {n}");
+            std::process::abort();
+        }
+        ProcessFault::Hang => {
+            eprintln!("worker-hang fault: process wedged at unit {i} of {n}");
+            loop {
+                std::thread::sleep(std::time::Duration::from_secs(3600));
+            }
+        }
+    }
 }
 
 static ACTIVE: AtomicBool = AtomicBool::new(false);
@@ -92,10 +174,15 @@ fn install(mode: ShardMode) -> ShardModeGuard {
 }
 
 /// Marks this process as shard `index` of `count` until the guard drops:
-/// isolating sweeps skip every unit another shard owns.
-pub fn install_worker(index: u32, count: u32) -> ShardModeGuard {
+/// isolating sweeps skip every unit another shard owns, and start each
+/// owned unit by drawing from `faults`.
+pub fn install_worker(index: u32, count: u32, faults: ProcessFaultPlan) -> ShardModeGuard {
     assert!(count > 0 && index < count, "shard {index} of {count}");
-    install(ShardMode::Worker { index, count })
+    install(ShardMode::Worker {
+        index,
+        count,
+        faults,
+    })
 }
 
 /// Marks this process as the coordinator's in-process replay of a
@@ -140,7 +227,7 @@ pub fn slot(index: u32, count: u32, fleet_len: usize) -> ShardSlot {
 
 fn decide(mode: &ShardMode, i: usize, n: usize) -> Option<SkipReason> {
     match mode {
-        ShardMode::Worker { index, count } => {
+        ShardMode::Worker { index, count, .. } => {
             let owner = owner_of(i, n, *count);
             (owner != *index).then_some(SkipReason::OutOfShard { shard: owner })
         }
@@ -154,15 +241,38 @@ fn decide(mode: &ShardMode, i: usize, n: usize) -> Option<SkipReason> {
     }
 }
 
+/// The process fault a worker hits as it starts its own item `i` of a
+/// sweep over `n` items. Never in the replay or for another shard's item.
+fn fault_for(mode: &ShardMode, i: usize, n: usize) -> Option<ProcessFault> {
+    match mode {
+        ShardMode::Worker {
+            index,
+            count,
+            faults,
+        } if owner_of(i, n, *count) == *index => faults.fault_at(i, n),
+        _ => None,
+    }
+}
+
 /// Whether item `i` of a sweep over `n` items is out of this process's
 /// shard scope. `None` (run the unit) unless a shard mode is installed —
-/// the single relaxed load every un-sharded sweep pays.
+/// the single relaxed load every un-sharded sweep pays. A worker whose
+/// process-fault drill fires on the item aborts or wedges here instead.
 pub fn skip_for(i: usize, n: usize) -> Option<SkipReason> {
     if !ACTIVE.load(Ordering::Relaxed) || n == 0 {
         return None;
     }
-    let mode = MODE.lock().unwrap_or_else(|e| e.into_inner());
-    decide(mode.as_ref()?, i, n)
+    let (skip, fault) = {
+        let mode = MODE.lock().unwrap_or_else(|e| e.into_inner());
+        let mode = mode.as_ref()?;
+        (decide(mode, i, n), fault_for(mode, i, n))
+    };
+    // The lock is released first: a wedged thread must not block the
+    // other sweep threads' ownership checks.
+    if let Some(fault) = fault {
+        inject(fault, i, n);
+    }
+    skip
 }
 
 /// The path of shard `index`'s checkpoint slice: `{base}.shard{i}of{n}`.
@@ -629,11 +739,13 @@ pub struct MergeReport {
 /// merge, or a single-process prefix of the campaign) are kept; a row
 /// appearing twice with identical data collapses; differing data for the
 /// same key is a [`MergeError::Conflict`]. The merged file is rewritten
-/// from scratch in sorted `(stage, chip)` order via a temp-file write +
-/// `fsync` + rename + directory `fsync`, so its bytes are a pure function
-/// of the row set — independent of shard count, completion order, and
-/// respawn history — and a kill or power cut mid-merge leaves either the
-/// old file or the new one, never a torn hybrid.
+/// from scratch in sorted `(stage, chip)` order through the checkpoint
+/// image writer (staged in `<base>.commit-tmp`, `fsync`, rename, directory
+/// `fsync`), so its bytes are a pure function of the row set —
+/// independent of shard count, completion order, and respawn history, and
+/// equal to a committed single-process checkpoint of the same rows — and
+/// a kill or power cut mid-merge leaves either the old file or the new
+/// one, never a torn hybrid.
 pub fn merge_shards(
     base: &Path,
     header: &CheckpointHeader,
@@ -676,30 +788,19 @@ pub fn merge_shards(
         let path = shard_path(base, index, count);
         fold(&CheckpointStore::open(&path, shard_header)?)?;
     }
-    let mut content = format!("{}\n", header.render());
-    for ((stage, chip), data) in &rows {
-        content.push_str(&frame_record(
-            &pud_observe::json::JsonObject::new()
-                .str("stage", stage)
-                .str("chip", chip)
-                .raw("data", data)
-                .finish(),
-        ));
-        content.push('\n');
-    }
-    let tmp = {
-        let mut name = base.as_os_str().to_os_string();
-        name.push(".merge-tmp");
-        PathBuf::from(name)
-    };
-    {
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(content.as_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, base)?;
-    sync_parent_dir(base)?;
+    let lines: Vec<String> = rows
+        .iter()
+        .map(|((stage, chip), data)| {
+            frame_record(
+                &pud_observe::json::JsonObject::new()
+                    .str("stage", stage)
+                    .str("chip", chip)
+                    .raw("data", data)
+                    .finish(),
+            )
+        })
+        .collect();
+    write_image(base, header, lines.iter().map(String::as_str))?;
     Ok(MergeReport {
         rows: rows.len(),
         salvaged,
@@ -745,7 +846,11 @@ mod tests {
 
     #[test]
     fn decide_routes_by_owner() {
-        let worker = ShardMode::Worker { index: 1, count: 2 };
+        let worker = ShardMode::Worker {
+            index: 1,
+            count: 2,
+            faults: ProcessFaultPlan::default(),
+        };
         assert_eq!(
             decide(&worker, 0, 14),
             Some(SkipReason::OutOfShard { shard: 0 })
@@ -776,7 +881,7 @@ mod tests {
         // Only harmless single-shard modes are installed here: shard 0 of
         // 1 owns every unit, so concurrently running sweeps in this test
         // binary are unaffected (mirrors the supervisor's test policy).
-        let outer = install_worker(0, 1);
+        let outer = install_worker(0, 1, ProcessFaultPlan::default());
         assert_eq!(skip_for(3, 14), None, "sole shard owns everything");
         {
             let _inner = install_replay(1, vec![]);
@@ -785,6 +890,59 @@ mod tests {
         assert_eq!(skip_for(5, 14), None);
         drop(outer);
         assert!(!ACTIVE.load(Ordering::SeqCst));
+    }
+
+    fn worker(index: u32, count: u32, faults: ProcessFaultPlan) -> ShardMode {
+        ShardMode::Worker {
+            index,
+            count,
+            faults,
+        }
+    }
+
+    #[test]
+    fn process_fault_plans_are_deterministic_per_seed() {
+        let draws = |seed| {
+            let plan = ProcessFaultPlan::new(seed, 300, 300, 0);
+            (0..64).map(|i| plan.fault_at(i, 64)).collect::<Vec<_>>()
+        };
+        assert_eq!(draws(7), draws(7));
+        assert_ne!(draws(7), draws(8), "seeds decorrelate");
+        let fired = draws(7).iter().flatten().count();
+        assert!(
+            (16..56).contains(&fired),
+            "300+300 permille fired {fired}/64"
+        );
+    }
+
+    #[test]
+    fn zero_permille_never_fires_and_full_permille_fires_on_the_first_owned_unit() {
+        let quiet = worker(1, 2, ProcessFaultPlan::new(7, 0, 0, 0));
+        assert!((0..14).all(|i| fault_for(&quiet, i, 14).is_none()));
+        for (abort, hang, want) in [
+            (1000, 0, ProcessFault::Abort),
+            (0, 1000, ProcessFault::Hang),
+            // Both fire on every unit: abort wins.
+            (1000, 1000, ProcessFault::Abort),
+        ] {
+            let mode = worker(1, 2, ProcessFaultPlan::new(7, abort, hang, 0));
+            let (lo, _) = shard_range(1, 14, 2);
+            let first = (0..14).find_map(|i| fault_for(&mode, i, 14).map(|f| (i, f)));
+            assert_eq!(first, Some((lo, want)), "abort {abort} hang {hang}");
+        }
+    }
+
+    #[test]
+    fn respawns_and_the_replay_never_fire() {
+        let respawn = ProcessFaultPlan::new(7, 1000, 1000, 1);
+        assert_eq!(respawn, ProcessFaultPlan::default());
+        let mode = worker(0, 1, respawn);
+        assert!((0..14).all(|i| fault_for(&mode, i, 14).is_none()));
+        let replay = ShardMode::Replay {
+            count: 2,
+            failed: vec![],
+        };
+        assert!((0..14).all(|i| fault_for(&replay, i, 14).is_none()));
     }
 
     #[test]

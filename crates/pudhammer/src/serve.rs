@@ -222,7 +222,8 @@ impl Resolution {
         }
     }
 
-    fn verdict(status: QueryStatus, detail: impl Into<String>) -> Resolution {
+    /// A verdict without a value: `status` with its human-readable detail.
+    pub fn verdict(status: QueryStatus, detail: impl Into<String>) -> Resolution {
         Resolution {
             status,
             cached: false,
@@ -1120,8 +1121,6 @@ mod tests {
             seed: 103,
             transient_permille: 1000,
             permanent_permille: 0,
-            worker_abort_permille: 0,
-            worker_hang_permille: 0,
         });
         let retried = resolve_with_retry(&faulty, &key);
         assert_eq!(retried.status, QueryStatus::Ok, "{}", retried.detail);

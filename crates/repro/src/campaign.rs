@@ -7,7 +7,7 @@ use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use pud_bender::fault::{FaultConfig, StorageFaultPlan};
+use pud_bender::fault::FaultConfig;
 use pudhammer::experiments::{self, Scale};
 use pudhammer::fleet::checkpoint::{CheckpointHeader, CheckpointStore, ShardSlot};
 use pudhammer::fleet::progress::{self, ProgressReporter};
@@ -96,11 +96,7 @@ pub struct ReplayMode {
 }
 
 /// Builds the effective [`Scale`] from the command line.
-/// `zero_process_faults` disables the worker-abort and worker-hang fault
-/// classes while keeping the configuration shape (and thus the checkpoint
-/// header) intact — used by respawned workers and the coordinator's
-/// replay, none of which may crash or wedge.
-pub fn build_scale(args: &Args, zero_process_faults: bool) -> Scale {
+pub fn build_scale(args: &Args) -> Scale {
     let mut scale = if args.on(&cli::FULL) {
         Scale::full()
     } else {
@@ -111,28 +107,6 @@ pub fn build_scale(args: &Args, zero_process_faults: bool) -> Scale {
         .uint(&cli::FAULT_SEED)
         .map(FaultConfig::from_seed)
         .or_else(FaultConfig::from_env);
-    let respawned = args.uint::<u32>(&cli::WORKER_ATTEMPT).unwrap_or(0) > 0;
-    let process_fault = |permille: u32| {
-        if zero_process_faults || respawned {
-            0
-        } else {
-            permille
-        }
-    };
-    if let Some(permille) = args.uint(&cli::FAULT_WORKER_ABORT) {
-        let eff = process_fault(permille);
-        scale.fleet.fault = Some(match scale.fleet.fault {
-            Some(f) => f.with_worker_abort(eff),
-            None => FaultConfig::worker_abort_only(0, eff),
-        });
-    }
-    if let Some(permille) = args.uint(&cli::FAULT_WORKER_HANG) {
-        let eff = process_fault(permille);
-        scale.fleet.fault = Some(match scale.fleet.fault {
-            Some(f) => f.with_worker_hang(eff),
-            None => FaultConfig::worker_abort_only(0, 0).with_worker_hang(eff),
-        });
-    }
     if let Some(n) = args.uint(&cli::MAX_RETRIES) {
         scale.max_retries = n;
     }
@@ -164,7 +138,7 @@ pub fn run(args: &Args, target: &str, replay: Option<ReplayMode>) -> ExitCode {
         }
     }
     let full = args.on(&cli::FULL);
-    let scale = build_scale(args, replay.is_some());
+    let scale = build_scale(args);
     // In replay mode, units owned by a quarantined shard are skipped and
     // surface as FAILED SHARD report footers instead of being re-measured.
     let _shard_guard = replay
@@ -483,26 +457,19 @@ pub fn open_checkpoint(
     Ok(Some(store))
 }
 
-/// Arms the seeded storage-fault schedule on an open checkpoint, keyed on
-/// the checkpoint's own file name so every shard (and the merged base)
-/// draws independently. Respawned workers (`--worker-attempt > 0`) run
-/// with storage faults at zero, exactly like the process fault classes,
-/// so faulted campaigns converge.
+/// The seed of the storage and worker-process drills: `--fault-seed`,
+/// else `PUD_FAULT_SEED`, else 0.
+pub fn drill_seed(scale: &Scale) -> u64 {
+    scale.fleet.fault.map_or(0, |f| f.seed)
+}
+
+/// Arms the seeded storage-fault schedule on an open checkpoint (see
+/// [`CheckpointStore::arm_storage_faults`]). Respawned workers
+/// (`--worker-attempt > 0`) run without storage faults, so faulted
+/// campaigns converge.
 pub fn arm_storage_faults(args: &Args, scale: &Scale, store: &CheckpointStore) {
-    let Some(permille) = args.uint::<u32>(&cli::FAULT_STORAGE) else {
-        return;
-    };
     let respawned = args.uint::<u32>(&cli::WORKER_ATTEMPT).unwrap_or(0) > 0;
-    let eff = if respawned { 0 } else { permille };
-    let seed = scale
-        .fleet
-        .fault
-        .map(|f| f.seed)
-        .or(args.uint(&cli::FAULT_SEED))
-        .unwrap_or(0);
-    let scope = store.path().file_name().map_or_else(
-        || store.path().to_string_lossy().into_owned(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    store.arm_storage_faults(StorageFaultPlan::derive(seed, eff, &scope));
+    if let Some(permille) = args.uint(&cli::FAULT_STORAGE).filter(|_| !respawned) {
+        store.arm_storage_faults(drill_seed(scale), permille);
+    }
 }

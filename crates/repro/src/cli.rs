@@ -191,10 +191,10 @@ flags! {
         "chip roster: per-family sample (default), the paper's 316 chips, or n synthetic chips");
     PAGE_CHIPS("--page-chips", Switch, SCALE, Local,
         "drop each chip's state after its unit, bounding peak RSS (workers always page)");
-    FAULT_WORKER_ABORT("--fault-worker-abort", Permille, SCALE, Inherited,
-        "seeded worker-abort faults: affected chips abort the hosting process");
-    FAULT_WORKER_HANG("--fault-worker-hang", Permille, SCALE, Inherited,
-        "seeded worker-hang faults: affected chips wedge the hosting process");
+    FAULT_WORKER_ABORT("--fault-worker-abort", Permille, RUN, Inherited,
+        "seeded shard-worker faults: a worker aborts as it starts a unit (--shards only)");
+    FAULT_WORKER_HANG("--fault-worker-hang", Permille, RUN, Inherited,
+        "seeded shard-worker faults: a worker wedges as it starts a unit (--shards only)");
     FAULT_STORAGE("--fault-storage", Permille, RUN, Inherited,
         "seeded checkpoint-append faults: short write, full disk or flipped bit");
     DEADLINE("--deadline", Seconds, RUN, Inherited,

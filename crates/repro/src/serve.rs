@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use pud_bender::fault::{ClientFaultKind, ClientFaultPlan};
+use pud_disturb::rng::{mix_all, unit};
 use pudhammer::fleet::wire::{Frame, FrameReader, QueryStatus};
 use pudhammer::report;
 use pudhammer::serve::{resolve_with_retry, ProfileKey, Resolution, ServeConfig};
@@ -28,7 +28,7 @@ pub fn serve_main(args: &[String]) -> ExitCode {
     };
     crate::signals::install();
     let mut config = ServeConfig::new(
-        build_scale(&args, false),
+        build_scale(&args),
         PathBuf::from(store),
         &crate::INTERRUPTED,
     );
@@ -175,17 +175,15 @@ pub fn query_main(args: &[String]) -> ExitCode {
     let repeat: u64 = args.uint(&cli::REPEAT).unwrap_or(1);
     if args.on(&cli::LOCAL) {
         // The in-process reference path: same resolve, same bytes.
-        let scale = build_scale(&args, false);
-        let parsed = match ProfileKey::parse(key) {
-            Ok(parsed) => parsed,
-            Err(e) => {
-                eprintln!("error: bad profile key: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let scale = build_scale(&args);
+        let parsed = ProfileKey::parse(key);
         let mut last = ExitCode::SUCCESS;
         for _ in 0..repeat {
-            let r = resolve_with_retry(&scale, &parsed);
+            // A malformed key gets the same typed verdict the server sends.
+            let r = match &parsed {
+                Ok(parsed) => resolve_with_retry(&scale, parsed),
+                Err(detail) => Resolution::verdict(QueryStatus::BadRequest, detail.as_str()),
+            };
             print_resolution(&r);
             last = query_exit(r.status);
         }
@@ -220,6 +218,83 @@ pub fn query_main(args: &[String]) -> ExitCode {
         }
     }
     last
+}
+
+/// Salt mixing client-chaos draws away from chip and storage faults, so
+/// the same seed injects uncorrelated fault populations at each layer.
+const CLIENT_FAULT_SALT: u64 = 0xC11E_27FA_A17C_0003;
+
+/// The kinds of injected *client* fault (see [`ClientFaultPlan`]).
+///
+/// These target the serving layer from the outside: misbehaving network
+/// clients that a robust server must shed, time out, or reject — never
+/// crash on, leak a handler thread to, or stall behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ClientFaultKind {
+    /// The client trickles its request one byte at a time with long
+    /// pauses, holding a connection (and handler) hostage.
+    SlowLoris,
+    /// The client disconnects mid-frame: the length prefix promises more
+    /// bytes than ever arrive.
+    MidFrameCut,
+    /// The client sends a malformed frame: a garbage length word or junk
+    /// payload that must be rejected as a typed protocol error.
+    MalformedFrame,
+}
+
+impl ClientFaultKind {
+    /// Stable lowercase name (used in chaos-run transcripts).
+    fn name(self) -> &'static str {
+        match self {
+            ClientFaultKind::SlowLoris => "slow_loris",
+            ClientFaultKind::MidFrameCut => "mid_frame_cut",
+            ClientFaultKind::MalformedFrame => "malformed_frame",
+        }
+    }
+}
+
+/// Seeded client-chaos schedule for a `repro query --fault-client` run.
+///
+/// Each connection ordinal deterministically either behaves (the query
+/// goes through normally, proving the server still answers under chaos)
+/// or misbehaves with one [`ClientFaultKind`]. Same seed, same schedule —
+/// a failing chaos smoke replays exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ClientFaultPlan {
+    seed: u64,
+    permille: u32,
+}
+
+impl ClientFaultPlan {
+    /// A plan under `seed` where each connection misbehaves with
+    /// probability `permille`/1000.
+    fn new(seed: u64, permille: u32) -> ClientFaultPlan {
+        ClientFaultPlan { seed, permille }
+    }
+
+    /// How connection `conn` (0-based ordinal) behaves: `None` is a
+    /// well-formed query, `Some(kind)` misbehaves.
+    fn classify(&self, conn: u64) -> Option<ClientFaultKind> {
+        if self.permille == 0 {
+            return None;
+        }
+        let id = [self.seed ^ CLIENT_FAULT_SALT, conn, 0];
+        if unit(&[id[0], id[1], id[2], 1]) >= f64::from(self.permille) / 1000.0 {
+            return None;
+        }
+        Some(match mix_all(&[id[0], id[1], id[2], 2]) % 3 {
+            0 => ClientFaultKind::SlowLoris,
+            1 => ClientFaultKind::MidFrameCut,
+            _ => ClientFaultKind::MalformedFrame,
+        })
+    }
+
+    /// Raw draw `tag` for connection `conn` — the chaos client uses these
+    /// to vary pause lengths, cut points, and garbage bytes without any
+    /// other randomness source.
+    fn draw(&self, conn: u64, tag: u64) -> u64 {
+        mix_all(&[self.seed ^ CLIENT_FAULT_SALT, conn, 0, 0x100 + tag])
+    }
 }
 
 /// The seeded chaos client: `repeat` connections each behave per the
@@ -335,6 +410,105 @@ fn chaos_main(
         Err(e) => {
             eprintln!("error: post-chaos probe failed: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn client_plans_are_deterministic_and_cover_every_kind() {
+        let plan = ClientFaultPlan::new(103, 1000);
+        for conn in 0..16 {
+            assert_eq!(plan.classify(conn), plan.classify(conn));
+            assert_eq!(plan.draw(conn, 1), plan.draw(conn, 1));
+            assert!(
+                plan.classify(conn).is_some(),
+                "permille 1000 always misbehaves"
+            );
+        }
+        // All three behaviors appear within a small ordinal range, so a
+        // short chaos smoke exercises every misbehavior.
+        let kinds: Vec<&str> = (0..16)
+            .filter_map(|c| plan.classify(c))
+            .map(ClientFaultKind::name)
+            .collect();
+        for want in ["slow_loris", "mid_frame_cut", "malformed_frame"] {
+            assert!(kinds.contains(&want), "missing {want} in {kinds:?}");
+        }
+        // Permille scales: 0 never fires; a mid permille fires sometimes.
+        assert!((0..64).all(|c| ClientFaultPlan::new(103, 0).classify(c).is_none()));
+        let mid = ClientFaultPlan::new(103, 500);
+        let fired = (0..64).filter(|&c| mid.classify(c).is_some()).count();
+        assert!((8..56).contains(&fired), "permille 500 fired {fired}/64");
+    }
+
+    #[test]
+    fn client_schedules_are_pinned() {
+        // Seed 103 at the chaos client's default permille (700):
+        // (behaviour, draw tag 5, tag 6, tag 7) for connections 0..8.
+        use ClientFaultKind::{MalformedFrame, MidFrameCut, SlowLoris};
+        let expected = [
+            (
+                Some(SlowLoris),
+                0xc903_04a3_c0a6_b688,
+                0x161b_c217_314f_884a,
+                0x54a9_bf9d_6991_a820,
+            ),
+            (
+                Some(SlowLoris),
+                0x94e7_b09e_e308_7b0d,
+                0x2b6d_aaec_a367_cadd,
+                0x8be2_9e86_4f99_8d7a,
+            ),
+            (
+                Some(SlowLoris),
+                0x6dec_54e8_d5df_e00e,
+                0xbcf0_f589_b6dd_8dc1,
+                0x8146_a936_b979_277f,
+            ),
+            (
+                Some(MalformedFrame),
+                0x1b3d_5f7a_2a38_6687,
+                0x9061_6614_1b60_3fbe,
+                0x46a5_ada5_3862_f081,
+            ),
+            (
+                Some(MalformedFrame),
+                0x3180_e6db_8ed1_ead5,
+                0x1f6a_ceaa_985f_2785,
+                0xef19_201e_b472_34cb,
+            ),
+            (
+                Some(MidFrameCut),
+                0xeb45_2efb_cbb7_4a40,
+                0x12a6_f2c2_3748_2ac8,
+                0xea40_26fa_8486_25c4,
+            ),
+            (
+                None,
+                0xb6ed_7868_94ef_5599,
+                0x8ccd_60b3_16e3_5105,
+                0x1453_eebe_3696_3a20,
+            ),
+            (
+                Some(MidFrameCut),
+                0x428c_bdff_aa23_4f04,
+                0x308e_bdd0_2921_ffd9,
+                0x77f3_86f5_07e5_4941,
+            ),
+        ];
+        let plan = ClientFaultPlan::new(103, 700);
+        for (conn, want) in (0u64..).zip(expected) {
+            let got = (
+                plan.classify(conn),
+                plan.draw(conn, 5),
+                plan.draw(conn, 6),
+                plan.draw(conn, 7),
+            );
+            assert_eq!(got, want, "conn {conn}");
         }
     }
 }

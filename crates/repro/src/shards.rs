@@ -8,7 +8,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pudhammer::fleet::progress::{self, ProgressReporter};
-use pudhammer::fleet::shard;
+use pudhammer::fleet::shard::{self, ProcessFaultPlan};
 use pudhammer::fleet::supervisor::{self, CancelToken};
 use pudhammer::fleet::wire::Frame;
 
@@ -52,7 +52,7 @@ pub fn worker_main(args: &Args, target: &str, index: u32, count: u32) -> ExitCod
         return ExitCode::FAILURE;
     }
     let full = args.on(&cli::FULL);
-    let scale = campaign::build_scale(args, false);
+    let scale = campaign::build_scale(args);
     let fingerprint = scale.fleet.fingerprint();
     let slot = shard::slot(index, count, scale.fleet.fleet_size());
     let ckpt = match campaign::open_checkpoint(args, target, &scale, Some(slot)) {
@@ -65,12 +65,18 @@ pub fn worker_main(args: &Args, target: &str, index: u32, count: u32) -> ExitCod
     if let Some(store) = &ckpt {
         campaign::arm_storage_faults(args, &scale, store);
     }
-    let _mode = shard::install_worker(index, count);
+    let attempt = args.uint(&cli::WORKER_ATTEMPT).unwrap_or(0);
+    let faults = ProcessFaultPlan::new(
+        campaign::drill_seed(&scale),
+        args.uint(&cli::FAULT_WORKER_ABORT).unwrap_or(0),
+        args.uint(&cli::FAULT_WORKER_HANG).unwrap_or(0),
+        attempt,
+    );
+    let _mode = shard::install_worker(index, count, faults);
     let token = campaign::cancel_token(args);
     let supervisor_guard = supervisor::install(token.clone());
     pud_observe::live::reset();
     pud_observe::live::enable();
-    let attempt = args.uint(&cli::WORKER_ATTEMPT).unwrap_or(0);
     if emit_frame(&Frame::Hello {
         shard: index,
         count,
@@ -204,7 +210,7 @@ pub fn coordinator_main(args: &Args, target: &str, count: u32) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let scale = campaign::build_scale(args, false);
+    let scale = campaign::build_scale(args);
     let fingerprint = scale.fleet.fingerprint();
     let fleet_len = scale.fleet.fleet_size();
     let base_path = std::path::PathBuf::from(base);

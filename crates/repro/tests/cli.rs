@@ -304,6 +304,16 @@ const SERVE: &[Row] = &[
     (&["serve"], 1, "error: serve requires --store <path>"),
     (&["serve", "--bogus"], 1, "error: unknown flag: --bogus"),
     (
+        &["serve", "--fault-worker-abort", "1"],
+        1,
+        "error: unknown flag: --fault-worker-abort",
+    ),
+    (
+        &["serve", "--fault-worker-hang", "1"],
+        1,
+        "error: unknown flag: --fault-worker-hang",
+    ),
+    (
         &["serve", "--store", "s.jsonl", "extra"],
         1,
         "error: unexpected extra argument: extra",
@@ -447,7 +457,7 @@ const QUERY: &[Row] = &[
     (
         &["query", "bogus", "--local"],
         1,
-        "error: bad profile key: field \"bogus\" is not key=value",
+        "query: status=bad-request cached=false retries=0",
     ),
     (
         &["query", KEY, "--local"],
@@ -529,6 +539,17 @@ const QUERY: &[Row] = &[
         &["query", KEY, "--local", "--shards", "3"],
         1,
         "error: unknown flag: --shards",
+    ),
+    // Worker-process drills fire only in shard workers.
+    (
+        &["query", KEY, "--local", "--fault-worker-abort", "1"],
+        1,
+        "error: unknown flag: --fault-worker-abort",
+    ),
+    (
+        &["query", KEY, "--local", "--fault-worker-hang", "1"],
+        1,
+        "error: unknown flag: --fault-worker-hang",
     ),
 ];
 

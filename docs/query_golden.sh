@@ -1,8 +1,8 @@
 #!/bin/sh
 # Prints `repro query <key> --local` (stdout and stderr) for a fixed key
 # list: every pattern class on one chip, both WCDP kinds, a temperature
-# and an on-time override, two bad requests and one fault-injected key
-# that retries. CI diffs the output against docs/query_quick_output.txt.
+# and an on-time override, two bad requests, one fault-injected key that
+# retries, a malformed key and an on-time past tREFW. CI diffs the output against docs/query_quick_output.txt.
 #
 #   sh docs/query_golden.sh ./target/release/repro > docs/query_quick_output.txt
 set -u
@@ -26,3 +26,5 @@ q "$SKA;pattern=rh-ds;temp_cc=5000"
 q "$SKA;pattern=rh-ds;aggon_ps=7800000"
 q 'family=Samsung-C-4Gb;chip=0;pattern=simra-4'
 q 'family=Samsung-C-16Gb;chip=0;pattern=rh-ds' --fault-seed 103
+q bogus
+q "$SKA;pattern=rh-ds;aggon_ps=64000000001"

@@ -428,8 +428,6 @@ fn fault_plan_fires_identically_on_both_paths() {
                 value: false,
             },
         ],
-        abort_after: None,
-        hang_after: None,
     };
     pair.each(|e| e.install_fault_plan(plan.clone()));
     let bank = BankId(0);
