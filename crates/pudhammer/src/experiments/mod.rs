@@ -358,6 +358,23 @@ mod tests {
         assert!(Scale::full().trr_hammers > Scale::quick().trr_hammers);
     }
 
+    #[test]
+    fn records_encode_to_pinned_bytes() {
+        let measured = Record {
+            chip: 3,
+            mfr: pud_dram::Manufacturer::ALL[1],
+            victim: RowAddr(77),
+            region: pud_dram::SubarrayRegion::ALL[2],
+            hc: Some(25_000),
+        };
+        let unflipped = Record {
+            hc: None,
+            ..measured
+        };
+        assert_eq!(measured.encode(), "[3,1,77,2,25000]");
+        assert_eq!(unflipped.encode(), "[3,1,77,2,null]");
+    }
+
     /// The oracle: each class's kernel built from its paper definition
     /// (not through [`PatternClass`]), measured by the drivers' fleet
     /// sweep. The served value of every family's chip 0 must equal that

@@ -271,6 +271,30 @@ mod tests {
     use super::*;
 
     #[test]
+    fn checkpoint_rows_encode_to_pinned_bytes() {
+        // Decimal floats (round-trip exact), `null` for a column the
+        // family cannot measure.
+        let row = Table2Row {
+            profile: pud_dram::profiles::most_simra_vulnerable(),
+            rowhammer: Some(MinAvg {
+                min: 25_000.0,
+                avg: 31_337.25,
+            }),
+            comra: Some(MinAvg {
+                min: 1_234.0,
+                avg: 0.1 + 0.2,
+            }),
+            simra: None,
+            quarantined: None,
+        };
+        assert_eq!(
+            encode_row(&row),
+            "{\"rowhammer\":{\"min\":25000,\"avg\":31337.25},\
+             \"comra\":{\"min\":1234,\"avg\":0.30000000000000004},\"simra\":null}"
+        );
+    }
+
+    #[test]
     fn table2_minimums_track_the_anchors() {
         let mut scale = Scale::quick();
         scale.fleet.victims_per_subarray = 1;

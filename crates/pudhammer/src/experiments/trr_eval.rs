@@ -439,6 +439,28 @@ mod tests {
     use super::*;
 
     #[test]
+    fn checkpoint_rows_encode_to_pinned_bytes() {
+        let row = Fig24Row {
+            technique: "SiMRA-32".to_string(),
+            without_trr: FlipStat {
+                avg: 1234.5,
+                min: 1200,
+                max: 1269,
+            },
+            with_trr: FlipStat {
+                avg: 0.1 + 0.2,
+                min: 0,
+                max: 1,
+            },
+        };
+        // Averages are stored as their IEEE-754 bit patterns.
+        assert_eq!(
+            row.encode(),
+            "[\"SiMRA-32\",[4653144203864309760,1200,1269],[4599075939470750516,0,1]]"
+        );
+    }
+
+    #[test]
     fn fig24_reproduces_observations_25_26() {
         let mut scale = Scale::quick();
         scale.trr_hammers = 60_000;

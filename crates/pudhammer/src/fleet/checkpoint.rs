@@ -1657,6 +1657,27 @@ mod tests {
     }
 
     #[test]
+    fn record_writes_a_pinned_framed_line() {
+        // The exact bytes of one appended record, CRC digest included: a
+        // resume of a file written by an earlier build depends on them.
+        let path = temp_path("pinned-line");
+        let _ = std::fs::remove_file(&path);
+        let store = CheckpointStore::open(&path, header()).expect("create");
+        store.record("fig4.s0", "SKHynix-A-8Gb#0", "[[3,1,77,0,null]]");
+        drop(store);
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert_eq!(
+            text.lines().nth(1),
+            Some(PINNED_LINE),
+            "framed record bytes changed"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    const PINNED_LINE: &str = "{\"crc\":\"85b7758c\",\"rec\":{\"stage\":\"fig4.s0\",\
+        \"chip\":\"SKHynix-A-8Gb#0\",\"data\":[[3,1,77,0,null]]}}";
+
+    #[test]
     fn run_ctx_allocates_stage_names_in_code_order() {
         let path = temp_path("runctx");
         let _ = std::fs::remove_file(&path);
