@@ -15,7 +15,7 @@ use pud_dram::{DataPattern, RowAddr};
 use pud_observe::json::JsonArray;
 use pud_observe::JsonValue;
 
-use crate::fleet::checkpoint::{Codec, RunCtx};
+use crate::fleet::checkpoint::{CheckpointStore, Codec, RunCtx};
 use crate::fleet::supervisor;
 use crate::fleet::{ChipUnderTest, FleetConfig};
 use crate::hcfirst::{HcSearch, WarmStart};
@@ -232,9 +232,8 @@ impl Codec for Record {
 /// every retry — is merged into `sweep` for the driver's footer.
 ///
 /// With a checkpoint context, the sweep allocates its stage name (in code
-/// order — see [`RunCtx::next_stage`]), serves chips already recorded
-/// under it from the store instead of re-measuring, and records each
-/// freshly completed chip's encoded result as soon as it finishes.
+/// order — see [`RunCtx::next_stage`]), runs every chip through
+/// [`resume_or_run`] under it, and commits the store at its barrier.
 pub(crate) fn sweep_fleet<R: Send + Codec>(
     scale: &Scale,
     fleet: &mut crate::fleet::Fleet,
@@ -244,36 +243,48 @@ pub(crate) fn sweep_fleet<R: Send + Codec>(
 ) -> Vec<R> {
     // Only the (Sync) store and the pre-allocated stage name cross into
     // the workers — RunCtx itself holds the stage counter in a Cell.
-    let ckpt = ctx.map(|c| (c.store(), c.next_stage()));
+    let stage = ctx.map(RunCtx::next_stage);
+    let ckpt = ctx.map(RunCtx::store).zip(stage.as_deref());
     let threads = scale.sweep_threads(fleet.chips.len());
     let (outcomes, report) = crate::fleet::sweep::sweep_isolated(
         threads,
         scale.sweep_policy(),
         &mut fleet.chips,
-        |chip_idx, chip| {
-            if let Some((store, stage)) = &ckpt {
-                if let Some(saved) = store.lookup(stage, &chip.label()).and_then(R::decode) {
-                    supervisor::record_resumed();
-                    return saved;
-                }
-            }
-            let result = f(chip_idx, chip);
-            if let Some((store, stage)) = &ckpt {
-                store.record(stage, &chip.label(), &result.encode());
-            }
-            result
-        },
+        |chip_idx, chip| resume_or_run(ckpt, &chip.label(), || f(chip_idx, chip)),
     );
     sweep.absorb(&report);
     // Sweep barrier: everything recorded above is now made durable against
     // power loss, not just process death (temp file + rename + dir fsync).
-    if let Some((store, _)) = &ckpt {
+    if let Some((store, _)) = ckpt {
         store.commit();
     }
     outcomes
         .into_iter()
         .filter_map(crate::fleet::sweep::SweepOutcome::ok)
         .collect()
+}
+
+/// One unit of a checkpointed sweep — the resume step every driver's sweep
+/// closure goes through. With a `(store, stage)`, a unit already recorded
+/// under `stage` is decoded instead of re-run (and counted as resumed),
+/// and a freshly run unit's result is recorded as soon as it is known.
+/// The sweep commits the store at its barrier once every unit is done.
+pub(crate) fn resume_or_run<R: Codec>(
+    ckpt: Option<(&CheckpointStore, &str)>,
+    unit: &str,
+    run: impl FnOnce() -> R,
+) -> R {
+    if let Some((store, stage)) = ckpt {
+        if let Some(saved) = store.lookup(stage, unit).and_then(R::decode) {
+            supervisor::record_resumed();
+            return saved;
+        }
+    }
+    let result = run();
+    if let Some((store, stage)) = ckpt {
+        store.record(stage, unit, &result.encode());
+    }
+    result
 }
 
 /// Measures HC_first for every fleet victim under the kernel produced by

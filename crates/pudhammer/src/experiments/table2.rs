@@ -8,10 +8,10 @@ use pud_dram::DataPattern;
 use pud_observe::json::JsonObject;
 use pud_observe::JsonValue;
 
-use crate::experiments::{measure, DpSpec, Scale};
-use crate::fleet::checkpoint::CheckpointStore;
+use crate::experiments::{measure, resume_or_run, DpSpec, Scale};
+use crate::fleet::checkpoint::{CheckpointStore, Codec};
 use crate::fleet::sweep::{SweepOutcome, SweepReport};
-use crate::fleet::Fleet;
+use crate::fleet::{ChipUnderTest, Fleet};
 use crate::hcfirst::WarmStart;
 use crate::patterns::PatternClass;
 use crate::report::{fmt_hc, Table};
@@ -69,9 +69,10 @@ pub fn table2(scale: &Scale) -> Table2 {
 }
 
 /// [`table2`] with an optional [`CheckpointStore`]: families already in the
-/// checkpoint are decoded instead of re-measured, and freshly measured
-/// families are appended to it as they complete. Quarantined families are
-/// never recorded, so a resume retries them.
+/// checkpoint are decoded instead of re-measured, freshly measured
+/// families are appended to it as they complete, and the store is
+/// committed at the sweep barrier. Quarantined families are never
+/// recorded, so a resume retries them.
 pub fn table2_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Table2 {
     let _span = pud_observe::span("experiment.table2");
     let mut fleet = Fleet::build(scale.fleet);
@@ -90,59 +91,20 @@ pub fn table2_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Table2 {
             if chip.chip_index != 0 {
                 return None;
             }
-            if let Some(ckpt) = ckpt {
-                if let Some(row) = ckpt
-                    .lookup(CHECKPOINT_STAGE, &chip.label())
-                    .and_then(|data| decode_row(chip.profile, data))
-                {
-                    crate::fleet::supervisor::record_resumed();
-                    return Some(row);
-                }
-            }
-            let mut rh_vals = Vec::new();
-            let mut comra_vals = Vec::new();
-            for victim in chip.victim_rows() {
-                for (class, vals) in [
-                    (PatternClass::RhDs, &mut rh_vals),
-                    (PatternClass::ComraDs, &mut comra_vals),
-                ] {
-                    let Some(k) = class.kernel_for(chip.exec().chip(), victim) else {
-                        continue;
-                    };
-                    let dp = DpSpec::Fixed(class.default_dp());
-                    if let (Some(h), _) =
-                        measure(scale, chip, &k, victim, dp, &mut WarmStart::new())
-                    {
-                        vals.push(h as f64);
-                    }
-                }
-            }
-            let mut simra_vals = Vec::new();
-            if chip.profile.supports_simra() {
-                let dp = DpSpec::Fixed(DataPattern::ZEROS);
-                for n in crate::experiments::simra::DS_GROUP_SIZES {
-                    for (kernel, victim) in crate::experiments::simra::ds_targets(chip, n, cap) {
-                        if let (Some(h), _) =
-                            measure(scale, chip, &kernel, victim, dp, &mut WarmStart::new())
-                        {
-                            simra_vals.push(h as f64);
-                        }
-                    }
-                }
-            }
-            let row = Table2Row {
+            let stage = ckpt.map(|store| (store, CHECKPOINT_STAGE));
+            let columns = resume_or_run(stage, &chip.label(), || measure_columns(scale, chip, cap));
+            Some(Table2Row {
                 profile: chip.profile,
-                rowhammer: MinAvg::from_values(&rh_vals),
-                comra: MinAvg::from_values(&comra_vals),
-                simra: MinAvg::from_values(&simra_vals),
+                rowhammer: columns.rowhammer,
+                comra: columns.comra,
+                simra: columns.simra,
                 quarantined: None,
-            };
-            if let Some(ckpt) = ckpt {
-                ckpt.record(CHECKPOINT_STAGE, &chip.label(), &encode_row(&row));
-            }
-            Some(row)
+            })
         },
     );
+    if let Some(store) = ckpt {
+        store.commit();
+    }
     let mut rows = Vec::new();
     for (outcome, (profile, chip_index)) in outcomes.into_iter().zip(families) {
         match outcome {
@@ -170,49 +132,93 @@ pub fn table2_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Table2 {
     Table2 { rows, sweep }
 }
 
+/// The measured columns of one Table 2 row: what its checkpoint record
+/// holds (the family comes from the chip it was measured on).
+struct Columns {
+    rowhammer: Option<MinAvg>,
+    comra: Option<MinAvg>,
+    simra: Option<MinAvg>,
+}
+
+/// Measures one family's columns on its chip 0: RowHammer and CoMRA on
+/// every victim, SiMRA on up to `cap` groups per size when the family
+/// supports it.
+fn measure_columns(scale: &Scale, chip: &mut ChipUnderTest, cap: usize) -> Columns {
+    let mut rh_vals = Vec::new();
+    let mut comra_vals = Vec::new();
+    for victim in chip.victim_rows() {
+        for (class, vals) in [
+            (PatternClass::RhDs, &mut rh_vals),
+            (PatternClass::ComraDs, &mut comra_vals),
+        ] {
+            let Some(k) = class.kernel_for(chip.exec().chip(), victim) else {
+                continue;
+            };
+            let dp = DpSpec::Fixed(class.default_dp());
+            if let (Some(h), _) = measure(scale, chip, &k, victim, dp, &mut WarmStart::new()) {
+                vals.push(h as f64);
+            }
+        }
+    }
+    let mut simra_vals = Vec::new();
+    if chip.profile.supports_simra() {
+        let dp = DpSpec::Fixed(DataPattern::ZEROS);
+        for n in crate::experiments::simra::DS_GROUP_SIZES {
+            for (kernel, victim) in crate::experiments::simra::ds_targets(chip, n, cap) {
+                if let (Some(h), _) =
+                    measure(scale, chip, &kernel, victim, dp, &mut WarmStart::new())
+                {
+                    simra_vals.push(h as f64);
+                }
+            }
+        }
+    }
+    Columns {
+        rowhammer: MinAvg::from_values(&rh_vals),
+        comra: MinAvg::from_values(&comra_vals),
+        simra: MinAvg::from_values(&simra_vals),
+    }
+}
+
 /// Stage label under which Table 2 rows are checkpointed.
 const CHECKPOINT_STAGE: &str = "table2";
 
-fn encode_ma(obj: JsonObject, key: &str, m: &Option<MinAvg>) -> JsonObject {
-    match m {
-        Some(m) => obj.raw(
-            key,
-            &JsonObject::new()
-                .f64("min", m.min)
-                .f64("avg", m.avg)
-                .finish(),
-        ),
-        None => obj.raw(key, "null"),
+/// `{"min":…,"avg":…}` in decimal: `json::number` prints the shortest
+/// round-trip-exact form, so the values decode bit for bit.
+impl Codec for MinAvg {
+    fn encode(&self) -> String {
+        JsonObject::new()
+            .f64("min", self.min)
+            .f64("avg", self.avg)
+            .finish()
+    }
+
+    fn decode(v: &JsonValue) -> Option<MinAvg> {
+        Some(MinAvg {
+            min: v.get("min")?.as_f64()?,
+            avg: v.get("avg")?.as_f64()?,
+        })
     }
 }
 
-fn encode_row(row: &Table2Row) -> String {
-    let obj = JsonObject::new();
-    let obj = encode_ma(obj, "rowhammer", &row.rowhammer);
-    let obj = encode_ma(obj, "comra", &row.comra);
-    let obj = encode_ma(obj, "simra", &row.simra);
-    obj.finish()
-}
-
-fn decode_ma(v: &JsonValue, key: &str) -> Option<Option<MinAvg>> {
-    let field = v.get(key)?;
-    if matches!(field, JsonValue::Null) {
-        return Some(None);
+/// `{"rowhammer":…,"comra":…,"simra":…}`, `null` for a column the family
+/// cannot measure.
+impl Codec for Columns {
+    fn encode(&self) -> String {
+        JsonObject::new()
+            .raw("rowhammer", &self.rowhammer.encode())
+            .raw("comra", &self.comra.encode())
+            .raw("simra", &self.simra.encode())
+            .finish()
     }
-    Some(Some(MinAvg {
-        min: field.get("min")?.as_f64()?,
-        avg: field.get("avg")?.as_f64()?,
-    }))
-}
 
-fn decode_row(profile: &'static pud_dram::ModuleProfile, v: &JsonValue) -> Option<Table2Row> {
-    Some(Table2Row {
-        profile,
-        rowhammer: decode_ma(v, "rowhammer")?,
-        comra: decode_ma(v, "comra")?,
-        simra: decode_ma(v, "simra")?,
-        quarantined: None,
-    })
+    fn decode(v: &JsonValue) -> Option<Columns> {
+        Some(Columns {
+            rowhammer: Codec::decode(v.get("rowhammer")?)?,
+            comra: Codec::decode(v.get("comra")?)?,
+            simra: Codec::decode(v.get("simra")?)?,
+        })
+    }
 }
 
 impl fmt::Display for Table2 {
@@ -270,6 +276,16 @@ impl fmt::Display for Table2 {
 mod tests {
     use super::*;
 
+    /// The bytes a row's checkpoint record holds.
+    fn encode_row(row: &Table2Row) -> String {
+        Columns {
+            rowhammer: row.rowhammer,
+            comra: row.comra,
+            simra: row.simra,
+        }
+        .encode()
+    }
+
     #[test]
     fn checkpoint_rows_encode_to_pinned_bytes() {
         // Decimal floats (round-trip exact), `null` for a column the
@@ -292,6 +308,32 @@ mod tests {
             "{\"rowhammer\":{\"min\":25000,\"avg\":31337.25},\
              \"comra\":{\"min\":1234,\"avg\":0.30000000000000004},\"simra\":null}"
         );
+    }
+
+    #[test]
+    fn the_sweep_barrier_commits_the_store() {
+        let mut scale = Scale::quick();
+        scale.fleet.victims_per_subarray = 1;
+        let path = std::env::temp_dir().join(format!("pud-table2-barrier-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let header = crate::fleet::checkpoint::CheckpointHeader {
+            target: "table2".to_string(),
+            scale: "quick".to_string(),
+            fingerprint: scale.fleet.fingerprint(),
+            fault_seed: None,
+            shard: None,
+        };
+        let store = CheckpointStore::open(&path, header).expect("create");
+        table2_ckpt(&scale, Some(&store));
+        let swept = std::fs::read(&path).expect("read");
+        store.commit();
+        assert!(store.take_write_error().is_none(), "commit must succeed");
+        assert_eq!(
+            std::fs::read(&path).expect("reread"),
+            swept,
+            "the sweep left its records committed (sorted)"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use pud_observe::json::JsonArray;
 use pud_observe::{JsonValue, RingBufferSink, SharedSink};
 use pud_trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
 
-use crate::experiments::Scale;
+use crate::experiments::{resume_or_run, Scale};
 use crate::fleet::checkpoint::{CheckpointStore, Codec};
 use crate::fleet::sweep::{SweepOutcome, SweepReport};
 use crate::patterns::{simra_ds_kernels, simra_ss_kernels, Kernel};
@@ -139,8 +139,8 @@ pub fn fig24(scale: &Scale) -> Fig24 {
 
 /// [`fig24`] with an optional [`CheckpointStore`]: techniques already
 /// recorded are decoded instead of re-measured (their private trace ring
-/// stays empty), and freshly measured techniques are appended as they
-/// complete.
+/// stays empty), freshly measured techniques are appended as they
+/// complete, and the store is committed at the sweep barrier.
 pub fn fig24_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig24 {
     let _span = pud_observe::span("experiment.fig24");
     let profile = profiles::most_simra_vulnerable();
@@ -237,57 +237,51 @@ pub fn fig24_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig24 {
         labels,
         techniques,
         |_, (name, tech)| {
-            if let Some(ckpt) = ckpt {
-                if let Some(row) = ckpt
-                    .lookup(CHECKPOINT_STAGE, name)
-                    .and_then(Fig24Row::decode)
-                {
-                    crate::fleet::supervisor::record_resumed();
-                    return (row, Vec::new());
+            let mut events = Vec::new();
+            let row = resume_or_run(ckpt.map(|s| (s, CHECKPOINT_STAGE)), name, || {
+                let ring = tracing.then(|| {
+                    Arc::new(Mutex::new(RingBufferSink::new(
+                        crate::fleet::sweep::TRACE_RING_CAPACITY,
+                    )))
+                });
+                let sink: Option<SharedSink> = ring.clone().map(|r| r as SharedSink);
+                let mut counts_without = Vec::new();
+                let mut counts_with = Vec::new();
+                for rep in 0..reps {
+                    counts_without.push(run_once(
+                        scale,
+                        profile,
+                        tech,
+                        dummy_phys,
+                        false,
+                        rep,
+                        sink.as_ref(),
+                    ));
+                    counts_with.push(run_once(
+                        scale,
+                        profile,
+                        tech,
+                        dummy_phys,
+                        true,
+                        rep,
+                        sink.as_ref(),
+                    ));
                 }
-            }
-            let ring = tracing.then(|| {
-                Arc::new(Mutex::new(RingBufferSink::new(
-                    crate::fleet::sweep::TRACE_RING_CAPACITY,
-                )))
+                events = ring.map_or_else(Vec::new, |r| {
+                    r.lock().expect("fig24 trace ring poisoned").to_vec()
+                });
+                Fig24Row {
+                    technique: name.clone(),
+                    without_trr: FlipStat::from_counts(&counts_without),
+                    with_trr: FlipStat::from_counts(&counts_with),
+                }
             });
-            let sink: Option<SharedSink> = ring.clone().map(|r| r as SharedSink);
-            let mut counts_without = Vec::new();
-            let mut counts_with = Vec::new();
-            for rep in 0..reps {
-                counts_without.push(run_once(
-                    scale,
-                    profile,
-                    tech,
-                    dummy_phys,
-                    false,
-                    rep,
-                    sink.as_ref(),
-                ));
-                counts_with.push(run_once(
-                    scale,
-                    profile,
-                    tech,
-                    dummy_phys,
-                    true,
-                    rep,
-                    sink.as_ref(),
-                ));
-            }
-            let events = ring.map_or_else(Vec::new, |r| {
-                r.lock().expect("fig24 trace ring poisoned").to_vec()
-            });
-            let row = Fig24Row {
-                technique: name.clone(),
-                without_trr: FlipStat::from_counts(&counts_without),
-                with_trr: FlipStat::from_counts(&counts_with),
-            };
-            if let Some(ckpt) = ckpt {
-                ckpt.record(CHECKPOINT_STAGE, name, &row.encode());
-            }
             (row, events)
         },
     );
+    if let Some(store) = ckpt {
+        store.commit();
+    }
     let mut buffers = Vec::with_capacity(outcomes.len());
     for (row, events) in outcomes.into_iter().filter_map(SweepOutcome::ok) {
         rows.push(row);
@@ -458,6 +452,32 @@ mod tests {
             row.encode(),
             "[\"SiMRA-32\",[4653144203864309760,1200,1269],[4599075939470750516,0,1]]"
         );
+    }
+
+    #[test]
+    fn the_sweep_barrier_commits_the_store() {
+        let mut scale = Scale::quick();
+        scale.trr_hammers = 20_000;
+        let path = std::env::temp_dir().join(format!("pud-fig24-barrier-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let header = crate::fleet::checkpoint::CheckpointHeader {
+            target: "fig24".to_string(),
+            scale: "quick".to_string(),
+            fingerprint: scale.fleet.fingerprint(),
+            fault_seed: None,
+            shard: None,
+        };
+        let store = CheckpointStore::open(&path, header).expect("create");
+        fig24_ckpt(&scale, Some(&store));
+        let swept = std::fs::read(&path).expect("read");
+        store.commit();
+        assert!(store.take_write_error().is_none(), "commit must succeed");
+        assert_eq!(
+            std::fs::read(&path).expect("reread"),
+            swept,
+            "the sweep left its records committed (sorted)"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

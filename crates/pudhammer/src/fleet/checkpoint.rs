@@ -33,10 +33,13 @@
 //!   after which every recorded row survives power loss, not just
 //!   process death.
 //!
-//! On reopen the longest intact prefix is kept and everything from the
-//! first damaged line onward is truncated away — a [`SalvageReport`]
-//! describes the discarded tail, the campaign footer reports it, and the
-//! chips it covered simply re-run. Quarantined chips are never recorded —
+//! One scanner (`scan`) reads the record stream for every consumer —
+//! resume, the shard merge, the profile store and `repro fsck` — and one
+//! writer (`record_line`) builds every record line. On reopen the
+//! longest intact prefix is kept and everything from the first damaged
+//! line onward is truncated away — a [`SalvageReport`] describes the
+//! discarded tail, the campaign footer reports it, and the chips it
+//! covered simply re-run. Quarantined chips are never recorded —
 //! a resume retries them, keeping counters and rendered output identical
 //! to an uninterrupted run.
 
@@ -90,15 +93,6 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 
 const FRAME_PREFIX: &str = "{\"crc\":\"";
 const FRAME_MID: &str = "\",\"rec\":";
-
-/// Wraps a record payload in its CRC32 frame:
-/// `{"crc":"<8 hex>","rec":<payload>}`.
-pub(crate) fn frame_record(payload: &str) -> String {
-    format!(
-        "{FRAME_PREFIX}{:08x}{FRAME_MID}{payload}}}",
-        crc32(payload.as_bytes())
-    )
-}
 
 /// Strips and verifies a record line's CRC32 frame, returning the payload
 /// slice. Byte-exact: the frame is matched structurally (prefix, 8 hex
@@ -199,8 +193,11 @@ impl CheckpointHeader {
         .finish()
     }
 
-    pub(crate) fn parse(line: &str) -> Result<CheckpointHeader, HeaderIssue> {
+    /// Parses a header line (without its newline).
+    pub(crate) fn parse(line: &[u8]) -> Result<CheckpointHeader, HeaderIssue> {
         let malformed = HeaderIssue::Malformed;
+        let line = std::str::from_utf8(line)
+            .map_err(|_| malformed("header line is not valid UTF-8".to_string()))?;
         let v =
             JsonValue::parse(line).map_err(|e| malformed(format!("unparseable header: {e}")))?;
         if v.get("kind").and_then(JsonValue::as_str) != Some("pud-checkpoint") {
@@ -491,6 +488,68 @@ pub(crate) fn write_image<'a>(
     result
 }
 
+/// What one pass over a checkpoint file's bytes found.
+pub(crate) struct Scan<'a> {
+    /// The header line without its newline; `None` when the file holds no
+    /// complete line (empty, or torn inside its header).
+    pub(crate) header: Option<&'a [u8]>,
+    /// The records of the longest intact prefix, in file order: each
+    /// one's `(stage, chip)` key, `data` value and line (no newline).
+    pub(crate) records: Vec<((String, String), JsonValue, &'a str)>,
+    /// Bytes in that prefix, header included.
+    pub(crate) valid_len: usize,
+    /// The damaged tail past the prefix, if any: the first bad line, why
+    /// it is bad, and the lines and bytes from it to end of file.
+    pub(crate) damage: Option<SalvageReport>,
+}
+
+/// Walks the record lines of the checkpoint `bytes` read from `path`: the
+/// one verifier behind both resume ([`CheckpointStore::open`]) and
+/// `repro fsck`. A record line is intact when it is newline-terminated,
+/// valid UTF-8, its CRC frame verifies and its payload parses; the first
+/// line that is not ends the prefix, and nothing after it is trusted (a
+/// later line that looks intact may be an artifact of the same fault).
+/// The header line is returned unparsed: each caller judges it.
+pub(crate) fn scan<'a>(path: &Path, bytes: &'a [u8]) -> Scan<'a> {
+    // An unterminated segment is always the last one, so a file with no
+    // complete header line has no record lines either.
+    let mut lines = bytes.split_inclusive(|&b| b == b'\n');
+    let header = lines.next().and_then(|line| line.strip_suffix(b"\n"));
+    let mut scan = Scan {
+        header,
+        records: Vec::new(),
+        valid_len: header.map_or(0, |h| h.len() + 1),
+        damage: None,
+    };
+    for (idx, line) in lines.enumerate() {
+        let record = match line.strip_suffix(b"\n").map(std::str::from_utf8) {
+            None => Err("record unterminated (torn write)".to_string()),
+            Some(Err(_)) => Err("record line is not valid UTF-8".to_string()),
+            Some(Ok(body)) => unframe_record(body)
+                .and_then(parse_record)
+                .map(|(stage, chip, data)| ((stage, chip), data, body)),
+        };
+        match record {
+            Ok(record) => {
+                scan.records.push(record);
+                scan.valid_len += line.len();
+            }
+            Err(reason) => {
+                let tail = &bytes[scan.valid_len..];
+                scan.damage = Some(SalvageReport {
+                    path: path.to_path_buf(),
+                    first_bad_line: idx + 2,
+                    dropped_records: tail.split_inclusive(|&b| b == b'\n').count(),
+                    dropped_bytes: tail.len() as u64,
+                    reason,
+                });
+                break;
+            }
+        }
+    }
+    scan
+}
+
 /// Salt of the storage-fault draws: the checkpoint layer's faults never
 /// correlate with the chip faults drawn from the same campaign seed.
 const STORAGE_FAULT_SALT: u64 = 0x5704_A6EF_AA17_0002;
@@ -615,13 +674,13 @@ impl CheckpointStore {
     /// described by `header`.
     ///
     /// A fresh or empty file gets the header written immediately. An
-    /// existing file has its header verified and its completed rows
-    /// loaded; damage anywhere in the record stream — a truncated
-    /// trailing line from an interrupted write, a CRC-failing record from
-    /// bit rot, torn framing — is *salvaged*: the longest intact prefix
-    /// is kept, the file is truncated to it, and the discarded tail is
-    /// described by [`Self::salvage`] so the campaign footer can report
-    /// it. Only header damage is a hard error (the file's identity would
+    /// existing file has its header verified and the rows of the intact
+    /// prefix `scan` finds loaded; damage anywhere in the record stream —
+    /// a truncated trailing line from an interrupted write, a CRC-failing
+    /// or non-UTF-8 record from bit rot, torn framing — is *salvaged*: the
+    /// file is truncated to the prefix, and the discarded tail is described
+    /// by [`Self::salvage`] so the campaign footer can report it. Only
+    /// header damage is a hard error (the file's identity would
     /// be unknown), with one exception: a file torn mid-*header* whose
     /// bytes are a prefix of this campaign's own header is rewritten
     /// fresh — it was this campaign's file, created and killed before the
@@ -633,105 +692,65 @@ impl CheckpointStore {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let mut content = String::new();
-        file.read_to_string(&mut content)?;
-        let fresh = |file: &mut File, salvage| -> Result<CheckpointStore, CheckpointError> {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            let line = format!("{}\n", header.render());
-            file.write_all(line.as_bytes())?;
-            file.flush()?;
-            Ok(CheckpointStore {
-                header: header.clone(),
-                path: path.to_path_buf(),
-                completed: HashMap::new(),
-                salvage,
-                writer: Mutex::new(Writer {
-                    file: file.try_clone()?,
-                    lines: Vec::new(),
-                    appended: 0,
-                    storage: StorageFaultPlan::default(),
-                }),
-                write_error: Mutex::new(None),
-            })
-        };
-        if content.is_empty() {
-            return fresh(&mut file, None);
-        }
-        let corrupt = |line: usize, reason: String| CheckpointError::Corrupt {
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        let scan = scan(path, &bytes);
+        let corrupt = |line: usize, reason: &str| CheckpointError::Corrupt {
             path: path.to_path_buf(),
             line,
-            reason,
+            reason: reason.to_string(),
         };
-        let segments: Vec<&str> = content.split_inclusive('\n').collect();
-        let mut completed = HashMap::new();
-        let mut lines = Vec::new();
-        let mut valid_len = 0usize;
-        let mut first_bad: Option<(usize, String)> = None;
-        for (idx, line) in segments.iter().enumerate() {
-            let body = line.trim_end_matches('\n');
-            if idx == 0 {
-                if !line.ends_with('\n') {
-                    // A torn header. If the bytes are a prefix of the header
-                    // this campaign would write, the file is provably our
-                    // own, killed at creation — start it over. Anything else
-                    // could be someone else's data: refuse to touch it.
-                    if format!("{}\n", header.render()).starts_with(line) {
-                        return fresh(
-                            &mut file,
-                            Some(SalvageReport {
-                                path: path.to_path_buf(),
-                                first_bad_line: 1,
-                                dropped_records: 0,
-                                dropped_bytes: content.len() as u64,
-                                reason: "header line torn at creation; file restarted".to_string(),
-                            }),
-                        );
-                    }
-                    return Err(corrupt(1, "header line unterminated".to_string()));
+        let (valid_len, records, salvage) = match scan.header {
+            // Empty, or a torn header. If the bytes are a prefix of the
+            // header this campaign would write, the file is provably our
+            // own, killed at creation — start it over. Anything else could
+            // be someone else's data: refuse to touch it.
+            None => {
+                let line = format!("{}\n", header.render());
+                if !line.as_bytes().starts_with(&bytes) {
+                    return Err(corrupt(1, "header line unterminated"));
                 }
-                let found = CheckpointHeader::parse(body).map_err(|issue| match issue {
+                file.set_len(0)?;
+                file.seek(SeekFrom::Start(0))?;
+                file.write_all(line.as_bytes())?;
+                let salvage = (!bytes.is_empty()).then(|| SalvageReport {
+                    path: path.to_path_buf(),
+                    first_bad_line: 1,
+                    dropped_records: 0,
+                    dropped_bytes: bytes.len() as u64,
+                    reason: "header line torn at creation; file restarted".to_string(),
+                });
+                (line.len(), Vec::new(), salvage)
+            }
+            Some(found) => {
+                let found = CheckpointHeader::parse(found).map_err(|issue| match issue {
                     HeaderIssue::Version(found) => CheckpointError::Version {
                         path: path.to_path_buf(),
                         found,
                         supported: CHECKPOINT_VERSION,
                     },
-                    HeaderIssue::Malformed(reason) => corrupt(1, reason),
+                    HeaderIssue::Malformed(reason) => corrupt(1, &reason),
                 })?;
                 if found != header {
                     return Err(CheckpointError::HeaderMismatch {
                         path: path.to_path_buf(),
-                        expected: Box::new(header.clone()),
+                        expected: Box::new(header),
                         found: Box::new(found),
                     });
                 }
-            } else {
-                if !line.ends_with('\n') {
-                    first_bad = Some((idx, "record unterminated (torn write)".to_string()));
-                    break;
-                }
-                match unframe_record(body).and_then(parse_record) {
-                    Ok((stage, chip, data)) => {
-                        lines.push(((stage.clone(), chip.clone()), body.to_string()));
-                        completed.insert((stage, chip), data);
-                    }
-                    Err(reason) => {
-                        first_bad = Some((idx, reason));
-                        break;
-                    }
-                }
+                (scan.valid_len, scan.records, scan.damage)
             }
-            valid_len += line.len();
-        }
-        let salvage = first_bad.map(|(idx, reason)| SalvageReport {
-            path: path.to_path_buf(),
-            first_bad_line: idx + 1,
-            dropped_records: segments.len() - idx,
-            dropped_bytes: (content.len() - valid_len) as u64,
-            reason,
-        });
+        };
         file.set_len(valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
+        let lines = records
+            .iter()
+            .map(|(key, _, line)| (key.clone(), line.to_string()))
+            .collect();
+        let completed = records
+            .into_iter()
+            .map(|(key, data, _)| (key, data))
+            .collect();
         Ok(CheckpointStore {
             header,
             path: path.to_path_buf(),
@@ -814,12 +833,7 @@ impl CheckpointStore {
     /// prefix intact) and reported through [`Self::take_write_error`]. The
     /// run's in-memory results are unaffected — only resumability is lost.
     pub fn record(&self, stage: &str, chip: &str, data: &str) {
-        let payload = JsonObject::new()
-            .str("stage", stage)
-            .str("chip", chip)
-            .raw("data", data)
-            .finish();
-        let framed = frame_record(&payload);
+        let framed = record_line(stage, chip, data);
         // `unwrap_or_else(into_inner)`: a panicking writer (e.g. a
         // cancellation unwinding through a worker mid-record) must not turn
         // every later record into a second panic.
@@ -934,9 +948,9 @@ impl CheckpointStore {
 
 /// Encoding of one per-unit result as a checkpoint `data` value.
 ///
-/// Every experiment driver's sweep closure return type implements this,
-/// which is what lets [`crate::experiments::sweep_fleet`] transparently
-/// record and replay any driver's rows. Two invariants matter:
+/// Every experiment driver's resumable unit result implements this, which
+/// is what lets [`crate::experiments::resume_or_run`] transparently record
+/// and replay any driver's rows. Two invariants matter:
 ///
 /// - **Round-trip exactness.** `decode(parse(encode(x))) == x`, bit for
 ///   bit — the byte-identical-resume guarantee rests on it. Floats are
@@ -946,6 +960,8 @@ impl CheckpointStore {
 /// - **Self-description is not a goal.** Rows are compact positional
 ///   arrays; the header binds the file to one campaign and code version,
 ///   so field names would be dead weight on a hot flush path.
+///
+/// Table 2's rows are the exception: named fields, decimal (finite) floats.
 pub(crate) trait Codec: Sized {
     /// Renders the value as a raw JSON fragment.
     fn encode(&self) -> String;
@@ -1074,6 +1090,23 @@ impl<'a> RunCtx<'a> {
     }
 }
 
+/// Renders one record line (no newline): the `{"stage","chip","data"}`
+/// payload in its CRC32 frame, `{"crc":"<8 hex>","rec":<payload>}`.
+/// [`unframe_record`] and [`parse_record`] read it back.
+pub(crate) fn record_line(stage: &str, chip: &str, data: &str) -> String {
+    let payload = JsonObject::new()
+        .str("stage", stage)
+        .str("chip", chip)
+        .raw("data", data)
+        .finish();
+    format!(
+        "{FRAME_PREFIX}{:08x}{FRAME_MID}{payload}}}",
+        crc32(payload.as_bytes())
+    )
+}
+
+/// Parses a record payload (as [`unframe_record`] returns it) into its
+/// stage, chip and `data` value.
 pub(crate) fn parse_record(line: &str) -> Result<(String, String, JsonValue), String> {
     let v = JsonValue::parse(line)?;
     let stage = v
@@ -1279,9 +1312,7 @@ mod tests {
         let mut content = std::fs::read_to_string(&path).expect("read");
         let good_len = content.len();
         content.push_str("not json at all\n");
-        content.push_str(&frame_record(
-            "{\"stage\":\"rh\",\"chip\":\"B#0\",\"data\":{\"hc\":2}}",
-        ));
+        content.push_str(&record_line("rh", "B#0", "{\"hc\":2}"));
         content.push('\n');
         std::fs::write(&path, content).expect("write");
         let store = CheckpointStore::open(&path, header()).expect("salvage, not reject");
@@ -1374,7 +1405,7 @@ mod tests {
     #[test]
     fn record_frames_round_trip_and_reject_tampering() {
         let payload = "{\"stage\":\"rh\",\"chip\":\"A#0\",\"data\":7}";
-        let framed = frame_record(payload);
+        let framed = record_line("rh", "A#0", "7");
         assert_eq!(unframe_record(&framed).expect("round trip"), payload);
         // Tamper with the payload: crc mismatch.
         let tampered = framed.replace("\"data\":7", "\"data\":8");
@@ -1543,16 +1574,10 @@ mod tests {
         }
         store.commit();
         assert!(store.take_write_error().is_none(), "commit must succeed");
-        let text = std::fs::read_to_string(&path).expect("read");
-        let keys: Vec<(String, String)> = text
-            .lines()
-            .skip(1)
-            .map(|line| {
-                let (stage, chip, _) =
-                    parse_record(unframe_record(line).expect("framed")).expect("record");
-                (stage, chip)
-            })
-            .collect();
+        let bytes = std::fs::read(&path).expect("read");
+        let scan = scan(&path, &bytes);
+        assert!(scan.damage.is_none(), "committed image verifies");
+        let keys: Vec<(String, String)> = scan.records.into_iter().map(|(key, ..)| key).collect();
         let want = [
             ("comra", "C#0"),
             ("rh", "A#0"),

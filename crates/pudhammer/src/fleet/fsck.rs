@@ -3,12 +3,14 @@
 //! A checkpoint file is damaged in exactly two ways that matter:
 //!
 //! * **Tail damage** — a torn trailing line from `kill -9` mid-append, a
-//!   CRC-failing record from bit rot, framing garbage. Everything from
-//!   the first damaged line to EOF is untrusted (a later line that
-//!   *looks* valid may be an artifact of the same fault), so the repair
-//!   is the same truncate-to-longest-intact-prefix that
-//!   [`super::checkpoint::CheckpointStore::open`] performs online. Repair here just does it
-//!   ahead of time, with an explicit report and an fsync.
+//!   CRC-failing record from bit rot, a line that is not UTF-8, framing
+//!   garbage. Everything from the first damaged line to EOF is untrusted
+//!   (a later line that *looks* valid may be an artifact of the same
+//!   fault). `fsck` and resume ([`super::checkpoint::CheckpointStore::open`])
+//!   verify through the same scan (`checkpoint::scan`), so they
+//!   keep the same records and give the same reason; repair here is the
+//!   truncation resume performs online, done ahead of time with an
+//!   explicit report and an fsync.
 //! * **Header damage** — the first line does not parse (or declares a
 //!   foreign schema version). The file's campaign identity is lost, so
 //!   no repair is possible: every record would belong to an unknown
@@ -30,9 +32,7 @@ use std::fmt;
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 
-use super::checkpoint::{
-    parse_record, sync_parent_dir, unframe_record, CheckpointHeader, HeaderIssue,
-};
+use super::checkpoint::{scan, sync_parent_dir, CheckpointHeader, HeaderIssue, SalvageReport};
 
 /// What `fsck` concluded about one checkpoint file.
 #[derive(Debug)]
@@ -58,12 +58,8 @@ pub enum FileStatus {
     TailDamage {
         /// Intact records in the surviving prefix.
         records: usize,
-        /// Damaged or untrusted lines past the prefix.
-        dropped_records: usize,
-        /// Bytes past the prefix.
-        dropped_bytes: usize,
-        /// What was wrong with the first damaged line.
-        reason: String,
+        /// The discarded tail, exactly as a resume would report it.
+        damage: SalvageReport,
         /// Whether the file was truncated to the intact prefix.
         repaired: bool,
     },
@@ -122,16 +118,14 @@ impl fmt::Display for FileStatus {
             }
             FileStatus::TailDamage {
                 records,
-                dropped_records,
-                dropped_bytes,
-                reason,
+                damage,
                 repaired,
             } => {
                 let verb = if *repaired { "repaired" } else { "tail damage" };
                 write!(
                     f,
-                    "{verb}: kept {records} record(s), dropped {dropped_records} \
-                     record(s) ({dropped_bytes} byte(s)): {reason}"
+                    "{verb}: kept {records} record(s), dropped {} record(s) ({} byte(s)): {}",
+                    damage.dropped_records, damage.dropped_bytes, damage.reason
                 )
             }
             FileStatus::HeaderDamage { reason } => {
@@ -243,7 +237,8 @@ fn siblings(base: &Path, infix: &str) -> std::io::Result<Vec<PathBuf>> {
 /// Verifies one file; truncates tail damage when `repair` is set.
 fn check_file(path: &Path, repair: bool) -> std::io::Result<FileStatus> {
     let bytes = std::fs::read(path)?;
-    let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
+    let scan = scan(path, &bytes);
+    let Some(header) = scan.header else {
         // No complete header line ever hit the disk: nothing committed,
         // nothing to save. Truncating to empty is always safe — resume
         // treats an empty file as fresh.
@@ -257,64 +252,23 @@ fn check_file(path: &Path, repair: bool) -> std::io::Result<FileStatus> {
             repaired,
         });
     };
-    let header_line = match std::str::from_utf8(&bytes[..header_end]) {
-        Ok(s) => s,
-        Err(_) => {
-            return Ok(FileStatus::HeaderDamage {
-                reason: "header line is not valid UTF-8".to_string(),
-            })
-        }
-    };
-    match CheckpointHeader::parse(header_line) {
-        Ok(_) => {}
-        Err(HeaderIssue::Version(v)) => {
-            return Ok(FileStatus::HeaderDamage {
-                reason: format!("unsupported checkpoint schema version {v}"),
-            })
-        }
-        Err(HeaderIssue::Malformed(why)) => return Ok(FileStatus::HeaderDamage { reason: why }),
-    }
-
-    // Walk complete record lines; the first failure poisons the rest.
-    let mut records = 0usize;
-    let mut valid_len = header_end + 1;
-    let mut first_bad: Option<String> = None;
-    let mut rest = &bytes[valid_len..];
-    while !rest.is_empty() {
-        let Some(line_end) = rest.iter().position(|&b| b == b'\n') else {
-            first_bad = Some("torn trailing line (no newline)".to_string());
-            break;
+    if let Err(issue) = CheckpointHeader::parse(header) {
+        let reason = match issue {
+            HeaderIssue::Version(v) => format!("unsupported checkpoint schema version {v}"),
+            HeaderIssue::Malformed(why) => why,
         };
-        let line = &rest[..line_end];
-        let verdict = std::str::from_utf8(line)
-            .map_err(|_| "record line is not valid UTF-8".to_string())
-            .and_then(|s| unframe_record(s).map_err(|e| e.to_string()))
-            .and_then(|payload| parse_record(payload).map(|_| ()));
-        if let Err(why) = verdict {
-            first_bad = Some(why);
-            break;
-        }
-        records += 1;
-        valid_len += line_end + 1;
-        rest = &rest[line_end + 1..];
+        return Ok(FileStatus::HeaderDamage { reason });
     }
-
-    let Some(reason) = first_bad else {
+    let records = scan.records.len();
+    let Some(damage) = scan.damage else {
         return Ok(FileStatus::Clean { records });
     };
-    let tail = &bytes[valid_len..];
-    let dropped_records = tail
-        .split(|&b| b == b'\n')
-        .filter(|s| !s.is_empty())
-        .count();
     if repair {
-        truncate_to(path, valid_len as u64)?;
+        truncate_to(path, scan.valid_len as u64)?;
     }
     Ok(FileStatus::TailDamage {
         records,
-        dropped_records,
-        dropped_bytes: bytes.len() - valid_len,
-        reason,
+        damage,
         repaired: repair,
     })
 }
@@ -329,7 +283,7 @@ fn truncate_to(path: &Path, len: u64) -> std::io::Result<()> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::checkpoint::frame_record;
+    use super::super::checkpoint::record_line;
     use super::*;
 
     fn header() -> CheckpointHeader {
@@ -346,12 +300,6 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("pud-fsck-{name}-{}", std::process::id()));
         p
-    }
-
-    fn record_line(stage: &str, chip: &str, data: &str) -> String {
-        frame_record(&format!(
-            "{{\"stage\":\"{stage}\",\"chip\":\"{chip}\",\"data\":{data}}}"
-        ))
     }
 
     fn write_checkpoint(path: &Path, rows: usize) -> String {
@@ -390,15 +338,15 @@ mod tests {
         let report = fsck(&path, false).expect("fsck");
         let FileStatus::TailDamage {
             records,
-            dropped_records,
+            damage,
             repaired,
-            ..
         } = &report.files[0].status
         else {
             panic!("{:?}", report.files[0].status);
         };
         assert_eq!(*records, 2);
-        assert_eq!(*dropped_records, 1);
+        assert_eq!(damage.dropped_records, 1);
+        assert_eq!(damage.reason, "record unterminated (torn write)");
         assert!(!repaired);
         assert!(!report.healthy());
         // Repair: truncated to the intact prefix, then verifies clean.
@@ -430,19 +378,20 @@ mod tests {
         std::fs::write(&path, &bytes).expect("corrupt");
         let report = fsck(&path, false).expect("fsck");
         let FileStatus::TailDamage {
-            records,
-            dropped_records,
-            reason,
-            ..
+            records, damage, ..
         } = &report.files[0].status
         else {
             panic!("{:?}", report.files[0].status);
         };
         assert_eq!(*records, 1, "only the prefix before the flip survives");
-        assert_eq!(*dropped_records, 3, "the flipped line poisons the rest");
+        assert_eq!(
+            damage.dropped_records, 3,
+            "the flipped line poisons the rest"
+        );
         assert!(
-            reason.contains("crc mismatch") || reason.contains("framing"),
-            "{reason}"
+            damage.reason.contains("crc mismatch") || damage.reason.contains("framing"),
+            "{}",
+            damage.reason
         );
         let _ = std::fs::remove_file(&path);
     }

@@ -40,7 +40,7 @@ use std::sync::Mutex;
 use pud_disturb::rng::unit;
 
 use super::checkpoint::{
-    frame_record, write_image, CheckpointError, CheckpointHeader, CheckpointStore, SalvageReport,
+    record_line, write_image, CheckpointError, CheckpointHeader, CheckpointStore, SalvageReport,
     ShardSlot,
 };
 use super::supervisor;
@@ -790,15 +790,7 @@ pub fn merge_shards(
     }
     let lines: Vec<String> = rows
         .iter()
-        .map(|((stage, chip), data)| {
-            frame_record(
-                &pud_observe::json::JsonObject::new()
-                    .str("stage", stage)
-                    .str("chip", chip)
-                    .raw("data", data)
-                    .finish(),
-            )
-        })
+        .map(|((stage, chip), data)| record_line(stage, chip, data))
         .collect();
     write_image(base, header, lines.iter().map(String::as_str))?;
     Ok(MergeReport {

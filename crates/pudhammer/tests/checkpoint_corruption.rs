@@ -14,6 +14,11 @@
 //!    bytes leaves a file that `open` accepts whenever fsck called it
 //!    healthy, and `open` rejects whenever fsck reported unrepairable
 //!    header damage.
+//! 3. **Resume keeps what fsck keeps.** On the *unrepaired* mutated file,
+//!    whenever fsck calls it clean or tail-damaged and its header is this
+//!    campaign's, `open` succeeds and recovers exactly the records fsck
+//!    kept: both verify through one scanner, so no damage (a non-UTF-8
+//!    byte included) can make them disagree.
 //!
 //! The mutation schedule is derived from a fixed seed through the same
 //! SplitMix64 mixer the fault-injection layer uses, so a failure here is
@@ -25,7 +30,7 @@ use std::path::PathBuf;
 
 use pud_disturb::rng::mix_all;
 use pudhammer::fleet::checkpoint::{CheckpointHeader, CheckpointStore};
-use pudhammer::fleet::fsck;
+use pudhammer::fleet::fsck::{self, FileStatus};
 
 const FUZZ_SEED: u64 = 0x00D5_7AB1_E0C4_2C1A;
 const CASES: u64 = 300;
@@ -166,6 +171,49 @@ fn fsck_repair_verdicts_match_what_resume_accepts() {
                     "case {case}: resume recovered rows from a file fsck called unrepairable"
                 );
             }
+        }
+    }
+    let _ = std::fs::remove_file(&victim);
+    let _ = std::fs::remove_file(&base);
+}
+
+#[test]
+fn resume_recovers_exactly_the_records_fsck_keeps() {
+    let base = temp_path("agree");
+    let (bytes, _) = pristine(&base);
+    let header_len = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+    let mut cases: Vec<(String, Vec<u8>)> = (0..CASES)
+        .map(|case| (format!("case {case}"), mutate(case, &bytes)))
+        .collect();
+    // Named case: bit 7 of a byte inside the last record makes that line
+    // invalid UTF-8 (the storage drill's bit flip lands there one draw in
+    // eight). It must salvage like any other damaged record.
+    let last_start = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("record lines")
+        + 1;
+    let mut high_bit = bytes.clone();
+    high_bit[(last_start + bytes.len()) / 2] ^= 0x80;
+    cases.push(("high bit in the last record".to_string(), high_bit));
+    let victim = temp_path("agree-victim");
+    for (name, mutated) in &cases {
+        std::fs::write(&victim, mutated).expect("write mutation");
+        let report = fsck::fsck(&victim, false).expect("fsck never errors on damage");
+        let kept = match report.files[0].status {
+            FileStatus::Clean { records } | FileStatus::TailDamage { records, .. } => records,
+            _ => continue,
+        };
+        if mutated.get(..header_len) != Some(&bytes[..header_len]) {
+            continue;
+        }
+        let store = CheckpointStore::open(&victim, header())
+            .unwrap_or_else(|e| panic!("{name}: fsck kept {kept} record(s), resume failed: {e}"));
+        assert_eq!(store.recovered(), kept, "{name}");
+        if name.starts_with("high bit") {
+            assert_eq!(kept, 11, "only the last record is dropped");
+            let salvage = store.salvage().expect("the damage is reported");
+            assert!(salvage.reason.contains("UTF-8"), "{salvage}");
         }
     }
     let _ = std::fs::remove_file(&victim);
