@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
-//! hammer path, the HC_first bisection, the executor's batched hammer
-//! loops, SiMRA charge sharing, and one memory-system simulation slice.
+//! hammer path, the HC_first bisection and its closed-form check, the
+//! executor's batched hammer loops, SiMRA charge sharing, and one
+//! memory-system simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
 //! per-iteration timings also land in the `bench.*` histograms of the
@@ -13,7 +14,7 @@ use pud_bender::{ops, Executor};
 use pud_disturb::{AggressionKind, DataSummary, DisturbEngine, HammerEvent};
 use pud_dram::{profiles::TESTED_MODULES, BankId, ChipGeometry, DataPattern, RowAddr, RowData};
 use pudhammer::fleet::{sweep, ChipUnderTest, Fleet, FleetConfig};
-use pudhammer::hcfirst::{measure_hc_first, HcSearch, WarmStart};
+use pudhammer::hcfirst::{measure_hc_first, HcSearch, Trial, WarmStart};
 use pudhammer::patterns::rowhammer_ds_for;
 use pudhammer::wcdp::find_wcdp;
 
@@ -88,6 +89,21 @@ fn bench_hc_first_search() {
             DataPattern::CHECKER_AA,
             &search,
         ))
+    });
+    // One check once the search has recorded its closed form: program
+    // build, admission and the engine's float operations, no replay.
+    let (aggressor_dp, victim_dp) = (DataPattern::CHECKER_55, DataPattern::CHECKER_AA);
+    let mut trial = Trial::new(
+        &mut exec,
+        BankId(0),
+        &kernel,
+        victim,
+        aggressor_dp,
+        victim_dp,
+    );
+    trial.try_check(4).expect("valid program");
+    run_micro("hc_first_closed_form_check", SAMPLES, 1000, || {
+        black_box(trial.try_check(black_box(50_000)).expect("valid program"))
     });
 }
 

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use pud_disturb::{
     AggressionKind, BatchState, BatchStats, Bitflip, DataSummary, DisturbEngine, FlipClass,
-    HammerEvent,
+    HammerEvent, VictimForecast,
 };
 use pud_dram::{BankId, Chip, ChipGeometry, DataPattern, ModuleProfile, Picos, RowAddr, RowData};
 use pud_observe::{Counter, SharedSink, TraceEvent, TraceKind};
@@ -91,6 +91,36 @@ pub struct RunReport {
     pub elapsed: Picos,
     /// ACT commands issued.
     pub acts: u64,
+}
+
+/// The closed form of one recorded trial: whether its victim flips when
+/// the same single counted loop runs at any other count above 3, from the
+/// same prepared device state. Built by [`Executor::try_run_forecast`],
+/// answered by [`Executor::try_forecast`].
+#[derive(Debug, Clone)]
+pub struct LoopForecast {
+    body: Vec<Step>,
+    env: TestEnv,
+    victim: VictimForecast,
+}
+
+/// The victim a forecast-recording run watches, and what `bulk_replay`
+/// saw of it at the start of the bulk phase.
+#[derive(Debug)]
+struct Watch {
+    bank: BankId,
+    victim: RowAddr,
+    at_bulk: Option<AtBulk>,
+}
+
+#[derive(Debug)]
+struct AtBulk {
+    /// `None` if the victim flipped during the explicit iterations or
+    /// has flipped cells on record.
+    forecast: Option<VictimForecast>,
+    /// Every row the steady-state iteration disturbs: the rows whose
+    /// data the bulk phase may flip, count-dependently.
+    steady_victims: Vec<(BankId, RowAddr)>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -195,6 +225,7 @@ pub struct Executor {
     refresh_ptr: u32,
     refs_seen: u64,
     recording: Option<Vec<HammerEvent>>,
+    watch: Option<Watch>,
     report: RunReport,
     metrics: ExecMetrics,
     trace: Option<SharedSink>,
@@ -254,6 +285,7 @@ impl Executor {
             refresh_ptr: 0,
             refs_seen: 0,
             recording: None,
+            watch: None,
             report: RunReport::default(),
             metrics: ExecMetrics::from_global(),
             // Attach to the process-wide sink (if one is installed) at
@@ -532,6 +564,108 @@ impl Executor {
         Ok(self.measure(true, |exec| exec.run_ops(&compiled.ops)))
     }
 
+    /// [`Executor::try_run`] that also records the closed form of the
+    /// program's loop for the physical row `victim` of `bank`, so that
+    /// [`Executor::try_forecast`] can answer the same loop at other counts
+    /// without replaying it.
+    ///
+    /// The forecast is `None` — the run itself is unaffected — unless the
+    /// program is one counted loop of more than three iterations over a
+    /// batchable body, no activity observer is installed, refresh is off,
+    /// the victim does not flip during the two explicit iterations, and
+    /// the victim's tail events (from the closing flush) do not take their
+    /// aggressor summary from a row the steady-state iteration disturbs,
+    /// whose data would depend on the count.
+    pub fn try_run_forecast(
+        &mut self,
+        program: &TestProgram,
+        bank: BankId,
+        victim: RowAddr,
+    ) -> Result<(RunReport, Option<LoopForecast>), ExecError> {
+        self.admit(program)?;
+        let compiled = CompiledProgram::compile(program, &self.chip);
+        let Some((_, body)) = self.forecastable(program) else {
+            return Ok((self.measure(true, |exec| exec.run_ops(&compiled.ops)), None));
+        };
+        self.watch = Some(Watch {
+            bank,
+            victim,
+            at_bulk: None,
+        });
+        let mut tail_source = None;
+        let report = self.measure(true, |exec| {
+            exec.run_ops(&compiled.ops);
+            // `measure` flushes the pending activations next: record that
+            // tail, and the row whose summary the victim's bank flushes.
+            tail_source = exec.banks[bank.0 as usize].pending.map(|p| (bank, p.row));
+            exec.recording = Some(Vec::new());
+        });
+        let tail = self.recording.take().unwrap_or_default();
+        let at_bulk = self.watch.take().and_then(|w| w.at_bulk);
+        let forecast = at_bulk.and_then(|at| {
+            let mut forecast = at.forecast?;
+            let tail: Vec<&HammerEvent> = tail
+                .iter()
+                .filter(|e| e.bank == bank && e.victim == victim)
+                .collect();
+            if !tail.is_empty() && tail_source.is_some_and(|s| at.steady_victims.contains(&s)) {
+                return None;
+            }
+            for ev in tail {
+                self.engine.forecast_tail(&mut forecast, ev);
+            }
+            Some(LoopForecast {
+                body: body.to_vec(),
+                env: self.env,
+                victim: forecast,
+            })
+        });
+        Ok((report, forecast))
+    }
+
+    /// Admits `program` exactly as [`Executor::try_run`] does — the
+    /// cancellation probe, validation (the refresh-window bound included)
+    /// and the fault clock — then answers from `forecast` whether its
+    /// victim flips, without executing a command.
+    ///
+    /// `Ok(None)`, with nothing admitted, when `program` is not the
+    /// forecast's loop at a count above 3 under the recorded environment;
+    /// run it instead. The answer equals the flip outcome of a replay only
+    /// while the device starts from the state the recording started from,
+    /// which the caller re-establishes between trials (see
+    /// `pudhammer::hcfirst::prepare`).
+    pub fn try_forecast(
+        &mut self,
+        program: &TestProgram,
+        forecast: &LoopForecast,
+    ) -> Result<Option<bool>, ExecError> {
+        let Some((count, body)) = self.forecastable(program) else {
+            return Ok(None);
+        };
+        if body != forecast.body.as_slice() || self.env != forecast.env {
+            return Ok(None);
+        }
+        self.admit(program)?;
+        // `bulk_replay` applies the steady-state events `count - 2` times.
+        Ok(Some(forecast.victim.flips_after(count - 2)))
+    }
+
+    /// The count and body of `program` if it is one bulk-replayed loop on
+    /// an executor whose runs a [`LoopForecast`] can stand in for.
+    fn forecastable<'p>(&self, program: &'p TestProgram) -> Option<(u64, &'p [Step])> {
+        if self.observer.is_some() || self.env.refresh_enabled {
+            return None;
+        }
+        match program.steps() {
+            [Step::Loop { count, body }]
+                if *count > 3 && body.iter().all(Step::is_batchable_cmd) =>
+            {
+                Some((*count, body))
+            }
+            _ => None,
+        }
+    }
+
     /// Reference semantics for [`Executor::try_run`]: the same validation
     /// and fault clock, then a walk of the program tree with the uncached
     /// disturbance engine. Every observable output — report, trace events,
@@ -711,6 +845,31 @@ impl Executor {
         self.recording = Some(Vec::new());
         iterate(self);
         let recorded = self.recording.take().expect("recording was on");
+        if let Some(watch) = self.watch.as_mut().filter(|w| w.at_bulk.is_none()) {
+            let (bank, victim) = (watch.bank, watch.victim);
+            let flipped = self
+                .report
+                .flips
+                .iter()
+                .any(|f| f.bank == bank && f.phys_row == victim);
+            let data = self.chip.bank(bank).ok().and_then(|b| b.row(victim));
+            let forecast = data
+                .filter(|_| !flipped)
+                .and_then(|d| self.engine.forecast(bank, victim, d))
+                .map(|mut forecast| {
+                    for ev in recorded
+                        .iter()
+                        .filter(|e| e.bank == bank && e.victim == victim)
+                    {
+                        self.engine.forecast_steady(&mut forecast, ev);
+                    }
+                    forecast
+                });
+            watch.at_bulk = Some(AtBulk {
+                forecast,
+                steady_victims: recorded.iter().map(|e| (e.bank, e.victim)).collect(),
+            });
+        }
         let remaining = count - 2;
         for ev in &recorded {
             let mut bulk = *ev;

@@ -53,7 +53,7 @@ pub mod simra_decode;
 pub use command::{DramCommand, TimedCommand};
 pub use env::TestEnv;
 pub use error::ExecError;
-pub use executor::{ActivityObserver, Executor, FaultCarry, FlipRecord, RunReport};
+pub use executor::{ActivityObserver, Executor, FaultCarry, FlipRecord, LoopForecast, RunReport};
 pub use program::{Step, TestProgram};
 
 /// Process-wide cooperative cancellation probe, registered once by a

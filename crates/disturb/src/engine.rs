@@ -37,6 +37,94 @@ struct RowState {
     emitted_simra: u64,
 }
 
+impl RowState {
+    /// Adds `repeat` cycles of weight `w` to the accumulator `kind` feeds.
+    fn accumulate(&mut self, kind: AggressionKind, w: f64, repeat: u64) {
+        let add = w * repeat as f64;
+        if kind.is_comra() {
+            self.a_comra += add;
+        } else {
+            match kind.flip_class() {
+                FlipClass::RowHammer => self.a_rh += add,
+                FlipClass::Simra => self.a_simra += add,
+            }
+        }
+    }
+
+    /// Flips of `class` already materialized since the last restoration.
+    fn emitted(&self, class: FlipClass) -> u64 {
+        match class {
+            FlipClass::RowHammer => self.emitted_rh,
+            FlipClass::Simra => self.emitted_simra,
+        }
+    }
+}
+
+/// One event of a [`VictimForecast`]: its kind, per-cycle weight and
+/// cycle count.
+#[derive(Debug, Clone, Copy)]
+struct Weighted {
+    kind: AggressionKind,
+    w: f64,
+    repeat: u64,
+}
+
+/// A victim row's first flip under a bulk-replayed loop, as a function of
+/// the loop's bulk multiplier.
+///
+/// A counted loop of more than three iterations is replayed as two
+/// explicit iterations, then each event of the second (steady-state)
+/// iteration applied once with `repeat × bulk`, then the tail the closing
+/// flush emits. Only the bulk accumulation depends on `bulk`, so a
+/// snapshot of the victim's state at the start of the bulk phase plus its
+/// weighted steady-state and tail events answers "does the victim flip"
+/// for every `bulk` with the engine's own float operations, in the
+/// engine's order ([`DisturbEngine::hammer`]'s accumulate-then-evaluate),
+/// without replaying. Built by [`DisturbEngine::forecast`].
+#[derive(Debug, Clone)]
+pub struct VictimForecast {
+    vuln: RowVuln,
+    summary: DataSummary,
+    cols: u32,
+    start: RowState,
+    steady: Vec<Weighted>,
+    tail: Vec<Weighted>,
+}
+
+impl VictimForecast {
+    /// Whether the victim flips when the steady-state events are applied
+    /// with `repeat × bulk` cycles and the tail events after them.
+    pub fn flips_after(&self, bulk: u64) -> bool {
+        let steady = self.steady.iter().map(|e| Weighted {
+            repeat: e.repeat.saturating_mul(bulk),
+            ..*e
+        });
+        let mut st = self.start;
+        for e in steady.chain(self.tail.iter().copied()) {
+            st.accumulate(e.kind, e.w, e.repeat);
+            let flips = [FlipClass::RowHammer, FlipClass::Simra]
+                .into_iter()
+                .any(|class| {
+                    let t_base = self.vuln.base_threshold(class);
+                    t_base.is_finite()
+                        && DisturbEngine::visible_flips(
+                            t_base,
+                            st,
+                            &self.vuln,
+                            class,
+                            &self.summary,
+                            self.cols,
+                            None,
+                        ) > st.emitted(class)
+                });
+            if flips {
+                return true;
+            }
+        }
+        false
+    }
+}
+
 /// Per-chip read-disturbance engine.
 ///
 /// The engine accumulates disturbance per victim row and materializes
@@ -161,18 +249,9 @@ impl DisturbEngine {
         out: &mut Vec<Bitflip>,
         mut batch: Option<&mut BatchState>,
     ) {
-        let class = ev.kind.flip_class();
         let st = {
             let st = self.states.entry((ev.bank, ev.victim)).or_default();
-            let add = w * ev.repeat as f64;
-            if ev.kind.is_comra() {
-                st.a_comra += add;
-            } else {
-                match class {
-                    FlipClass::RowHammer => st.a_rh += add,
-                    FlipClass::Simra => st.a_simra += add,
-                }
-            }
+            st.accumulate(ev.kind, w, ev.repeat);
             *st
         };
         for c in [FlipClass::RowHammer, FlipClass::Simra] {
@@ -205,6 +284,60 @@ impl DisturbEngine {
         self.states
             .get(&(bank, row))
             .map_or((0.0, 0.0), |s| (s.a_rh, s.a_simra))
+    }
+
+    /// Freezes `victim`'s disturbance state and data summary (`data` is
+    /// its current content) as the start of a [`VictimForecast`], or
+    /// `None` if the row has flipped cells on record: with a clean history
+    /// the first crossing always materializes a flip, which is what makes
+    /// the forecast's threshold test the whole answer.
+    pub fn forecast(
+        &self,
+        bank: BankId,
+        victim: RowAddr,
+        data: &RowData,
+    ) -> Option<VictimForecast> {
+        if self
+            .flip_history
+            .get(&(bank, victim))
+            .is_some_and(|h| !h.is_empty())
+        {
+            return None;
+        }
+        Some(VictimForecast {
+            vuln: self.model.row_vuln(bank, victim),
+            summary: DataSummary::from_row(data),
+            cols: data.cols(),
+            start: self
+                .states
+                .get(&(bank, victim))
+                .copied()
+                .unwrap_or_default(),
+            steady: Vec::new(),
+            tail: Vec::new(),
+        })
+    }
+
+    /// Appends `ev`, an event of the loop's steady-state iteration on the
+    /// forecast's victim, with the weight [`DisturbEngine::hammer`] gives it.
+    pub fn forecast_steady(&self, forecast: &mut VictimForecast, ev: &HammerEvent) {
+        let e = self.weighted(forecast, ev);
+        forecast.steady.push(e);
+    }
+
+    /// Appends `ev`, an event the loop's closing flush emits on the
+    /// forecast's victim after the bulk phase.
+    pub fn forecast_tail(&self, forecast: &mut VictimForecast, ev: &HammerEvent) {
+        let e = self.weighted(forecast, ev);
+        forecast.tail.push(e);
+    }
+
+    fn weighted(&self, forecast: &VictimForecast, ev: &HammerEvent) -> Weighted {
+        Weighted {
+            kind: ev.kind,
+            w: self.event_weight(ev, &forecast.vuln),
+            repeat: ev.repeat,
+        }
     }
 
     /// The per-event weight (effective hammers per cycle) an event carries
@@ -346,7 +479,6 @@ impl DisturbEngine {
     /// progress is normalized by the *effective* (eligibility-adjusted)
     /// threshold of the contributing class.
     fn effective_progress(
-        &self,
         st: RowState,
         vuln: &RowVuln,
         class: FlipClass,
@@ -385,6 +517,35 @@ impl DisturbEngine {
         }
     }
 
+    /// The threshold test of [`DisturbEngine::evaluate_flips_into`]: how
+    /// many cells of `class` a victim in state `st` holding `summary`
+    /// shows flipped (0 below `t_first`), before subtracting the ones
+    /// already materialized. Shared with [`VictimForecast::flips_after`],
+    /// so the forecast runs the live path's float operations.
+    #[allow(clippy::too_many_arguments)]
+    fn visible_flips(
+        t_base: f64,
+        st: RowState,
+        vuln: &RowVuln,
+        class: FlipClass,
+        summary: &DataSummary,
+        cols: u32,
+        batch: Option<&mut BatchState>,
+    ) -> u64 {
+        let progress = DisturbEngine::effective_progress(st, vuln, class, summary);
+        if progress <= 0.0 {
+            return 0;
+        }
+        let (p, elig_factor) = DisturbEngine::eligibility_cached(class, summary, vuln.beta, batch);
+        let t_first = t_base * elig_factor;
+        if progress < t_first {
+            return 0;
+        }
+        let crossed = (progress / t_first).powf(vuln.beta).floor() as u64;
+        let eligible_cells = (p * f64::from(cols)).ceil() as u64;
+        crossed.min(eligible_cells)
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn evaluate_flips_into(
         &mut self,
@@ -419,19 +580,18 @@ impl DisturbEngine {
             }
             None => DataSummary::from_row(victim_data),
         };
-        let progress = self.effective_progress(st, vuln, class, &summary);
-        if progress <= 0.0 {
+        let visible = DisturbEngine::visible_flips(
+            t_base,
+            st,
+            vuln,
+            class,
+            &summary,
+            victim_data.cols(),
+            batch.as_deref_mut(),
+        );
+        if visible == 0 {
             return;
         }
-        let (p, elig_factor) =
-            DisturbEngine::eligibility_cached(class, &summary, vuln.beta, batch.as_deref_mut());
-        let t_first = t_base * elig_factor;
-        if progress < t_first {
-            return;
-        }
-        let crossed = (progress / t_first).powf(vuln.beta).floor() as u64;
-        let eligible_cells = (p * f64::from(victim_data.cols())).ceil() as u64;
-        let visible = crossed.min(eligible_cells);
         // Cells flipped before the last charge restoration stay flipped:
         // the weak-cell walk continues past them instead of re-counting
         // them after a refresh.
@@ -439,11 +599,7 @@ impl DisturbEngine {
             .flip_history
             .get(&(ev.bank, ev.victim))
             .map_or(0, |h| h.len() as u64);
-        let already = match class {
-            FlipClass::RowHammer => st.emitted_rh,
-            FlipClass::Simra => st.emitted_simra,
-        }
-        .max(hist_len);
+        let already = st.emitted(class).max(hist_len);
         if visible <= already {
             return;
         }

@@ -102,33 +102,23 @@ pub fn fig25(config: &Fig25Config) -> Fig25 {
         let mut naive_sum = 0.0;
         let mut weighted_sum = 0.0;
         for mix in &mixes {
-            let base = run_mix(
-                &cfg,
-                &timing,
-                mix,
-                Some(period),
-                Mitigation::None,
-                config.instr_budget,
-                config.seed,
-            );
-            let naive = run_mix(
-                &cfg,
-                &timing,
-                mix,
-                Some(period),
-                Mitigation::PracPoNaive,
-                config.instr_budget,
-                config.seed,
-            );
-            let weighted = run_mix(
-                &cfg,
-                &timing,
-                mix,
-                Some(period),
-                Mitigation::PracPoWeighted,
-                config.instr_budget,
-                config.seed,
-            );
+            // One profiler span per simulation, named by mitigation, so
+            // the profile tree splits this driver's time.
+            let run = |mitigation: Mitigation, span: &str| {
+                let _span = pud_observe::span(span);
+                run_mix(
+                    &cfg,
+                    &timing,
+                    mix,
+                    Some(period),
+                    mitigation,
+                    config.instr_budget,
+                    config.seed,
+                )
+            };
+            let base = run(Mitigation::None, "fig25.baseline_ns");
+            let naive = run(Mitigation::PracPoNaive, "fig25.prac_po_naive_ns");
+            let weighted = run(Mitigation::PracPoWeighted, "fig25.prac_po_weighted_ns");
             naive_sum += normalized(&naive, &base);
             weighted_sum += normalized(&weighted, &base);
         }

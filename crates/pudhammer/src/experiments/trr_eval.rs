@@ -237,6 +237,7 @@ pub fn fig24_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig24 {
         labels,
         techniques,
         |_, (name, tech)| {
+            let _span = pud_observe::span("fig24.technique_ns");
             let mut events = Vec::new();
             let row = resume_or_run(ckpt.map(|s| (s, CHECKPOINT_STAGE)), name, || {
                 let ring = tracing.then(|| {

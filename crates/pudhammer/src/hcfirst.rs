@@ -13,8 +13,22 @@
 //! validation trials replace the whole exponential probe on a hit, and a
 //! miss falls back to the full cold search. Hits, misses, and the saved
 //! probe iterations are recorded under `hcfirst.warm.*`.
+//!
+//! A search's trials differ only in their loop count, and the executor
+//! replays any count above 3 as two explicit iterations, one bulk step
+//! linear in the count, and a count-independent tail. So a [`Trial`]
+//! simulates the first such trial of a search once, recording the
+//! victim's closed form, and answers every later check — bisection steps,
+//! warm-start validations and all repeats of a search — from it with the
+//! disturbance engine's own float operations. Each check still builds its
+//! program and passes the executor's admission (cancellation, validation,
+//! fault clock), so the bisection sees the same predicate and the fault
+//! schedule the same command stream as when every trial was replayed:
+//! results are identical, and repeats are nearly free. Simulated trials
+//! are counted under `hcfirst.replays`, checks under
+//! `hcfirst.iterations`.
 
-use pud_bender::Executor;
+use pud_bender::{ExecError, Executor, LoopForecast};
 use pud_dram::{BankId, DataPattern, RowAddr};
 
 use crate::patterns::Kernel;
@@ -121,18 +135,10 @@ pub fn measure_hc_first_warm(
     let _span = pud_observe::span("hcfirst.search_ns");
     pud_observe::counter("hcfirst.searches").incr();
     pud_observe::histogram("hcfirst.repeats").record(u64::from(search.repeats.max(1)));
+    let mut trial = Trial::new(exec, bank, kernel, victim, aggressor_dp, victim_dp);
     let mut best: Option<u64> = None;
     for _ in 0..search.repeats.max(1) {
-        let hc = search_once(
-            exec,
-            bank,
-            kernel,
-            victim,
-            aggressor_dp,
-            victim_dp,
-            search,
-            warm,
-        );
+        let hc = search_once(&mut trial, search, warm);
         best = match (best, hc) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -171,17 +177,86 @@ fn bisect(
     (lo, hi)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn search_once(
-    exec: &mut Executor,
+/// The trial of one HC_first search: does the physical row `victim`
+/// flip after `count` hammer cycles of `kernel`, started from a freshly
+/// [`prepare`]d device?
+///
+/// The first check above 3 hammers is simulated and records the closed
+/// form of the kernel's loop ([`Executor::try_run_forecast`]); every later
+/// check is admitted like a simulated one and answered from that closed
+/// form ([`Executor::try_forecast`]). Checks of at most 3 hammers, and
+/// every check when no closed form was recorded (a TRR observer or
+/// refresh on the executor, a program that is not one batchable loop, a
+/// victim that flips within the two explicit iterations), are simulated.
+pub struct Trial<'a> {
+    exec: &'a mut Executor,
     bank: BankId,
-    kernel: &Kernel,
+    kernel: &'a Kernel,
     victim: RowAddr,
     aggressor_dp: DataPattern,
     victim_dp: DataPattern,
-    search: &HcSearch,
-    warm: &mut WarmStart,
-) -> Option<u64> {
+    forecast: Option<LoopForecast>,
+    recorded: bool,
+}
+
+impl<'a> Trial<'a> {
+    /// The trial of `kernel` on `victim` with aggressors initialized to
+    /// `aggressor_dp` and the victim neighbourhood to `victim_dp`.
+    pub fn new(
+        exec: &'a mut Executor,
+        bank: BankId,
+        kernel: &'a Kernel,
+        victim: RowAddr,
+        aggressor_dp: DataPattern,
+        victim_dp: DataPattern,
+    ) -> Trial<'a> {
+        Trial {
+            exec,
+            bank,
+            kernel,
+            victim,
+            aggressor_dp,
+            victim_dp,
+            forecast: None,
+            recorded: false,
+        }
+    }
+
+    /// Whether the victim flips within `count` hammer cycles. Errors are
+    /// the executor's: an invalid program or an injected fault, raised
+    /// at the same check as when every trial is simulated.
+    pub fn try_check(&mut self, count: u64) -> Result<bool, ExecError> {
+        let program = self.kernel.program(self.bank, count);
+        if let Some(forecast) = &self.forecast {
+            if let Some(flips) = self.exec.try_forecast(&program, forecast)? {
+                return Ok(flips);
+            }
+        }
+        pud_observe::counter("hcfirst.replays").incr();
+        prepare(
+            self.exec,
+            self.bank,
+            self.kernel,
+            self.victim,
+            self.aggressor_dp,
+            self.victim_dp,
+        );
+        let report = if count > 3 && !self.recorded {
+            let (report, forecast) =
+                self.exec
+                    .try_run_forecast(&program, self.bank, self.victim)?;
+            self.forecast = forecast;
+            self.recorded = true;
+            report
+        } else {
+            self.exec.try_run(&program)?
+        };
+        Ok(report.flips.iter().any(|f| f.phys_row == self.victim))
+    }
+}
+
+fn search_once(trial: &mut Trial<'_>, search: &HcSearch, warm: &mut WarmStart) -> Option<u64> {
+    let victim = trial.victim;
     // Iterations-to-convergence (probe + bisection trials) and the final
     // bracket width are the search's cost and precision; both go to the
     // global histograms the `--metrics` report surfaces.
@@ -192,9 +267,11 @@ fn search_once(
             // unwinds before the next (expensive) hammer sequence.
             crate::fleet::supervisor::poll_cancel();
             iterations += 1;
-            prepare(exec, bank, kernel, victim, aggressor_dp, victim_dp);
-            let report = exec.run(&kernel.program(bank, count));
-            report.flips.iter().any(|f| f.phys_row == victim)
+            // Raised as a payload, as `Executor::run` does, for the fleet
+            // sweep's retry policy to classify.
+            trial
+                .try_check(count)
+                .unwrap_or_else(|e| std::panic::panic_any(e))
         };
         // Warm path: validate the cached bracket with two trials, bisect
         // within it on a hit.

@@ -6,16 +6,23 @@
 //! `RunReport`, the trace events each side sends to its own ring sink,
 //! every row's data and accumulated disturbance, and — under a fault plan
 //! — the sequence of `ExecError`s.
+//!
+//! The HC_first search answers most of its checks from a recorded closed
+//! form instead of replaying them (`hcfirst::Trial`); the last two tests
+//! hold each such check to a freshly prepared, fully simulated trial.
 
 use std::sync::{Arc, Mutex};
 
-use pudhammer_suite::bender::fault::{FaultKind, FaultPlan, StuckCell, TransientFault};
+use pudhammer_suite::bender::fault::{
+    FaultConfig, FaultKind, FaultPlan, StuckCell, TransientFault,
+};
 use pudhammer_suite::bender::{ExecError, Executor, RunReport, Step, TestEnv, TestProgram};
 use pudhammer_suite::dram::profiles::{self, TESTED_MODULES};
 use pudhammer_suite::dram::{BankId, DataPattern, ModuleProfile, Picos, RowAddr};
-use pudhammer_suite::hammer::fleet::{Fleet, FleetConfig};
-use pudhammer_suite::hammer::patterns::{self, Kernel};
-use pudhammer_suite::observe::{RingBufferSink, TraceEvent};
+use pudhammer_suite::hammer::fleet::{ChipUnderTest, Fleet, FleetConfig};
+use pudhammer_suite::hammer::hcfirst::{prepare, HcSearch, Trial};
+use pudhammer_suite::hammer::patterns::{self, Kernel, PatternClass};
+use pudhammer_suite::observe::{RingBufferSink, ShardGuard, TraceEvent};
 use pudhammer_suite::trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
 
 /// One executor per path, built from the same profile, chip and seed, each
@@ -480,4 +487,191 @@ fn fault_plan_fires_identically_on_both_paths() {
     );
     assert!(kinds.len() > 3, "the chip must die before the last round");
     assert!(kinds[3..].iter().all(|&k| k == FaultKind::ChipDead));
+}
+
+/// Every `(kernel, victim)` the drivers and the server build on `chip`:
+/// the `PatternClass::kernel_for` classes and the other `patterns::*_for`
+/// constructors around the first victim that hosts them, the SiMRA class
+/// targets, and single-sided SiMRA groups with an edge victim.
+fn hc_first_targets(chip: &mut ChipUnderTest) -> Vec<(Kernel, RowAddr)> {
+    let victims = chip.victim_rows();
+    let c = chip.exec().chip();
+    let victim = *victims
+        .iter()
+        .find(|&&v| patterns::rowhammer_ds_for(c, v).is_some())
+        .expect("some victim hosts double-sided kernels");
+    let classes = [
+        PatternClass::RhDs,
+        PatternClass::RhSs,
+        PatternClass::ComraDs,
+        PatternClass::ComraSs,
+    ];
+    let kernels = classes
+        .iter()
+        .map(|class| class.kernel_for(c, victim))
+        .chain([
+            patterns::rowhammer_far_ds_for(c, victim, patterns::DEFAULT_FAR_OFFSET),
+            patterns::comra_ds_for(c, victim, true),
+            patterns::comra_ss_for(c, victim, patterns::DEFAULT_FAR_OFFSET, true),
+        ]);
+    let mut targets: Vec<(Kernel, RowAddr)> = kernels
+        .map(|k| (k.expect("the victim hosts every kernel"), victim))
+        .collect();
+    if chip.profile.supports_simra() {
+        for n in [2, 4, 8, 16] {
+            targets.push(PatternClass::Simra(n).target(chip).expect("SiMRA target"));
+        }
+        let sa = chip.tested_subarrays()[0];
+        let c = chip.exec().chip();
+        for n in [2, 8, 32] {
+            let kernel = patterns::simra_ss_kernels(c, sa, n)[0];
+            let (_, edge) = patterns::simra_victims(c, &kernel);
+            targets.push((kernel, edge[0]));
+        }
+    }
+    targets
+}
+
+/// Whether `victim` flips after `count` hammers of `kernel` on `exec`,
+/// prepared and simulated from scratch.
+fn simulated_trial(
+    exec: &mut Executor,
+    bank: BankId,
+    kernel: &Kernel,
+    victim: RowAddr,
+    dp: DataPattern,
+    count: u64,
+) -> Result<bool, ExecError> {
+    prepare(exec, bank, kernel, victim, dp, dp.negated());
+    let report = exec.try_run(&kernel.program(bank, count))?;
+    Ok(report.flips.iter().any(|f| f.phys_row == victim))
+}
+
+#[test]
+fn closed_form_hc_first_checks_match_simulated_trials() {
+    // Chip 0 of every quick family, every driver and server kernel at the
+    // default and a RowPress on-time, all four tested data patterns. Each
+    // trial records its closed form at 4 hammers; the crossing n* is then
+    // bisected on the closed form, and 4, 5, n*-1, n*, n*+1 and the
+    // search cap are each checked against a simulated trial.
+    let guard = ShardGuard::install();
+    let config = FleetConfig::quick();
+    let max = HcSearch::default().max_hammers;
+    let mut fleet = Fleet::build(config);
+    let (mut trials, mut crossings, mut short) = (0u64, 0u64, 0u64);
+    for chip in fleet.chips.iter_mut().filter(|c| c.chip_index == 0) {
+        let bank = chip.bank();
+        let targets = hc_first_targets(chip);
+        let new_exec = || Executor::new(chip.profile, config.geometry, 0, config.seed);
+        let (mut closed, mut simulated) = (new_exec(), new_exec());
+        for (kernel, victim) in targets {
+            for kernel in [kernel, kernel.with_t_aggon(Picos::from_ns(7800.0))] {
+                for dp in DataPattern::TESTED {
+                    let mut trial =
+                        Trial::new(&mut closed, bank, &kernel, victim, dp, dp.negated());
+                    let mut check = |count| trial.try_check(count).expect("no fault plan");
+                    trials += 1;
+                    let mut counts = vec![4, 5, max];
+                    if check(max) {
+                        let (mut lo, mut hi) = if check(4) { (3, 4) } else { (4, max) };
+                        while hi - lo > 1 {
+                            let mid = lo + (hi - lo) / 2;
+                            *(if check(mid) { &mut hi } else { &mut lo }) = mid;
+                        }
+                        crossings += 1;
+                        counts.extend([hi - 1, hi, hi + 1]);
+                    }
+                    short += counts.iter().filter(|&&c| c <= 3).count() as u64;
+                    for count in counts {
+                        let what = format!(
+                            "{} {kernel:?} victim {victim:?} dp {dp:?} x{count}",
+                            chip.profile.key()
+                        );
+                        let want =
+                            simulated_trial(&mut simulated, bank, &kernel, victim, dp, count);
+                        assert_eq!(check(count), want.expect("no fault plan"), "{what}");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        crossings * 2 > trials,
+        "{crossings} of {trials} trials cross"
+    );
+    // Each trial simulates its recording at 4 hammers and its checks of at
+    // most 3 hammers: every other check is answered in closed form.
+    let replays = guard.registry().counter("hcfirst.replays").get();
+    assert_eq!(replays, trials + short, "one recording per trial");
+}
+
+#[test]
+fn closed_form_checks_raise_the_same_errors() {
+    // A `--fault-seed 103` plan on both sides (chip 0 of every quick
+    // family), then the refresh-window bound of the strict environment:
+    // every check must fail, or pass with the same answer, exactly where
+    // the simulated trial does.
+    let config = FleetConfig::quick();
+    let faults = FaultConfig::from_seed(103);
+    let mut fleet = Fleet::build(config);
+    let mut errors = Vec::new();
+    let counts = [1, 4, 16, 64, 256, 1024, 4096, 16384, 3000, 5000, 65536];
+    for chip in fleet.chips.iter_mut().filter(|c| c.chip_index == 0) {
+        let bank = chip.bank();
+        let targets = hc_first_targets(chip);
+        let new_exec = || {
+            let mut e = Executor::new(chip.profile, config.geometry, 0, config.seed);
+            e.enable_faults(&faults, &chip.profile.key(), 0);
+            e
+        };
+        let (mut closed, mut simulated) = (new_exec(), new_exec());
+        if closed.fault_plan().is_none() {
+            continue;
+        }
+        for (kernel, victim) in &targets[..3] {
+            for dp in DataPattern::TESTED {
+                let mut trial = Trial::new(&mut closed, bank, kernel, *victim, dp, dp.negated());
+                for count in counts {
+                    let got = trial.try_check(count);
+                    let want = simulated_trial(&mut simulated, bank, kernel, *victim, dp, count);
+                    let what = format!("{} {kernel:?} dp {dp:?} x{count}", chip.profile.key());
+                    assert_eq!(got, want, "{what}");
+                    errors.extend(got.err());
+                }
+            }
+        }
+        assert_eq!(closed.fault_commands(), simulated.fault_commands());
+    }
+    let fault = |transient: bool| {
+        errors
+            .iter()
+            .any(|e| matches!(e, ExecError::Fault { kind, .. } if kind.is_transient() == transient))
+    };
+    assert!(fault(true), "seed 103 injects transient faults");
+    assert!(fault(false), "seed 103 kills a chip");
+
+    let new_exec = || {
+        let mut e = Executor::new(&TESTED_MODULES[1], config.geometry, 0, config.seed);
+        e.set_env(TestEnv::characterization_strict());
+        e
+    };
+    let (mut closed, mut simulated) = (new_exec(), new_exec());
+    let bank = BankId(0);
+    let victim = RowAddr(40);
+    let kernel = patterns::rowhammer_ds_for(closed.chip(), victim)
+        .expect("row 40 hosts a double-sided kernel")
+        .with_t_aggon(Picos::from_ns(7800.0));
+    let dp = DataPattern::CHECKER_55;
+    let mut trial = Trial::new(&mut closed, bank, &kernel, victim, dp, dp.negated());
+    let mut exceeded = 0;
+    for count in [4, 1000, 100_000, 2000, 10_000] {
+        let got = trial.try_check(count);
+        let want = simulated_trial(&mut simulated, bank, &kernel, victim, dp, count);
+        assert_eq!(got, want, "strict x{count}");
+        exceeded += usize::from(matches!(got, Err(ExecError::RefreshWindowExceeded { .. })));
+    }
+    assert_eq!(
+        exceeded, 2,
+        "100k and 10k cycles of 7.8 us on-time exceed tREFW"
+    );
 }
