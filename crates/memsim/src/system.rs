@@ -46,6 +46,8 @@ struct CoreSim {
     last_row: u32,
     rng: u64,
     finish_ns: Option<u64>,
+    /// Cached [`CoreSim::next_busy_tick`] while the core runs.
+    busy_tick: u64,
 }
 
 impl CoreSim {
@@ -62,9 +64,36 @@ impl CoreSim {
             last_row: 0,
             rng: seed | 1,
             finish_ns: None,
+            busy_tick: 0,
         };
         c.to_next_miss = c.sample_gap();
         c
+    }
+
+    /// Whether the core retires instructions on its next tick: not
+    /// finished, not retrying a pending request, not stalled on MLP.
+    fn running(&self) -> bool {
+        self.finish_ns.is_none() && self.pending.is_none() && !self.stalled_for_mlp
+    }
+
+    /// The first tick after `now` (at most `limit`) at which this running
+    /// core does more than `to_next_miss -= slack; instr += slack`: its
+    /// next miss, or the tick its instruction count reaches `budget`.
+    ///
+    /// The answer depends only on the two floats, which change only by
+    /// those ops until then, so it stays valid across executed ticks.
+    fn next_busy_tick(&self, now: u64, slack: f64, budget: f64, limit: u64) -> u64 {
+        let (mut to_next_miss, mut instr) = (self.to_next_miss, self.instr);
+        let mut t = now + 1;
+        while t < limit && to_next_miss > slack {
+            to_next_miss -= slack;
+            instr += slack;
+            if instr >= budget {
+                break;
+            }
+            t += 1;
+        }
+        t
     }
 
     fn next_u64(&mut self) -> u64 {
@@ -124,6 +153,25 @@ pub struct RunStats {
 /// `pud_period_ns = None` disables the synthetic PuD workload; `Some(n)`
 /// issues one SiMRA-32 plus one CoMRA operation every `n` nanoseconds
 /// (§8.2's synthetic workload).
+///
+/// The model has 1 ns resolution, but the loop is event-driven: after each
+/// executed tick it jumps to the next tick at which the tick body can do
+/// more than a running core's two float ops. The result is bitwise
+/// identical to executing every nanosecond because
+///
+/// - on a skipped tick every running core performs exactly
+///   `to_next_miss -= slack; instr += slack`, and the skip replays those
+///   two ops once per skipped tick, in order, with no multiplication;
+/// - completions are popped lazily: a core reads `outstanding` only on a
+///   tick that is executed, and by then every completion due is popped;
+/// - the queue, banks, channel and PRAC counters change only inside an
+///   executed tick;
+/// - every other action is an event candidate: refresh, PuD issue, a
+///   pending core finding room, a stalled core's earliest completion, a
+///   running core's miss or budget tick, the first tick at which FR-FCFS
+///   picks an issuable request, and `cap_ns`.
+///
+/// Panics if `cfg.ipc_per_ns` is not positive (no core could progress).
 pub fn run_mix(
     cfg: &SystemConfig,
     timing: &DramTiming,
@@ -133,46 +181,118 @@ pub fn run_mix(
     instr_budget: u64,
     seed: u64,
 ) -> RunStats {
-    let mut cores: Vec<CoreSim> = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            CoreSim::new(
-                p,
-                seed.wrapping_add(i as u64 * 77)
-                    .wrapping_add(u64::from(mix.id)),
-            )
-        })
-        .collect();
-    let mut banks: Vec<BankSim> = vec![BankSim::default(); cfg.banks];
-    let mut prac = Prac::new(mitigation, cfg.banks, cfg.rows_per_bank);
-    // Fetched once: `schedule` runs every simulated nanosecond, so the
-    // registry lock must stay out of the hot loop.
-    let scheduled_metric = pud_observe::counter("memsim.requests_scheduled");
-    let mut queue: VecDeque<MemRequest> = VecDeque::with_capacity(cfg.queue_depth);
-    let mut channel_busy_until = 0u64;
-    let mut next_refresh = timing.t_refi;
-    let mut next_pud = pud_period_ns.unwrap_or(u64::MAX);
-    let mut pud_ops = 0u64;
-    // Hard cap: generous multiple of the unloaded execution time.
-    let unloaded = (instr_budget as f64 / cfg.ipc_per_ns) as u64;
-    let cap_ns = unloaded.saturating_mul(400).max(2_000_000);
-    let budget = instr_budget as f64;
-    let mut now = 0u64;
-    while now < cap_ns {
+    let mut sim = Sim::new(
+        cfg,
+        timing,
+        mix,
+        pud_period_ns,
+        mitigation,
+        instr_budget,
+        seed,
+    );
+    let now = sim.run();
+    sim.stats(now)
+}
+
+/// The state of one [`run_mix`] simulation.
+struct Sim<'a> {
+    cfg: &'a SystemConfig,
+    timing: &'a DramTiming,
+    pud_period_ns: Option<u64>,
+    budget: f64,
+    cap_ns: u64,
+    cores: Vec<CoreSim>,
+    banks: Vec<BankSim>,
+    prac: Prac,
+    queue: VecDeque<MemRequest>,
+    channel_busy_until: u64,
+    next_refresh: u64,
+    next_pud: u64,
+    pud_ops: u64,
+    /// Tick bodies executed.
+    steps: u64,
+    scheduled_metric: Arc<Counter>,
+}
+
+impl<'a> Sim<'a> {
+    fn new(
+        cfg: &'a SystemConfig,
+        timing: &'a DramTiming,
+        mix: &Mix,
+        pud_period_ns: Option<u64>,
+        mitigation: Mitigation,
+        instr_budget: u64,
+        seed: u64,
+    ) -> Sim<'a> {
+        assert!(cfg.ipc_per_ns > 0.0, "ipc_per_ns must be positive");
+        let cores = mix
+            .benchmarks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                CoreSim::new(
+                    p,
+                    seed.wrapping_add(i as u64 * 77)
+                        .wrapping_add(u64::from(mix.id)),
+                )
+            })
+            .collect();
+        // Hard cap: generous multiple of the unloaded execution time.
+        let unloaded = (instr_budget as f64 / cfg.ipc_per_ns) as u64;
+        Sim {
+            cfg,
+            timing,
+            pud_period_ns,
+            budget: instr_budget as f64,
+            cap_ns: unloaded.saturating_mul(400).max(2_000_000),
+            cores,
+            banks: vec![BankSim::default(); cfg.banks],
+            prac: Prac::new(mitigation, cfg.banks, cfg.rows_per_bank),
+            queue: VecDeque::with_capacity(cfg.queue_depth),
+            channel_busy_until: 0,
+            next_refresh: timing.t_refi,
+            next_pud: pud_period_ns.unwrap_or(u64::MAX),
+            pud_ops: 0,
+            steps: 0,
+            // Fetched once: the registry lock must stay out of the loop.
+            scheduled_metric: pud_observe::counter("memsim.requests_scheduled"),
+        }
+    }
+
+    /// Runs the event-driven loop to completion or `cap_ns`; returns the
+    /// final `now`.
+    fn run(&mut self) -> u64 {
+        let mut now = 0u64;
+        while now < self.cap_ns {
+            if self.tick(now) {
+                break;
+            }
+            now = self.advance(now);
+        }
+        // A completed run simulated ticks 0..=now; a capped one 0..cap_ns.
+        let ticks = now + u64::from(now < self.cap_ns);
+        pud_observe::counter("memsim.ticks").add(ticks);
+        pud_observe::counter("memsim.steps").add(self.steps);
+        now
+    }
+
+    /// One nanosecond of the model. Returns whether every core has
+    /// finished.
+    fn tick(&mut self, now: u64) -> bool {
+        self.steps += 1;
+        let (cfg, timing) = (self.cfg, self.timing);
         // Refresh.
-        if now >= next_refresh {
-            for b in &mut banks {
+        if now >= self.next_refresh {
+            for b in &mut self.banks {
                 b.busy_until = b.busy_until.max(now + timing.t_rfc);
                 b.open_row = None;
             }
-            next_refresh += timing.t_refi;
+            self.next_refresh += timing.t_refi;
         }
         // Synthetic PuD workload: one SiMRA-32 and one CoMRA per period.
-        if now >= next_pud && queue.len() + 2 <= cfg.queue_depth {
+        if now >= self.next_pud && self.queue.len() + 2 <= cfg.queue_depth {
             let pud_bank = cfg.banks - 1;
-            queue.push_back(MemRequest {
+            self.queue.push_back(MemRequest {
                 core: usize::MAX,
                 bank: pud_bank,
                 row: 0,
@@ -180,7 +300,7 @@ pub fn run_mix(
                 write: false,
                 arrival: now,
             });
-            queue.push_back(MemRequest {
+            self.queue.push_back(MemRequest {
                 core: usize::MAX,
                 bank: pud_bank,
                 row: PUD_SIMRA_ROWS,
@@ -188,42 +308,114 @@ pub fn run_mix(
                 write: false,
                 arrival: now,
             });
-            pud_ops += 2;
-            next_pud += pud_period_ns.expect("pud enabled");
+            self.pud_ops += 2;
+            self.next_pud += self.pud_period_ns.expect("pud enabled");
         }
         // Core progress.
-        for (i, core) in cores.iter_mut().enumerate() {
-            step_core(i, core, cfg, &mut queue, now, budget);
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            step_core(i, core, cfg, &mut self.queue, now, self.budget);
         }
         // Scheduling: FR-FCFS with a row-hit cap.
         schedule(
             cfg,
             timing,
-            &mut queue,
-            &mut banks,
-            &mut prac,
-            &mut cores,
-            &mut channel_busy_until,
+            &mut self.queue,
+            &mut self.banks,
+            &mut self.prac,
+            &mut self.cores,
+            &mut self.channel_busy_until,
             now,
-            &scheduled_metric,
+            &self.scheduled_metric,
         );
-        if cores.iter().all(|c| c.finish_ns.is_some()) {
-            break;
-        }
-        now += 1;
+        self.cores.iter().all(|c| c.finish_ns.is_some())
     }
-    let core_ipc = cores
-        .iter()
-        .map(|c| {
-            let t = c.finish_ns.unwrap_or(now).max(1);
-            c.instr.min(budget) / t as f64
-        })
-        .collect();
-    RunStats {
-        core_ipc,
-        elapsed_ns: now,
-        rfms: prac.rfm_count(),
-        pud_ops,
+
+    /// Moves from the executed tick `now` to the next event tick (at most
+    /// `cap_ns`) and replays the skipped ticks' float ops on every running
+    /// core.
+    fn advance(&mut self, now: u64) -> u64 {
+        let floor = now + 1;
+        let slack = self.cfg.ipc_per_ns;
+        let mut next = self.cap_ns.min(self.next_refresh);
+        if self.queue.len() + 2 <= self.cfg.queue_depth {
+            next = next.min(self.next_pud);
+        }
+        let room = self.queue.len() < self.cfg.queue_depth;
+        for core in &mut self.cores {
+            let wake = if core.finish_ns.is_some() {
+                u64::MAX
+            } else if core.pending.is_some() {
+                if room {
+                    floor
+                } else {
+                    u64::MAX
+                }
+            } else if core.stalled_for_mlp {
+                core.completions.peek().map_or(u64::MAX, |&Reverse(t)| t)
+            } else {
+                if core.busy_tick <= now {
+                    core.busy_tick = core.next_busy_tick(now, slack, self.budget, self.cap_ns);
+                }
+                core.busy_tick
+            };
+            next = next.min(wake);
+        }
+        let next = next.min(self.next_issue(floor)).max(floor);
+        for core in self.cores.iter_mut().filter(|c| c.running()) {
+            for _ in floor..next {
+                core.to_next_miss -= slack;
+                core.instr += slack;
+            }
+        }
+        next
+    }
+
+    /// The first tick `t >= floor` at which [`pick`] chooses a request,
+    /// given that the queue and banks stay as they are until then.
+    ///
+    /// A request is ready at `a = max(busy_until, floor)`. While the channel
+    /// is busy only a PuD pick can issue, and it is the pick exactly while
+    /// it is the oldest ready request and no row hit is ready; once the
+    /// channel is free the oldest ready request issues.
+    fn next_issue(&self, floor: u64) -> u64 {
+        let mut first_ready = u64::MAX;
+        let mut first_hit = u64::MAX;
+        let mut first_pud = u64::MAX;
+        for req in &self.queue {
+            let bank = &self.banks[req.bank];
+            let ready = bank.busy_until.max(floor);
+            if req.kind != ActKind::Normal {
+                if ready < first_ready {
+                    first_pud = first_pud.min(ready);
+                }
+            } else if bank.open_row == Some(req.row) && bank.consecutive_hits < self.cfg.cap {
+                first_hit = first_hit.min(ready);
+            }
+            first_ready = first_ready.min(ready);
+        }
+        let channel = self.channel_busy_until.max(floor);
+        if first_pud < channel.min(first_hit) {
+            first_pud
+        } else {
+            channel.max(first_ready)
+        }
+    }
+
+    fn stats(&self, now: u64) -> RunStats {
+        let core_ipc = self
+            .cores
+            .iter()
+            .map(|c| {
+                let t = c.finish_ns.unwrap_or(now).max(1);
+                c.instr.min(self.budget) / t as f64
+            })
+            .collect();
+        RunStats {
+            core_ipc,
+            elapsed_ns: now,
+            rfms: self.prac.rfm_count(),
+            pud_ops: self.pud_ops,
+        }
     }
 }
 
@@ -318,33 +510,10 @@ fn schedule(
     now: u64,
     scheduled_metric: &Arc<Counter>,
 ) {
-    if queue.is_empty() {
+    let Some(idx) = pick(cfg, queue, banks, *channel_busy_until, now) else {
         return;
-    }
-    // First ready row-hit under the cap, else the oldest ready request.
-    let mut pick: Option<usize> = None;
-    for (i, req) in queue.iter().enumerate() {
-        let bank = &banks[req.bank];
-        if bank.busy_until > now {
-            continue;
-        }
-        let is_hit = req.kind == ActKind::Normal
-            && bank.open_row == Some(req.row)
-            && bank.consecutive_hits < cfg.cap;
-        if is_hit {
-            pick = Some(i);
-            break;
-        }
-        if pick.is_none() {
-            pick = Some(i);
-        }
-    }
-    let Some(idx) = pick else { return };
-    // Column transfers need the shared data channel.
+    };
     let req = queue[idx];
-    if req.kind == ActKind::Normal && *channel_busy_until > now {
-        return;
-    }
     queue.remove(idx);
     scheduled_metric.incr();
     let bank = &mut banks[req.bank];
@@ -428,6 +597,41 @@ fn schedule(
     }
 }
 
+/// The queue index FR-FCFS+Cap issues at `now`, if any: the first ready
+/// row hit under the cap, else the oldest ready request; nothing while
+/// that pick is a column access and the data channel is busy.
+fn pick(
+    cfg: &SystemConfig,
+    queue: &VecDeque<MemRequest>,
+    banks: &[BankSim],
+    channel_busy_until: u64,
+    now: u64,
+) -> Option<usize> {
+    let mut pick: Option<usize> = None;
+    for (i, req) in queue.iter().enumerate() {
+        let bank = &banks[req.bank];
+        if bank.busy_until > now {
+            continue;
+        }
+        let is_hit = req.kind == ActKind::Normal
+            && bank.open_row == Some(req.row)
+            && bank.consecutive_hits < cfg.cap;
+        if is_hit {
+            pick = Some(i);
+            break;
+        }
+        if pick.is_none() {
+            pick = Some(i);
+        }
+    }
+    let idx = pick?;
+    // Column transfers need the shared data channel.
+    if queue[idx].kind == ActKind::Normal && channel_busy_until > now {
+        return None;
+    }
+    Some(idx)
+}
+
 /// DDR5 back-off (ABO): the chip asserts alert, the controller drains and
 /// issues one RFM per saturated row; the whole channel is blocked while the
 /// alert is serviced.
@@ -460,6 +664,201 @@ mod tests {
         let timing = DramTiming::default();
         let mix = &build_mixes(1, 3)[0];
         run_mix(&cfg, &timing, mix, pud, mitigation, 20_000, 9)
+    }
+
+    /// The reference loop: the same tick body on every nanosecond.
+    fn run_per_ns(sim: &mut Sim) -> u64 {
+        let mut now = 0;
+        while now < sim.cap_ns {
+            if sim.tick(now) {
+                break;
+            }
+            now += 1;
+        }
+        now
+    }
+
+    /// Everything both loops must agree on, floats as bit patterns.
+    /// Completion heaps are popped lazily, so they are left out.
+    fn fingerprint(sim: &Sim, now: u64) -> Vec<u64> {
+        let stats = sim.stats(now);
+        let mut out = vec![stats.elapsed_ns, stats.rfms, stats.pud_ops];
+        out.extend(stats.core_ipc.iter().map(|x| x.to_bits()));
+        for c in &sim.cores {
+            out.extend([
+                c.instr.to_bits(),
+                c.to_next_miss.to_bits(),
+                c.finish_ns.map_or(u64::MAX, |t| t),
+                c.rng,
+                u64::from(c.stalled_for_mlp),
+                u64::from(c.pending.is_some()),
+            ]);
+        }
+        for b in &sim.banks {
+            out.extend([
+                b.busy_until,
+                b.open_row.map_or(u64::MAX, u64::from),
+                u64::from(b.consecutive_hits),
+            ]);
+        }
+        for r in &sim.queue {
+            out.extend([r.core as u64, r.bank as u64, u64::from(r.row), r.arrival]);
+        }
+        out.extend([sim.channel_busy_until, sim.next_refresh, sim.next_pud]);
+        out
+    }
+
+    const MITIGATIONS: [Mitigation; 4] = [
+        Mitigation::None,
+        Mitigation::PracPoNaive,
+        Mitigation::PracPoWeighted,
+        Mitigation::PracAoWeighted,
+    ];
+
+    /// Runs one configuration both ways, asserts identical final state and
+    /// returns (steps executed, ticks simulated) of the event-driven loop.
+    fn assert_event_loop_matches_per_ns(
+        cfg: &SystemConfig,
+        mix: &Mix,
+        pud: Option<u64>,
+        mitigation: Mitigation,
+        budget: u64,
+        seed: u64,
+    ) -> (u64, u64) {
+        let timing = DramTiming::default();
+        let new = || Sim::new(cfg, &timing, mix, pud, mitigation, budget, seed);
+        let mut oracle = new();
+        let oracle_now = run_per_ns(&mut oracle);
+        let mut sim = new();
+        let now = sim.run();
+        assert_eq!(
+            fingerprint(&sim, now),
+            fingerprint(&oracle, oracle_now),
+            "mix {} pud {pud:?} {mitigation:?} budget {budget} seed {seed} {cfg:?}",
+            mix.id
+        );
+        assert_eq!(
+            oracle.steps,
+            oracle_now + u64::from(oracle_now < oracle.cap_ns)
+        );
+        (sim.steps, oracle.steps)
+    }
+
+    #[test]
+    fn event_loop_matches_the_per_ns_loop() {
+        let cfg = SystemConfig::default();
+        let (mut steps, mut ticks) = (0, 0);
+        for seed in [9, 0xF1625] {
+            for mix in &build_mixes(3, seed) {
+                for pud in [None, Some(125), Some(1_000), Some(16_000)] {
+                    for mitigation in MITIGATIONS {
+                        let (s, t) = assert_event_loop_matches_per_ns(
+                            &cfg, mix, pud, mitigation, 6_000, seed,
+                        );
+                        steps += s;
+                        ticks += t;
+                    }
+                }
+            }
+        }
+        assert!(steps * 5 <= ticks, "{steps} steps for {ticks} ticks");
+    }
+
+    #[test]
+    fn event_loop_matches_the_per_ns_loop_under_stress() {
+        // Tiny queues and MLP keep cores pending and stalled, a cap of 1
+        // and one working-set bank force row-hit and bank conflicts, and
+        // PuD at 125 ns under naive PRAC keeps back-off (ABO) busy.
+        let base = SystemConfig::default();
+        let configs = [
+            SystemConfig {
+                queue_depth: 2,
+                ..base
+            },
+            SystemConfig {
+                queue_depth: 3,
+                mlp: 1,
+                ..base
+            },
+            SystemConfig {
+                queue_depth: 4,
+                cap: 1,
+                ..base
+            },
+            SystemConfig {
+                mlp: 1,
+                cap: 1,
+                working_set_banks: 1,
+                ..base
+            },
+            SystemConfig {
+                queue_depth: 3,
+                cap: 1,
+                working_set_banks: 1,
+                ..base
+            },
+        ];
+        let mixes = build_mixes(2, 5);
+        for cfg in &configs {
+            for mix in &mixes {
+                for pud in [None, Some(125), Some(1_000)] {
+                    for mitigation in MITIGATIONS {
+                        assert_event_loop_matches_per_ns(cfg, mix, pud, mitigation, 3_000, 17);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn event_loop_matches_the_per_ns_loop_at_the_cap() {
+        // One bank shared with PuD issued back to back under PRAC-AO (each
+        // SiMRA holds the bank ~1.5 µs): the cores cannot retire their
+        // budget before `cap_ns`.
+        let cfg = SystemConfig {
+            banks: 1,
+            working_set_banks: 1,
+            ..SystemConfig::default()
+        };
+        let mix = &build_mixes(1, 3)[0];
+        let (pud, mitigation, budget) = (Some(1), Mitigation::PracAoWeighted, 20_000);
+        assert_event_loop_matches_per_ns(&cfg, mix, pud, mitigation, budget, 9);
+        let timing = DramTiming::default();
+        let stats = run_mix(&cfg, &timing, mix, pud, mitigation, budget, 9);
+        assert_eq!(stats.elapsed_ns, 2_000_000, "the run must hit cap_ns");
+    }
+
+    #[test]
+    fn next_issue_is_the_first_tick_fr_fcfs_picks() {
+        // Brute force: from every executed tick, scan forward to the first
+        // tick at which `pick` chooses a request in the unchanged queue.
+        let base = SystemConfig::default();
+        let configs = [
+            base,
+            SystemConfig {
+                cap: 1,
+                working_set_banks: 1,
+                ..base
+            },
+        ];
+        let timing = DramTiming::default();
+        for (cfg, mix) in configs.iter().zip(&build_mixes(2, 5)) {
+            for mitigation in MITIGATIONS {
+                let mut sim = Sim::new(cfg, &timing, mix, Some(125), mitigation, 3_000, 3);
+                let mut now = 0;
+                while now < sim.cap_ns && !sim.tick(now) {
+                    let floor = now + 1;
+                    let predicted = sim.next_issue(floor);
+                    if predicted != u64::MAX {
+                        let first = (floor..=predicted).find(|&t| {
+                            pick(cfg, &sim.queue, &sim.banks, sim.channel_busy_until, t).is_some()
+                        });
+                        assert_eq!(first, Some(predicted), "at {now}");
+                    }
+                    now = sim.advance(now);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! DDR5 timing and system configuration for the mitigation evaluation.
 //!
 //! The §8.2 evaluation models a 4.2 GHz five-core system with dual-rank
-//! DDR5 DRAM and an FR-FCFS+Cap-4 scheduler (paper footnote 9). The
-//! simulator advances in 1 ns ticks, which is coarse enough to be fast and
-//! fine enough to resolve every DDR5 timing constraint that matters for
-//! the mitigation overhead shape.
+//! DDR5 DRAM and an FR-FCFS+Cap-4 scheduler (paper footnote 9). The model
+//! keeps 1 ns resolution, fine enough to resolve every DDR5 timing
+//! constraint that matters for the mitigation overhead shape; the
+//! simulation loop executes only the ticks at which something can change
+//! and jumps from one to the next (see `run_mix`).
 
 /// DDR5 timing parameters in nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -221,6 +221,7 @@ fn combined_hc(
     victim: RowAddr,
     dp: DataPattern,
 ) -> Option<u64> {
+    let _span = pud_observe::span("combined.search_ns");
     let mut check = |rh_count: u64| -> bool {
         // One program run is the cancellation grace unit: a cancelled
         // search aborts before the next (expensive) hammer sequence.

@@ -2,10 +2,10 @@
 //!
 //! The paper uncovers (via U-TRR) that the tested SK Hynix module uses a
 //! sampling-based TRR: the chip probabilistically identifies one aggressor
-//! row by sampling the row addresses of the last 450 ACT commands before a
-//! TRR-capable REF, then preventively refreshes that row's neighbours (§7).
+//! row from the row addresses of the ACT commands before a TRR-capable REF,
+//! then preventively refreshes that row's neighbours (§7). This model keeps
+//! a uniform reservoir sample over the ACTs since the last TRR-capable REF.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pud_bender::ActivityObserver;
@@ -15,9 +15,6 @@ use pud_observe::Counter;
 /// Configuration of a sampling TRR mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingTrrConfig {
-    /// How many recent ACT commands the sampler draws from (450 in the
-    /// uncovered mechanism).
-    pub window: usize,
     /// Every `refs_per_trr`-th REF command performs a TRR victim refresh.
     pub refs_per_trr: u64,
     /// Neighbour distance refreshed around the sampled aggressor (±1, ±2).
@@ -27,7 +24,6 @@ pub struct SamplingTrrConfig {
 impl Default for SamplingTrrConfig {
     fn default() -> SamplingTrrConfig {
         SamplingTrrConfig {
-            window: 450,
             refs_per_trr: 3,
             blast_radius: 2,
         }
@@ -45,7 +41,6 @@ impl Default for SamplingTrrConfig {
 pub struct SamplingTrr {
     config: SamplingTrrConfig,
     mapping: RowMapping,
-    recent: VecDeque<(BankId, RowAddr)>,
     sampled: Option<(BankId, RowAddr)>,
     seen_in_window: u64,
     refs: u64,
@@ -63,7 +58,6 @@ impl SamplingTrr {
         SamplingTrr {
             config,
             mapping,
-            recent: VecDeque::with_capacity(config.window),
             sampled: None,
             seen_in_window: 0,
             refs: 0,
@@ -92,10 +86,6 @@ impl SamplingTrr {
 
 impl ActivityObserver for SamplingTrr {
     fn on_act(&mut self, bank: BankId, logical_row: RowAddr) {
-        if self.recent.len() == self.config.window {
-            self.recent.pop_front();
-        }
-        self.recent.push_back((bank, logical_row));
         // Reservoir sampling over the ACTs seen since the last TRR REF:
         // each ACT replaces the current sample with probability 1/k.
         self.seen_in_window += 1;
