@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
 //! hammer path, the HC_first bisection and its closed-form check, the
-//! executor's batched hammer loops, SiMRA charge sharing, and one
-//! memory-system simulation slice.
+//! executor's batched hammer loops, the victim data summary, SiMRA charge
+//! sharing, and one memory-system simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
 //! per-iteration timings also land in the `bench.*` histograms of the
@@ -156,6 +156,23 @@ fn random_row(seed: u64) -> RowData {
     row
 }
 
+/// A victim's data summary over its first 512 bits: the word-parallel
+/// scan the compiled replay uses against the per-bit reference the
+/// interpreter oracle keeps (informational; the two are bit-equal).
+fn bench_data_summary() {
+    let row = random_row(7);
+    let fast = run_micro("data_summary_512", SAMPLES, 10_000, || {
+        DataSummary::from_row(black_box(&row))
+    });
+    let per_bit = run_micro("data_summary_512_per_bit", SAMPLES, 10_000, || {
+        DataSummary::from_row_per_bit(black_box(&row))
+    });
+    println!(
+        "[data_summary_512] word-parallel scan: {:.1}x over per-bit",
+        per_bit / fast
+    );
+}
+
 /// The charge-sharing kernel alone: the majority of a SiMRA-32 group plus
 /// its tiebreaking row, 33 random paper-width rows.
 fn bench_row_majority() {
@@ -203,6 +220,7 @@ fn main() {
     bench_executor_loop();
     bench_hc_first_search();
     bench_fleet_sweep_serial_vs_parallel();
+    bench_data_summary();
     bench_row_majority();
     bench_simra32_activation();
     bench_memsim_slice();

@@ -220,7 +220,7 @@ pub struct Executor {
     acts: u64,
     banks: Vec<BankState>,
     episodes: Vec<Option<Episode>>,
-    hist: pud_disturb::FastMap<(u8, u32), VictimHist>,
+    hist: pud_dram::FastMap<(u8, u32), VictimHist>,
     refresh_acc: f64,
     refresh_ptr: u32,
     refs_seen: u64,
@@ -280,7 +280,7 @@ impl Executor {
             acts: 0,
             banks,
             episodes,
-            hist: pud_disturb::FastMap::default(),
+            hist: pud_dram::FastMap::default(),
             refresh_acc: 0.0,
             refresh_ptr: 0,
             refs_seen: 0,
@@ -1222,11 +1222,13 @@ impl Executor {
             // summary cache (shared with the engine's victim summaries —
             // same key, same data, same invalidation). Missing rows stay
             // uncached: they can come into existence without an
-            // invalidation call, so their default must never stick.
+            // invalidation call, so their default must never stick. The
+            // interpreter oracle scans one bit at a time, the reference
+            // the replay's word-parallel scan matches.
             Some(r) if self.batched => self
                 .batch
                 .summary_or_else(bank, row, || DataSummary::from_row(r)),
-            Some(r) => DataSummary::from_row(r),
+            Some(r) => DataSummary::from_row_per_bit(r),
             None => DataSummary {
                 ones_fraction: 0.5,
                 checker_fraction: 0.5,

@@ -1,96 +1,37 @@
-//! Struct-of-arrays batching state for the executor's compiled replay.
+//! Batching caches for the executor's compiled replay.
 //!
-//! [`crate::DisturbEngine::hammer`] recomputes three pure functions on
+//! [`crate::DisturbEngine::hammer`] recomputes four pure functions on
 //! every event: the per-row vulnerability sample (log-normal resampling
 //! through `ln`/`sqrt`/`cos`/`exp`), the per-event factor-curve product
 //! (several `LogLogCurve` evaluations plus jitters, each an `ln` + `exp`),
-//! and the victim data summary (a bit-by-bit scan of up to 512 cells).
-//! All three are deterministic in their inputs, so a replayed command
-//! stream — which hammers the same few victim rows with the same few
-//! `(pattern, temperature, timing)` combinations millions of times — can
-//! compute each product once and serve every later event from a cache
-//! without changing a single output bit.
+//! the victim data summary (a bit-by-bit scan of up to 512 cells) and the
+//! data-dependent eligibility (a `powf`). All four are deterministic in
+//! their inputs, so a replayed command stream — which hammers the same few
+//! victim rows with the same few `(pattern, temperature, timing)`
+//! combinations millions of times — can compute each once and serve every
+//! later event from a cache without changing a single output bit.
 //!
-//! [`BatchState`] holds those caches. It belongs to the *caller* (the
-//! executor's compiled replay), not to the engine: the uncached
-//! [`crate::DisturbEngine::hammer`] stays the reference the executor's
-//! interpreter oracle runs on, so differential tests and
-//! compiled-vs-interpreted speedup numbers compare against code without
-//! the optimisation. Correctness
-//! still never depends on the caches — every entry is a pure function of
-//! its key, and the data summary (the only entry whose input can mutate)
-//! is invalidated by the engine itself when it materializes flips and by
-//! the executor at every other row-data write.
+//! [`BatchState`] holds two maps. The weight map is keyed by everything
+//! the factor-curve product reads. The victim map holds one entry per
+//! row: its vulnerability sample, its data summary (counted a word at a
+//! time) and, per flip class, its eligibility. A batched hammer event
+//! therefore makes one probe per map, and the engine's evaluation works
+//! on the victim entry that probe found.
+//!
+//! The state belongs to the *caller* (the executor's compiled replay), not
+//! to the engine: the uncached [`crate::DisturbEngine::hammer`] stays the
+//! reference the executor's interpreter oracle runs on, per-bit summary
+//! scan included, so differential tests and compiled-vs-interpreted
+//! speedup numbers compare against code without the optimisation.
+//! Correctness still never depends on the caches — every value is a pure
+//! function of its key, and the data summary (the only value whose input
+//! can mutate) is invalidated by the engine itself when it materializes
+//! flips and by the executor at every other row-data write.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use pud_dram::{BankId, Picos, RowAddr};
+use pud_dram::{BankId, FastMap, Picos, RowAddr};
 
 use crate::event::{AggressionKind, DataSummary, HammerEvent};
 use crate::vuln::RowVuln;
-
-/// Multiply-rotate hasher for simulation-internal maps. The keys are
-/// small fixed-size structs probed several times per hammer event, where
-/// SipHash's hash-flooding resistance buys nothing (keys come from the
-/// simulation itself, not from untrusted input) and its per-probe cost
-/// dominates a cache hit.
-#[derive(Default)]
-pub struct FastHasher(u64);
-
-impl FastHasher {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-    #[inline]
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(FastHasher::SEED);
-    }
-}
-
-impl Hasher for FastHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-/// A `HashMap` using [`FastHasher`] — for hot-path maps keyed by
-/// simulation-internal values.
-pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 /// Cache key capturing every input [`crate::DisturbEngine::event_weight`]
 /// reads: the victim identity (which pins the vulnerability sample and the
@@ -156,24 +97,74 @@ impl BatchStats {
     }
 }
 
+/// Everything the batched path caches about one row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VictimEntry {
+    /// The row's vulnerability sample, from its first batched hammer on
+    /// (aggressor summaries create entries without one).
+    pub(crate) vuln: Option<RowVuln>,
+    /// The summary of the row's current data; `None` after a write.
+    pub(crate) summary: Option<DataSummary>,
+    /// Per [`crate::FlipClass`] (by discriminant), the `ones_fraction`
+    /// bits of the summary the eligibility `(p, factor)` was computed for,
+    /// [`VictimEntry::NO_ELIG`] before the first. The other input,
+    /// `beta`, is the row's own and never changes.
+    pub(crate) eligs: [(u64, (f64, f64)); 2],
+}
+
+impl VictimEntry {
+    /// The key of an eligibility slot not computed yet: a NaN pattern no
+    /// ones fraction (a ratio of two counts) has. A sentinel instead of an
+    /// `Option` keeps the entry, one per touched row, 16 bytes smaller.
+    pub(crate) const NO_ELIG: u64 = u64::MAX;
+}
+
+impl Default for VictimEntry {
+    fn default() -> VictimEntry {
+        VictimEntry {
+            vuln: None,
+            summary: None,
+            eligs: [(VictimEntry::NO_ELIG, (0.0, 0.0)); 2],
+        }
+    }
+}
+
+/// One row's [`VictimEntry`] and the statistics its lookups count into,
+/// as the batched hammer path hands them down the engine's evaluation.
+pub(crate) struct VictimCache<'a> {
+    pub(crate) entry: &'a mut VictimEntry,
+    pub(crate) stats: &'a mut BatchStats,
+}
+
+impl VictimCache<'_> {
+    /// The cached summary of the row, computed through `compute` (a scan
+    /// of the row's current data) on a miss.
+    pub(crate) fn summary_or_else(&mut self, compute: impl FnOnce() -> DataSummary) -> DataSummary {
+        if let Some(s) = self.entry.summary {
+            self.stats.summary_hits += 1;
+            return s;
+        }
+        self.stats.summary_misses += 1;
+        let s = compute();
+        self.entry.summary = Some(s);
+        s
+    }
+}
+
 /// Reusable batching state for [`crate::DisturbEngine::hammer_batched`]:
-/// pure-function caches (vulnerability samples, factor-curve products,
-/// victim data summaries) plus hit statistics.
+/// pure-function caches (per-row vulnerability samples, data summaries and
+/// eligibilities; factor-curve products) plus hit statistics.
 ///
 /// One `BatchState` pairs with one engine (the cached values embed the
 /// engine's seed, profile, and calibration); sharing it across chips would
 /// serve one chip's samples to another. Entries survive across runs —
-/// vulnerability and weight entries are immutable facts of the chip, and
-/// summary entries are invalidated whenever the underlying row data
+/// vulnerability, weight and eligibility values are immutable facts of the
+/// chip, and summaries are invalidated whenever the underlying row data
 /// changes (see [`BatchState::invalidate_row`]).
 #[derive(Debug, Default)]
 pub struct BatchState {
-    pub(crate) vulns: FastMap<(BankId, RowAddr), RowVuln>,
+    pub(crate) victims: FastMap<(BankId, RowAddr), VictimEntry>,
     pub(crate) weights: FastMap<WeightKey, f64>,
-    pub(crate) summaries: FastMap<(BankId, RowAddr), DataSummary>,
-    /// Eligibility `(p, factor)` keyed by `(class, ones_fraction bits,
-    /// beta bits)` — a pure function whose `powf` shows up per event.
-    pub(crate) eligs: FastMap<(u8, u64, u64), (f64, f64)>,
     pub(crate) stats: BatchStats,
 }
 
@@ -195,14 +186,11 @@ impl BatchState {
         row: RowAddr,
         compute: impl FnOnce() -> DataSummary,
     ) -> DataSummary {
-        if let Some(s) = self.summaries.get(&(bank, row)) {
-            self.stats.summary_hits += 1;
-            return *s;
+        VictimCache {
+            entry: self.victims.entry((bank, row)).or_default(),
+            stats: &mut self.stats,
         }
-        self.stats.summary_misses += 1;
-        let s = compute();
-        self.summaries.insert((bank, row), s);
-        s
+        .summary_or_else(compute)
     }
 
     /// Drops the cached data summary of one row. Must be called whenever
@@ -210,16 +198,16 @@ impl BatchState {
     /// charge-share deposits, fault-injected stuck bits); the engine
     /// invalidates on its own materialized flips.
     pub fn invalidate_row(&mut self, bank: BankId, row: RowAddr) {
-        self.summaries.remove(&(bank, row));
+        if let Some(entry) = self.victims.get_mut(&(bank, row)) {
+            entry.summary = None;
+        }
     }
 
-    /// Drops every cached entry (summaries, vulnerability samples, and
-    /// weights) while keeping the allocated capacity and statistics.
+    /// Drops every cached entry (per-row entries and weights) while
+    /// keeping the allocated capacity and statistics.
     pub fn clear(&mut self) {
-        self.vulns.clear();
+        self.victims.clear();
         self.weights.clear();
-        self.summaries.clear();
-        self.eligs.clear();
     }
 
     /// Cache hit/miss statistics accumulated so far.
@@ -268,28 +256,29 @@ mod tests {
     fn invalidate_row_touches_only_summaries() {
         let mut b = BatchState::new();
         let key = (BankId(0), RowAddr(7));
-        b.summaries.insert(
+        let elig = (0.5f64.to_bits(), (0.5, 1.0));
+        b.victims.insert(
             key,
-            DataSummary {
-                ones_fraction: 0.5,
-                checker_fraction: 1.0,
-            },
-        );
-        b.vulns.insert(
-            key,
-            RowVuln {
-                key: 1,
-                t_rh: 10.0,
-                t_simra: f64::INFINITY,
-                comra_factor: 1.0,
-                beta: 1.5,
-                is_hero: false,
+            VictimEntry {
+                vuln: Some(RowVuln {
+                    key: 1,
+                    t_rh: 10.0,
+                    t_simra: f64::INFINITY,
+                    comra_factor: 1.0,
+                    beta: 1.5,
+                    is_hero: false,
+                }),
+                summary: Some(DataSummary {
+                    ones_fraction: 0.5,
+                    checker_fraction: 1.0,
+                }),
+                eligs: [elig, (VictimEntry::NO_ELIG, (0.0, 0.0))],
             },
         );
         b.invalidate_row(key.0, key.1);
-        assert!(b.summaries.is_empty());
-        assert_eq!(b.vulns.len(), 1);
+        assert!(b.victims[&key].summary.is_none());
+        assert!(b.victims[&key].vuln.is_some() && b.victims[&key].eligs[0] == elig);
         b.clear();
-        assert!(b.vulns.is_empty());
+        assert!(b.victims.is_empty());
     }
 }

@@ -1,9 +1,9 @@
 //! The disturbance engine: turns hammer events into accumulated disturbance
 //! and materialized bitflips.
 
-use pud_dram::{BankId, ChipGeometry, Manufacturer, ModuleProfile, RowAddr, RowData};
+use pud_dram::{BankId, ChipGeometry, FastMap, Manufacturer, ModuleProfile, RowAddr, RowData};
 
-use crate::batch::{BatchState, FastMap, WeightKey};
+use crate::batch::{BatchState, VictimCache, WeightKey};
 use crate::calib;
 use crate::curve::LogLogCurve;
 use crate::event::{AggressionKind, DataSummary, FlipClass, HammerEvent};
@@ -194,9 +194,11 @@ impl DisturbEngine {
     }
 
     /// As [`DisturbEngine::hammer`], with the per-row vulnerability
-    /// sample, the per-event factor-curve product, and the victim data
-    /// summary served from `batch`'s caches. Every cached value is a pure
-    /// function of its key, so the accumulated disturbance and the
+    /// sample, data summary and eligibilities served from the victim's
+    /// entry in `batch` (one lookup) and the per-event factor-curve
+    /// product from its weight map. Every cached value is a pure function
+    /// of its key, and the word-parallel summary counts exactly what the
+    /// per-bit reference counts, so the accumulated disturbance and the
     /// materialized flips are bit-identical to the uncached path — the
     /// compiled executor replay leans on this.
     pub fn hammer_batched(
@@ -207,33 +209,39 @@ impl DisturbEngine {
         out: &mut Vec<Bitflip>,
     ) {
         pud_observe::profile::work_events(ev.repeat);
-        let key = (ev.bank, ev.victim);
-        let vuln = match batch.vulns.get(&key) {
+        let BatchState {
+            victims,
+            weights,
+            stats,
+        } = batch;
+        let entry = victims.entry((ev.bank, ev.victim)).or_default();
+        let vuln = match entry.vuln {
             Some(v) => {
-                batch.stats.vuln_hits += 1;
-                *v
+                stats.vuln_hits += 1;
+                v
             }
             None => {
-                batch.stats.vuln_misses += 1;
+                stats.vuln_misses += 1;
                 let v = self.model.row_vuln(ev.bank, ev.victim);
-                batch.vulns.insert(key, v);
+                entry.vuln = Some(v);
                 v
             }
         };
         let wkey = WeightKey::of(ev);
-        let w = match batch.weights.get(&wkey) {
+        let w = match weights.get(&wkey) {
             Some(w) => {
-                batch.stats.weight_hits += 1;
+                stats.weight_hits += 1;
                 *w
             }
             None => {
-                batch.stats.weight_misses += 1;
+                stats.weight_misses += 1;
                 let w = self.event_weight(ev, &vuln);
-                batch.weights.insert(wkey, w);
+                weights.insert(wkey, w);
                 w
             }
         };
-        self.apply_weighted(ev, &vuln, w, victim_data, out, Some(batch));
+        let mut cache = VictimCache { entry, stats };
+        self.apply_weighted(ev, &vuln, w, victim_data, out, Some(&mut cache));
     }
 
     /// Shared back half of [`DisturbEngine::hammer`] and
@@ -247,7 +255,7 @@ impl DisturbEngine {
         w: f64,
         victim_data: &mut RowData,
         out: &mut Vec<Bitflip>,
-        mut batch: Option<&mut BatchState>,
+        mut cache: Option<&mut VictimCache>,
     ) {
         let st = {
             let st = self.states.entry((ev.bank, ev.victim)).or_default();
@@ -255,7 +263,7 @@ impl DisturbEngine {
             *st
         };
         for c in [FlipClass::RowHammer, FlipClass::Simra] {
-            self.evaluate_flips_into(ev, vuln, st, c, victim_data, out, batch.as_deref_mut());
+            self.evaluate_flips_into(ev, vuln, st, c, victim_data, out, cache.as_deref_mut());
         }
     }
 
@@ -431,28 +439,25 @@ impl DisturbEngine {
     /// victim holding `summary`: the fraction of cells whose stored value
     /// can flip under the class's direction mix, normalized to the
     /// worst-case data pattern.
-    /// [`DisturbEngine::eligibility`] through the batch cache when one is
-    /// available: the result is pure in `(class, ones_fraction, beta)` and
-    /// its `powf` is a measurable slice of a cache-hit hammer call.
+    /// [`DisturbEngine::eligibility`] through the victim's cache entry
+    /// when one is available: the result is pure in `(class,
+    /// ones_fraction, beta)`, `beta` is the entry's own row's, and the
+    /// `powf` is a measurable slice of a cache-hit hammer call.
     fn eligibility_cached(
         class: FlipClass,
         summary: &DataSummary,
         beta: f64,
-        batch: Option<&mut BatchState>,
+        cache: Option<&mut VictimCache>,
     ) -> (f64, f64) {
-        match batch {
-            Some(b) => {
-                let key = (class as u8, summary.ones_fraction.to_bits(), beta.to_bits());
-                if let Some(v) = b.eligs.get(&key) {
-                    *v
-                } else {
-                    let v = DisturbEngine::eligibility(class, summary, beta);
-                    b.eligs.insert(key, v);
-                    v
-                }
-            }
-            None => DisturbEngine::eligibility(class, summary, beta),
+        let Some(c) = cache else {
+            return DisturbEngine::eligibility(class, summary, beta);
+        };
+        let ones = summary.ones_fraction.to_bits();
+        let slot = &mut c.entry.eligs[class as usize];
+        if slot.0 != ones {
+            *slot = (ones, DisturbEngine::eligibility(class, summary, beta));
         }
+        slot.1
     }
 
     fn eligibility(class: FlipClass, summary: &DataSummary, beta: f64) -> (f64, f64) {
@@ -530,13 +535,13 @@ impl DisturbEngine {
         class: FlipClass,
         summary: &DataSummary,
         cols: u32,
-        batch: Option<&mut BatchState>,
+        cache: Option<&mut VictimCache>,
     ) -> u64 {
         let progress = DisturbEngine::effective_progress(st, vuln, class, summary);
         if progress <= 0.0 {
             return 0;
         }
-        let (p, elig_factor) = DisturbEngine::eligibility_cached(class, summary, vuln.beta, batch);
+        let (p, elig_factor) = DisturbEngine::eligibility_cached(class, summary, vuln.beta, cache);
         let t_first = t_base * elig_factor;
         if progress < t_first {
             return 0;
@@ -555,7 +560,7 @@ impl DisturbEngine {
         class: FlipClass,
         victim_data: &mut RowData,
         out: &mut Vec<Bitflip>,
-        mut batch: Option<&mut BatchState>,
+        mut cache: Option<&mut VictimCache>,
     ) {
         let t_base = vuln.base_threshold(class);
         if !t_base.is_finite() {
@@ -563,22 +568,13 @@ impl DisturbEngine {
         }
         // Data-dependent eligibility: fraction of the victim's cells whose
         // stored value lets them flip under this class's direction mix.
-        // The batched path serves the summary from its cache; entries are
-        // invalidated below whenever this call mutates the row, so the
-        // cached value always equals a fresh scan.
-        let summary = match batch.as_deref_mut() {
-            Some(b) => {
-                if let Some(s) = b.summaries.get(&(ev.bank, ev.victim)) {
-                    b.stats.summary_hits += 1;
-                    *s
-                } else {
-                    b.stats.summary_misses += 1;
-                    let s = DataSummary::from_row(victim_data);
-                    b.summaries.insert((ev.bank, ev.victim), s);
-                    s
-                }
-            }
-            None => DataSummary::from_row(victim_data),
+        // The batched path serves the summary from the victim's entry; it
+        // is invalidated below whenever this call mutates the row, so the
+        // cached value always equals a fresh scan. The uncached path scans
+        // one bit at a time, the reference the word-parallel scan matches.
+        let summary = match cache.as_deref_mut() {
+            Some(c) => c.summary_or_else(|| DataSummary::from_row(victim_data)),
+            None => DataSummary::from_row_per_bit(victim_data),
         };
         let visible = DisturbEngine::visible_flips(
             t_base,
@@ -587,7 +583,7 @@ impl DisturbEngine {
             class,
             &summary,
             victim_data.cols(),
-            batch.as_deref_mut(),
+            cache.as_deref_mut(),
         );
         if visible == 0 {
             return;
@@ -650,8 +646,8 @@ impl DisturbEngine {
         // event) rescans the mutated row, exactly as the uncached path
         // does.
         if out.len() > before {
-            if let Some(b) = batch {
-                b.summaries.remove(&(ev.bank, ev.victim));
+            if let Some(c) = cache {
+                c.entry.summary = None;
             }
         }
         let st_mut = self

@@ -126,6 +126,9 @@ impl AggressionKind {
     }
 }
 
+/// Leading bits of a row that [`DataSummary::from_row`] samples.
+const SUMMARY_BITS: u32 = 512;
+
 /// Summary statistics of aggressor-row contents that modulate coupling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataSummary {
@@ -139,8 +142,20 @@ pub struct DataSummary {
 impl DataSummary {
     /// Summarizes actual row contents (samples up to the first 512 bits —
     /// patterns are byte-periodic so this is exact for pattern fills).
+    ///
+    /// Counts a whole word at a time ([`RowData::ones_and_toggles`]). The
+    /// integer counts equal [`DataSummary::from_row_per_bit`]'s, so both
+    /// fractions are bit-equal to the per-bit reference.
     pub fn from_row(row: &RowData) -> DataSummary {
-        let n = row.cols().min(512);
+        let n = row.cols().min(SUMMARY_BITS);
+        let (ones, toggles) = row.ones_and_toggles(n);
+        DataSummary::from_counts(ones, toggles, n)
+    }
+
+    /// [`DataSummary::from_row`] one bit at a time: the reference the
+    /// uncached engine path and the executor's interpreter oracle run on.
+    pub fn from_row_per_bit(row: &RowData) -> DataSummary {
+        let n = row.cols().min(SUMMARY_BITS);
         let mut ones = 0u32;
         let mut toggles = 0u32;
         let mut prev = row.bit(0);
@@ -157,6 +172,12 @@ impl DataSummary {
             }
             prev = b;
         }
+        DataSummary::from_counts(ones, toggles, n)
+    }
+
+    /// The summary of `n` sampled bits holding `ones` ones and `toggles`
+    /// adjacent-pair toggles.
+    fn from_counts(ones: u32, toggles: u32, n: u32) -> DataSummary {
         DataSummary {
             ones_fraction: f64::from(ones) / f64::from(n),
             checker_fraction: f64::from(toggles) / f64::from(n - 1),
@@ -287,6 +308,50 @@ mod tests {
                 (a.checker_fraction - b.checker_fraction).abs() < 0.01,
                 "{p}"
             );
+        }
+    }
+
+    #[test]
+    fn word_parallel_summary_matches_the_per_bit_reference() {
+        let random = |cols: u32, seed: u64| {
+            let mut row = RowData::filled(cols, DataPattern::ZEROS);
+            for c in 0..cols {
+                let word = crate::rng::mix_all(&[seed, u64::from(c / 64)]);
+                row.set_bit(c, (word >> (c % 64)) & 1 == 1);
+            }
+            row
+        };
+        for cols in [1, 2, 63, 64, 65, 127, 128, 511, 512, 513, 8192] {
+            let bases = [
+                RowData::filled(cols, DataPattern::ZEROS),
+                RowData::filled(cols, DataPattern::ONES),
+                RowData::filled(cols, DataPattern::CHECKER_55),
+                random(cols, 1),
+                random(cols, 2),
+            ];
+            for base in bases {
+                let mut rows = vec![base.clone()];
+                for dissent in [0, 63, 64, 511].into_iter().filter(|&c| c < cols) {
+                    let mut row = base.clone();
+                    row.flip_bit(dissent);
+                    rows.push(row);
+                }
+                for row in rows {
+                    let fast = DataSummary::from_row(&row);
+                    let slow = DataSummary::from_row_per_bit(&row);
+                    // Width 1 has no adjacent pair: both give 0 / 0 = NaN.
+                    assert_eq!(
+                        fast.ones_fraction.to_bits(),
+                        slow.ones_fraction.to_bits(),
+                        "ones, {cols} columns"
+                    );
+                    assert_eq!(
+                        fast.checker_fraction.to_bits(),
+                        slow.checker_fraction.to_bits(),
+                        "toggles, {cols} columns"
+                    );
+                }
+            }
         }
     }
 

@@ -1,9 +1,8 @@
 //! Bank model: sparse row storage plus open-row state.
 
-use std::collections::HashMap;
-
 use crate::error::DramError;
 use crate::geometry::ChipGeometry;
+use crate::hash::FastMap;
 use crate::row::RowData;
 use crate::types::{DataPattern, RowAddr};
 use crate::Result;
@@ -17,7 +16,7 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct Bank {
     geometry: ChipGeometry,
-    rows: HashMap<RowAddr, RowData>,
+    rows: FastMap<RowAddr, RowData>,
     open: Vec<RowAddr>,
 }
 
@@ -26,7 +25,7 @@ impl Bank {
     pub fn new(geometry: ChipGeometry) -> Bank {
         Bank {
             geometry,
-            rows: HashMap::new(),
+            rows: FastMap::default(),
             open: Vec::new(),
         }
     }

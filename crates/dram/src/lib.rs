@@ -34,6 +34,7 @@ mod chip;
 pub mod ecc;
 mod error;
 mod geometry;
+mod hash;
 mod mapping;
 pub mod profiles;
 mod row;
@@ -44,6 +45,7 @@ pub use cells::CellLayout;
 pub use chip::Chip;
 pub use error::DramError;
 pub use geometry::{ChipGeometry, SubarrayRegion};
+pub use hash::{FastHasher, FastMap};
 pub use mapping::RowMapping;
 pub use profiles::ModuleProfile;
 pub use row::RowData;

@@ -114,6 +114,32 @@ impl RowData {
         cols
     }
 
+    /// Ones and adjacent-bit toggles among the first `n` columns, as
+    /// `(ones, toggles)`: a popcount of each word masked to the prefix,
+    /// and a popcount of `w ^ (w >> 1)` for the toggles inside a word plus
+    /// the one carried across each word boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero or exceeds the row width.
+    pub fn ones_and_toggles(&self, n: u32) -> (u32, u32) {
+        assert!(n > 0 && n <= self.cols, "prefix out of range");
+        let mut ones = 0;
+        let mut toggles = 0;
+        // The bit before column 0 reads as column 0 itself: no toggle.
+        let mut prev_top = self.words[0] & 1;
+        for (i, &word) in self.words[..n.div_ceil(64) as usize].iter().enumerate() {
+            let bits = (n - 64 * i as u32).min(64);
+            let mask = u64::MAX >> (64 - bits);
+            let w = word & mask;
+            ones += w.count_ones();
+            toggles += ((w ^ (w >> 1)) & (mask >> 1)).count_ones();
+            toggles += ((prev_top ^ w) & 1) as u32;
+            prev_top = w >> (bits - 1);
+        }
+        (ones, toggles)
+    }
+
     /// Whether every bit matches the repeating `pattern`.
     pub fn matches_pattern(&self, pattern: DataPattern) -> bool {
         *self == RowData::filled(self.cols, pattern)

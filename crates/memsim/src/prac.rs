@@ -97,8 +97,14 @@ pub struct Prac {
 }
 
 impl Prac {
-    /// Creates counters for `banks` banks of `rows_per_bank` rows.
+    /// Creates counters for `banks` banks of `rows_per_bank` rows;
+    /// [`Mitigation::None`] counts nothing and gets no table.
     pub fn new(mitigation: Mitigation, banks: usize, rows_per_bank: u32) -> Prac {
+        let banks = if mitigation == Mitigation::None {
+            0
+        } else {
+            banks
+        };
         Prac {
             mitigation,
             rows_per_bank,
@@ -180,8 +186,12 @@ impl Prac {
         self.rfms_serviced
     }
 
-    /// The highest counter value in a bank (diagnostics).
+    /// The highest counter value in a bank (diagnostics; always 0 under
+    /// [`Mitigation::None`]).
     pub fn max_counter(&self, bank: usize) -> u64 {
+        if self.mitigation == Mitigation::None {
+            return 0;
+        }
         self.counters[bank].iter().copied().max().unwrap_or(0)
     }
 

@@ -553,7 +553,7 @@ fn schedule(
             }
         }
         ActKind::Simra => {
-            let rows: Vec<u32> = (req.row..req.row + PUD_SIMRA_ROWS).collect();
+            let rows: [u32; PUD_SIMRA_ROWS as usize] = std::array::from_fn(|i| req.row + i as u32);
             let outcome = prac.on_activation(req.bank, &rows, ActKind::Simra, timing.t_rc);
             let busy = timing.t_simra_op + outcome.extra_latency_ns;
             bank.open_row = None;

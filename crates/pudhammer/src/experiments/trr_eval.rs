@@ -246,28 +246,14 @@ pub fn fig24_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig24 {
                     )))
                 });
                 let sink: Option<SharedSink> = ring.clone().map(|r| r as SharedSink);
-                let mut counts_without = Vec::new();
-                let mut counts_with = Vec::new();
-                for rep in 0..reps {
-                    counts_without.push(run_once(
-                        scale,
-                        profile,
-                        tech,
-                        dummy_phys,
-                        false,
-                        rep,
-                        sink.as_ref(),
-                    ));
-                    counts_with.push(run_once(
-                        scale,
-                        profile,
-                        tech,
-                        dummy_phys,
-                        true,
-                        rep,
-                        sink.as_ref(),
-                    ));
-                }
+                // The repetition index only seeds the TRR sampler and the
+                // executor carries no fault plan, so without TRR every
+                // repetition is the same run: run it once.
+                let without = run_once(scale, profile, tech, dummy_phys, false, 0, sink.as_ref());
+                let counts_without = vec![without; reps as usize];
+                let counts_with: Vec<u64> = (0..reps)
+                    .map(|rep| run_once(scale, profile, tech, dummy_phys, true, rep, sink.as_ref()))
+                    .collect();
                 events = ring.map_or_else(Vec::new, |r| {
                     r.lock().expect("fig24 trace ring poisoned").to_vec()
                 });
