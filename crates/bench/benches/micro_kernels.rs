@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
 //! hammer path, the HC_first bisection and its closed-form check, the
-//! executor's batched hammer loops, the victim data summary, SiMRA charge
-//! sharing, and one memory-system simulation slice.
+//! executor's batched hammer loops and its construction, the victim data
+//! summary, SiMRA charge sharing, and one memory-system simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
 //! per-iteration timings also land in the `bench.*` histograms of the
@@ -71,6 +71,19 @@ fn bench_executor_loop() {
              (compiled {compiled:.0} ns vs interpreter {interp:.0} ns per run)"
         );
     }
+}
+
+/// Building a chip's executor, as every served miss and every per-chip
+/// driver does. The family's calibration solve is memoized, so past the
+/// warm-up this is the chip model's construction alone (informational).
+fn bench_executor_new() {
+    let profile = &TESTED_MODULES[1];
+    let geometry = ChipGeometry::scaled_for_tests();
+    let mut chip = 0u32;
+    run_micro("executor_new", SAMPLES, 100, || {
+        chip = (chip + 1) % 16;
+        black_box(Executor::new(profile, geometry, black_box(chip), 42))
+    });
 }
 
 fn bench_hc_first_search() {
@@ -218,6 +231,7 @@ fn bench_memsim_slice() {
 fn main() {
     bench_engine_hammer();
     bench_executor_loop();
+    bench_executor_new();
     bench_hc_first_search();
     bench_fleet_sweep_serial_vs_parallel();
     bench_data_summary();

@@ -6,6 +6,8 @@
 //! guarantees the reproduction hits the published factors exactly at the
 //! published parameter values and interpolates smoothly between them.
 
+use std::sync::Mutex;
+
 /// A piecewise-linear interpolation in log–log space.
 ///
 /// Evaluation clamps outside the anchored range (no extrapolation), so a
@@ -83,9 +85,14 @@ impl LogLogCurve {
 ///
 /// Used to calibrate the shifted-log-normal susceptibility factors so the
 /// fleet-average HC_first ratios match Table 2 (see `pud-disturb::vuln`).
-/// The expectation is computed with fixed-node Gauss–Legendre-style
-/// quadrature over `z ∈ [-6, 6]`, which is exact enough (<1e-6) for the
-/// smooth integrand.
+/// The expectation is computed with a 400-interval trapezoid rule over
+/// `z ∈ [-6, 6]`, which is exact enough (<1e-6) for the smooth integrand,
+/// and `mu` is found by bisection on `[-60, 60]`.
+///
+/// The inputs depend only on a module family, so each distinct
+/// `(target, sigma)` pair is solved once per process and later calls
+/// return the memoized bits. Cold solves are counted under
+/// `disturb.calibration_solves`.
 ///
 /// # Panics
 ///
@@ -96,8 +103,68 @@ pub fn solve_mu_for_inverse_mean(target: f64, sigma: f64) -> f64 {
         "target mean of 1/(1+LN) must be in (0,1), got {target}"
     );
     assert!(sigma > 0.0, "sigma must be positive");
+    // A family roster has a few dozen distinct inputs; a linear scan of
+    // them costs nothing next to one solve. Solving under the lock makes
+    // each key's solve happen exactly once. The only update is one push
+    // of a finished entry, so a poisoned memo is still valid.
+    static MEMO: Mutex<Vec<((u64, u64), f64)>> = Mutex::new(Vec::new());
+    let key = (target.to_bits(), sigma.to_bits());
+    let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(&(_, mu)) = memo.iter().find(|(k, _)| *k == key) {
+        return mu;
+    }
+    let mu = bisect_mu(target, sigma);
+    pud_observe::counter("disturb.calibration_solves").incr();
+    memo.push((key, mu));
+    mu
+}
+
+/// `E[1 / (1 + exp(mu + sigma * Z))]`: trapezoid rule on `z ∈ [-6, 6]`.
+fn inverse_mean(mu: f64, sigma: f64) -> f64 {
+    let n = 400;
+    let (a, b) = (-6.0f64, 6.0f64);
+    let h = (b - a) / n as f64;
+    let f = |z: f64| {
+        let phi = (-0.5 * z * z).exp() / (std::f64::consts::TAU).sqrt();
+        phi / (1.0 + (mu + sigma * z).exp())
+    };
+    let mut s = 0.5 * (f(a) + f(b));
+    for i in 1..n {
+        s += f(a + h * i as f64);
+    }
+    s * h
+}
+
+/// Bisects `inverse_mean(mu, sigma) = target` for at most 200 steps.
+///
+/// Each step is a function of the bracket alone, so the first step that
+/// leaves `(lo, hi)` bit-for-bit unchanged is a fixed point: every later
+/// step would repeat it, and stopping there returns exactly what all 200
+/// steps would (at most 88 steps over the calibration inputs).
+pub(crate) fn bisect_mu(target: f64, sigma: f64) -> f64 {
+    // inverse_mean(mu) is strictly decreasing in mu.
+    let (mut lo, mut hi) = (-60.0f64, 60.0f64);
+    for _ in 0..200 {
+        let mid = 0.5 * (lo + hi);
+        let (next_lo, next_hi) = if inverse_mean(mid, sigma) > target {
+            (mid, hi)
+        } else {
+            (lo, mid)
+        };
+        if next_lo.to_bits() == lo.to_bits() && next_hi.to_bits() == hi.to_bits() {
+            break;
+        }
+        (lo, hi) = (next_lo, next_hi);
+    }
+    0.5 * (lo + hi)
+}
+
+/// The reference solve: no memo, 200 unconditional bisection steps, and
+/// its own copy of the quadrature. Tests hold [`solve_mu_for_inverse_mean`]
+/// and [`bisect_mu`] to it bit for bit.
+#[cfg(test)]
+pub(crate) fn solve_mu_reference(target: f64, sigma: f64) -> f64 {
     let mean = |mu: f64| -> f64 {
-        // ∫ φ(z) / (1 + exp(mu + sigma z)) dz, trapezoid on [-6, 6].
         let n = 400;
         let (a, b) = (-6.0f64, 6.0f64);
         let h = (b - a) / n as f64;
@@ -111,7 +178,6 @@ pub fn solve_mu_for_inverse_mean(target: f64, sigma: f64) -> f64 {
         }
         s * h
     };
-    // mean(mu) is strictly decreasing in mu; bisect.
     let (mut lo, mut hi) = (-60.0f64, 60.0f64);
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
@@ -184,6 +250,38 @@ mod tests {
             .sum::<f64>()
             / n as f64;
         assert!((est - 0.5).abs() < 0.01, "est {est}");
+    }
+
+    #[test]
+    fn fixed_point_stop_matches_the_200_step_reference_bit_for_bit() {
+        // Targets span the clamps VulnModel applies (1e-6 .. 0.999999)
+        // with a denser middle; sigmas cover the calibration constants.
+        let mut targets = vec![1e-6, 1e-4, 1e-3, 0.02, 0.5, 0.985, 0.99, 0.999_999];
+        targets.extend((1..40).map(|i| f64::from(i) / 40.0 + 0.0031));
+        for sigma in [0.05, 0.25, 0.35, 0.6, 1.0, 1.7, 3.0] {
+            for &target in &targets {
+                assert_eq!(
+                    bisect_mu(target, sigma).to_bits(),
+                    solve_mu_reference(target, sigma).to_bits(),
+                    "target {target} sigma {sigma}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn memo_hits_return_the_cold_bits_for_each_sigma() {
+        // One target under several sigmas: the memo must key on both, and
+        // a hit must return the bits the cold solve produced. The inputs
+        // are private to this test, so the first call is the cold one.
+        let target = 0.417_3;
+        for sigma in [0.31, 0.77, 1.93] {
+            let cold = solve_mu_for_inverse_mean(target, sigma);
+            let hit = solve_mu_for_inverse_mean(target, sigma);
+            let reference = solve_mu_reference(target, sigma);
+            assert_eq!(cold.to_bits(), reference.to_bits(), "sigma {sigma}");
+            assert_eq!(hit.to_bits(), cold.to_bits(), "sigma {sigma}");
+        }
     }
 
     #[test]

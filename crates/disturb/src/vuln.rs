@@ -149,11 +149,33 @@ struct SimraCal {
 
 impl VulnModel {
     /// Builds the sampler for `chip_index` of `profile` under `seed`.
+    ///
+    /// The family's susceptibility calibration is solved once per process
+    /// (see [`solve_mu_for_inverse_mean`]); later chips of the family reuse
+    /// it.
     pub fn new(
         profile: &ModuleProfile,
         geometry: ChipGeometry,
         chip_index: u32,
         seed: u64,
+    ) -> VulnModel {
+        VulnModel::with_solver(
+            profile,
+            geometry,
+            chip_index,
+            seed,
+            solve_mu_for_inverse_mean,
+        )
+    }
+
+    /// [`VulnModel::new`] with the calibration solve passed in, so tests
+    /// can calibrate with the reference solver and see its inputs.
+    fn with_solver(
+        profile: &ModuleProfile,
+        geometry: ChipGeometry,
+        chip_index: u32,
+        seed: u64,
+        mut solve_mu: impl FnMut(f64, f64) -> f64,
     ) -> VulnModel {
         // Shifted log-normal t = min · (1 + LN(mu, sigma)):
         //   E[t] = min · (1 + exp(mu + sigma²/2))  ⇒  closed-form mu.
@@ -181,14 +203,14 @@ impl VulnModel {
             let bulk_target = ((ratio - deep_contrib) / (1.0 - p_deep)).clamp(0.02, 0.99);
             SimraCal {
                 p_deep,
-                mu_bulk: solve_mu_for_inverse_mean(bulk_target, calib::SIGMA_SIMRA_BULK),
+                mu_bulk: solve_mu(bulk_target, calib::SIGMA_SIMRA_BULK),
                 min: anchor.min,
             }
         });
         // CoMRA susceptibility r = 1 + LN(mu_c, sigma_c), calibrated so
         // E[1/r] equals the family's average HC_first ratio.
         let ratio = (profile.comra.avg / profile.rowhammer.avg).clamp(1e-6, 0.999_999);
-        let mu_comra = solve_mu_for_inverse_mean(ratio, calib::SIGMA_COMRA_FACTOR);
+        let mu_comra = solve_mu(ratio, calib::SIGMA_COMRA_FACTOR);
         // The family's designated most-vulnerable ("hero") row pins the
         // fleet minimum to the Table 2 anchors: middle of subarray 1, bank
         // 0, chip 0. The odd physical offset keeps the row *sandwichable*
@@ -286,6 +308,7 @@ impl VulnModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::{bisect_mu, solve_mu_reference};
     use pud_dram::profiles::TESTED_MODULES;
 
     fn model(idx: usize) -> VulnModel {
@@ -299,6 +322,65 @@ mod tests {
 
     fn sample_rows(m: &VulnModel, n: u32) -> Vec<RowVuln> {
         (0..n).map(|r| m.row_vuln(BankId(0), RowAddr(r))).collect()
+    }
+
+    /// Bitwise equality of two samples (`==` would let -0.0 pass as 0.0).
+    fn same_bits(a: &RowVuln, b: &RowVuln) -> bool {
+        a.key == b.key
+            && a.t_rh.to_bits() == b.t_rh.to_bits()
+            && a.t_simra.to_bits() == b.t_simra.to_bits()
+            && a.comra_factor.to_bits() == b.comra_factor.to_bits()
+            && a.beta.to_bits() == b.beta.to_bits()
+            && a.is_hero == b.is_hero
+    }
+
+    #[test]
+    fn every_family_calibration_matches_the_reference_solve() {
+        for p in &TESTED_MODULES {
+            let mut inputs = Vec::new();
+            VulnModel::with_solver(p, ChipGeometry::scaled_for_tests(), 0, 42, |t, s| {
+                inputs.push((t, s));
+                0.0
+            });
+            let expected = if p.simra.is_some() { 2 } else { 1 };
+            assert_eq!(inputs.len(), expected, "{}", p.module_id);
+            for (target, sigma) in inputs {
+                assert_eq!(
+                    bisect_mu(target, sigma).to_bits(),
+                    solve_mu_reference(target, sigma).to_bits(),
+                    "{} target {target} sigma {sigma}",
+                    p.module_id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_memo_models_sample_like_reference_calibrated_ones() {
+        let geometry = ChipGeometry::scaled_for_tests();
+        for p in &TESTED_MODULES {
+            for chip in [0, 1] {
+                let reference = VulnModel::with_solver(p, geometry, chip, 42, solve_mu_reference);
+                // The first build may be the family's cold solve; the
+                // second is answered from the memo.
+                let _ = VulnModel::new(p, geometry, chip, 42);
+                let warm = VulnModel::new(p, geometry, chip, 42);
+                assert_eq!(warm.mu_comra.to_bits(), reference.mu_comra.to_bits());
+                assert_eq!(
+                    warm.simra_cal.map(|c| c.mu_bulk.to_bits()),
+                    reference.simra_cal.map(|c| c.mu_bulk.to_bits())
+                );
+                for bank in [BankId(0), BankId(1)] {
+                    for row in 0..256 {
+                        let (a, b) = (
+                            warm.row_vuln(bank, RowAddr(row)),
+                            reference.row_vuln(bank, RowAddr(row)),
+                        );
+                        assert!(same_bits(&a, &b), "{} chip {chip} row {row}", p.module_id);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

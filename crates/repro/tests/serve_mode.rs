@@ -14,6 +14,7 @@ use std::time::Duration;
 const KEY_A: &str = "family=SK Hynix-A-4Gb;chip=0;pattern=rh-ds";
 const KEY_B: &str = "family=Micron-B-4Gb;chip=1;pattern=comra-ds";
 const KEY_C: &str = "family=SK Hynix-A-4Gb;chip=0;pattern=simra-4;dp=wcdp";
+const KEY_FAULTED: &str = "family=Samsung-C-16Gb;chip=0;pattern=rh-ds";
 
 fn repro() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
@@ -189,8 +190,12 @@ fn exhausted_sim_budget_degrades_misses_while_cache_hits_keep_answering() {
 #[test]
 fn a_one_millisecond_deadline_expires_with_a_typed_verdict() {
     let store = temp_store("deadline");
-    let (server, addr) = start_server(&store, &[]);
-    let out = query(&addr, KEY_C, &["--deadline-ms", "1"]);
+    // Under fault seed 103 this key's first attempt hits a transient fault
+    // (the query golden shows it retried twice). The retry backs off for at
+    // least 2 ms, so the retry's admission finds the 1 ms deadline passed
+    // however fast the computation itself is.
+    let (server, addr) = start_server(&store, &["--fault-seed", "103"]);
+    let out = query(&addr, KEY_FAULTED, &["--deadline-ms", "1"]);
     assert_eq!(out.status.code(), Some(20), "Expired exit code");
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("status=expired"),
