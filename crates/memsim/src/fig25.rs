@@ -69,6 +69,10 @@ pub struct Fig25Config {
     pub instr_budget: u64,
     /// Simulation seed.
     pub seed: u64,
+    /// Worker threads (0 = auto: `PUD_THREADS` env or available
+    /// parallelism, capped at the unit count). Output is bitwise identical
+    /// at any value.
+    pub threads: usize,
 }
 
 impl Fig25Config {
@@ -78,6 +82,7 @@ impl Fig25Config {
             mixes: 3,
             instr_budget: 120_000,
             seed: 0xF1625,
+            threads: 0,
         }
     }
 
@@ -87,47 +92,67 @@ impl Fig25Config {
             mixes: 60,
             instr_budget: 1_000_000,
             seed: 0xF1625,
+            threads: 0,
         }
     }
 }
 
 /// Runs the Fig. 25 sweep.
+///
+/// Each (period, mix) pair is one unit holding its baseline, naive and
+/// weighted simulations. Units run in parallel on
+/// [`pud_observe::par::sweep_items`], and every point is bitwise identical
+/// at any thread count.
 pub fn fig25(config: &Fig25Config) -> Fig25 {
     let _span = pud_observe::span("experiment.fig25");
     let cfg = SystemConfig::default();
     let timing = DramTiming::default();
     let mixes = build_mixes(config.mixes, config.seed);
-    let mut points = Vec::new();
-    for &period in &PUD_PERIODS_NS {
-        let mut naive_sum = 0.0;
-        let mut weighted_sum = 0.0;
-        for mix in &mixes {
-            // One profiler span per simulation, named by mitigation, so
-            // the profile tree splits this driver's time.
-            let run = |mitigation: Mitigation, span: &str| {
-                let _span = pud_observe::span(span);
-                run_mix(
-                    &cfg,
-                    &timing,
-                    mix,
-                    Some(period),
-                    mitigation,
-                    config.instr_budget,
-                    config.seed,
-                )
-            };
-            let base = run(Mitigation::None, "fig25.baseline_ns");
-            let naive = run(Mitigation::PracPoNaive, "fig25.prac_po_naive_ns");
-            let weighted = run(Mitigation::PracPoWeighted, "fig25.prac_po_weighted_ns");
-            naive_sum += normalized(&naive, &base);
-            weighted_sum += normalized(&weighted, &base);
-        }
-        points.push(Fig25Point {
-            period_ns: period,
-            naive: naive_sum / mixes.len() as f64,
-            weighted: weighted_sum / mixes.len() as f64,
-        });
-    }
+    let units: Vec<(u64, &Mix)> = PUD_PERIODS_NS
+        .iter()
+        .flat_map(|&period| mixes.iter().map(move |mix| (period, mix)))
+        .collect();
+    let threads = pud_observe::par::resolve_threads(config.threads, units.len());
+    let normalized_runs = pud_observe::par::sweep_items(threads, units, |_, &mut (period, mix)| {
+        // One profiler span per simulation, named by mitigation, so the
+        // profile tree splits this driver's time.
+        let run = |mitigation: Mitigation, span: &str| {
+            let _span = pud_observe::span(span);
+            run_mix(
+                &cfg,
+                &timing,
+                mix,
+                Some(period),
+                mitigation,
+                config.instr_budget,
+                config.seed,
+            )
+        };
+        let base = run(Mitigation::None, "fig25.baseline_ns");
+        let naive = run(Mitigation::PracPoNaive, "fig25.prac_po_naive_ns");
+        let weighted = run(Mitigation::PracPoWeighted, "fig25.prac_po_weighted_ns");
+        (normalized(&naive, &base), normalized(&weighted, &base))
+    });
+    // Fold period-major, in mix order within a period: the serial loop's
+    // summation order, so every point keeps its bits.
+    let n = mixes.len();
+    let points = PUD_PERIODS_NS
+        .iter()
+        .enumerate()
+        .map(|(p, &period_ns)| {
+            let mut naive_sum = 0.0;
+            let mut weighted_sum = 0.0;
+            for &(naive, weighted) in &normalized_runs[p * n..(p + 1) * n] {
+                naive_sum += naive;
+                weighted_sum += weighted;
+            }
+            Fig25Point {
+                period_ns,
+                naive: naive_sum / n as f64,
+                weighted: weighted_sum / n as f64,
+            }
+        })
+        .collect();
     Fig25 {
         points,
         mixes: config.mixes,
@@ -198,6 +223,73 @@ impl fmt::Display for Fig25 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A plain serial loop over periods and mixes: the oracle the
+    /// parallel units and their fold must match bit for bit.
+    fn fig25_reference(config: &Fig25Config) -> Fig25 {
+        let cfg = SystemConfig::default();
+        let timing = DramTiming::default();
+        let mixes = build_mixes(config.mixes, config.seed);
+        let mut points = Vec::new();
+        for &period in &PUD_PERIODS_NS {
+            let mut naive_sum = 0.0;
+            let mut weighted_sum = 0.0;
+            for mix in &mixes {
+                let run = |mitigation| {
+                    run_mix(
+                        &cfg,
+                        &timing,
+                        mix,
+                        Some(period),
+                        mitigation,
+                        config.instr_budget,
+                        config.seed,
+                    )
+                };
+                let base = run(Mitigation::None);
+                naive_sum += normalized(&run(Mitigation::PracPoNaive), &base);
+                weighted_sum += normalized(&run(Mitigation::PracPoWeighted), &base);
+            }
+            points.push(Fig25Point {
+                period_ns: period,
+                naive: naive_sum / mixes.len() as f64,
+                weighted: weighted_sum / mixes.len() as f64,
+            });
+        }
+        Fig25 {
+            points,
+            mixes: config.mixes,
+        }
+    }
+
+    fn bits(r: &Fig25) -> Vec<(u64, u64, u64)> {
+        r.points
+            .iter()
+            .map(|p| (p.period_ns, p.naive.to_bits(), p.weighted.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn parallel_units_match_the_serial_reference_bit_for_bit() {
+        let small = Fig25Config {
+            mixes: 2,
+            instr_budget: 15_000,
+            ..Fig25Config::quick()
+        };
+        for config in [Fig25Config::quick(), small] {
+            let want = fig25_reference(&config);
+            for threads in [1, 2, 4] {
+                let got = fig25(&Fig25Config { threads, ..config });
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} mixes at threads={threads}",
+                    config.mixes
+                );
+                assert_eq!(got.mixes, want.mixes);
+            }
+        }
+    }
 
     #[test]
     fn fig25_shape_matches_the_paper() {

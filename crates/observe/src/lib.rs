@@ -11,6 +11,8 @@
 //! - [`shard`] — per-thread registry shards ([`ShardGuard`]) so parallel
 //!   sweep workers record without contending, drained into the global
 //!   registry at sweep barriers.
+//! - [`par`] — the work-stealing parallel map every sweep runs on, with
+//!   its worker-count resolution (`PUD_THREADS`).
 //! - [`trace`] — a [`TraceSink`] trait plus ring-buffer / JSON-lines writer
 //!   sinks for structured command-stream events ([`TraceEvent`]), and
 //!   [`merge_ordered`] for folding per-worker buffers back together.
@@ -37,6 +39,7 @@ pub mod export;
 pub mod json;
 pub mod live;
 pub mod metrics;
+pub mod par;
 pub mod profile;
 pub mod shard;
 pub mod span;

@@ -24,6 +24,11 @@ static UNITS_DONE: AtomicU64 = AtomicU64::new(0);
 static WORKERS_UP: AtomicU64 = AtomicU64::new(0);
 static WORKERS_TOTAL: AtomicU64 = AtomicU64::new(0);
 
+/// Serializes this crate's tests that move the live counters: they are
+/// process-global, and some tests assert their exact values.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Whether live telemetry is being collected (a single relaxed load — the
 /// cost every hot path pays when telemetry is off).
 #[inline]
@@ -171,14 +176,10 @@ pub fn live_snapshot() -> LiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Counters are process-global; tests serialize on this.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn counters_only_move_while_enabled() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         disable();
         reset();
         add_commands(10);
@@ -205,7 +206,7 @@ mod tests {
 
     #[test]
     fn overwrite_sets_absolute_values_and_spares_worker_gauges() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         enable();
         add_commands(5);

@@ -3,9 +3,11 @@
 //! Every [`ChipUnderTest`] owns an independent [`Executor`] with no shared
 //! mutable state, so a fleet sweep is embarrassingly parallel across chips
 //! — the same shape as a DRAM Bender campaign spread over boards. The
-//! engine here is zero-dependency: `std::thread::scope` workers pull chip
-//! indices from a shared atomic queue (no channels), run a caller-supplied
-//! closure per chip, and results are reassembled in chip order.
+//! engine is [`pud_observe::par::sweep_items`] (re-exported here):
+//! `std::thread::scope` workers pull chip indices from a shared atomic
+//! queue (no channels), run a caller-supplied closure per chip, and results
+//! are reassembled in chip order. This module adds what chips need on top:
+//! trace rings, metric rebinding, retry and quarantine.
 //!
 //! Determinism is the load-bearing guarantee. Three mechanisms make the
 //! output byte-identical to the serial path at any thread count:
@@ -28,13 +30,12 @@
 //! [`Executor`]: pud_bender::Executor
 
 use std::cell::Cell;
-use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once};
 
 use pud_bender::ExecError;
-use pud_observe::{merge_ordered, RingBufferSink, ShardGuard, SharedSink, TraceEvent};
+pub use pud_observe::par::{resolve_threads, sweep_items, THREADS_ENV};
+use pud_observe::{merge_ordered, RingBufferSink, SharedSink, TraceEvent};
 
 use super::supervisor::{self, CancelReason, Cancelled};
 use super::ChipUnderTest;
@@ -43,44 +44,6 @@ use super::ChipUnderTest;
 /// loops elide per-command events, so even a full table2 run stays well
 /// under this; overflow is reported via [`SweepTraces::dropped`].
 pub(crate) const TRACE_RING_CAPACITY: usize = 1 << 20;
-
-/// Environment variable overriding the auto-detected sweep thread count.
-pub const THREADS_ENV: &str = "PUD_THREADS";
-
-fn default_threads() -> usize {
-    // The env var is re-read on every call: tests and drivers may set
-    // `PUD_THREADS` after the first sweep and must not get a stale cached
-    // value. Only the machine's parallelism (a syscall, never changing) is
-    // cached.
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    static AVAILABLE: OnceLock<usize> = OnceLock::new();
-    *AVAILABLE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Resolves an effective worker count for a sweep over `items` items.
-///
-/// `requested == 0` means "auto": the `PUD_THREADS` environment variable if
-/// set to a positive integer, the machine's available parallelism
-/// otherwise. The result is clamped to `[1, items]` — more workers than
-/// chips would only idle.
-pub fn resolve_threads(requested: usize, items: usize) -> usize {
-    let want = if requested > 0 {
-        requested
-    } else {
-        default_threads()
-    };
-    want.clamp(1, items.max(1))
-}
 
 /// Trace state captured by [`sweep_traced`]: the per-chip event sequences
 /// and the sink they are destined for.
@@ -110,76 +73,6 @@ impl SweepTraces {
     pub fn merge(&self) {
         merge_ordered(&self.per_chip, &self.sink);
     }
-}
-
-/// Work-stealing map over arbitrary owned items.
-///
-/// Runs `f(index, &mut item)` for every item using `threads` scoped
-/// workers pulling indices from a shared atomic queue, and returns the
-/// results in item order. `threads <= 1` (or a single item) runs inline on
-/// the calling thread with no worker machinery. Parallel workers record
-/// metrics into per-thread shards that drain into the global registry
-/// before the call returns.
-///
-/// This is the raw engine; [`sweep`] adds the per-chip trace handling
-/// experiments need.
-pub fn sweep_items<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    pud_observe::live::add_items_total(n as u64);
-    if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut item)| {
-                let r = f(i, &mut item);
-                pud_observe::live::item_done();
-                r
-            })
-            .collect();
-    }
-    let slots: Vec<Mutex<T>> = items.into_iter().map(Mutex::new).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    // Capture the caller's span path so worker-side spans nest under it:
-    // the profiler's call tree then has the same shape at any thread count
-    // (see `pud_observe::profile`).
-    let anchor = pud_observe::profile::fork_anchor();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| {
-                let _anchored = anchor.install();
-                let _shard = ShardGuard::install();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // fetch_add hands out each index exactly once, so the
-                    // slot lock is uncontended — it exists to move `&mut T`
-                    // across the thread boundary without unsafe code.
-                    let mut item = slots[i].lock().expect("sweep item slot poisoned");
-                    let r = f(i, &mut item);
-                    *results[i].lock().expect("sweep result slot poisoned") = Some(r);
-                    pud_observe::live::item_done();
-                }
-                // `_shard` drops here, draining this worker's metrics into
-                // the global registry — the sweep-barrier flush point.
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("sweep result slot poisoned")
-                .expect("every index claimed exactly once")
-        })
-        .collect()
 }
 
 /// Parallel sweep over fleet chips with deterministic trace merging.
@@ -755,25 +648,6 @@ mod tests {
     use crate::fleet::{Fleet, FleetConfig};
 
     #[test]
-    fn resolve_clamps_to_fleet_size() {
-        assert_eq!(resolve_threads(8, 3), 3);
-        assert_eq!(resolve_threads(2, 14), 2);
-        assert_eq!(resolve_threads(1, 0), 1);
-        assert!(resolve_threads(0, 14) >= 1);
-    }
-
-    #[test]
-    fn sweep_items_preserves_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..37).collect();
-        let serial = sweep_items(1, items.clone(), |i, v| *v * 2 + i as u64);
-        for threads in [2, 4, 16] {
-            let parallel = sweep_items(threads, items.clone(), |i, v| *v * 2 + i as u64);
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
-        assert_eq!(serial[5], 15);
-    }
-
-    #[test]
     fn sweep_runs_every_chip_once_in_order() {
         let mut fleet = Fleet::build(FleetConfig::quick());
         let keys = sweep(4, &mut fleet.chips, |i, chip| {
@@ -837,20 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_env_is_reread_after_first_resolution() {
-        // Regression: `default_threads` used to cache the env var in a
-        // OnceLock, so a later `PUD_THREADS` change was silently ignored.
-        // Positive values only: the concurrent `resolve_clamps_to_fleet_size`
-        // test merely asserts `resolve_threads(0, _) >= 1`.
-        std::env::set_var(THREADS_ENV, "3");
-        assert_eq!(resolve_threads(0, 100), 3);
-        std::env::set_var(THREADS_ENV, "7");
-        assert_eq!(resolve_threads(0, 100), 7, "env change must be visible");
-        std::env::remove_var(THREADS_ENV);
-        assert!(resolve_threads(0, 100) >= 1);
-    }
-
-    #[test]
     fn capped_backoff_doubles_to_its_cap_without_overflow() {
         assert_eq!(capped_backoff_ms(2, 50, 0), 2, "base at n=0");
         assert_eq!(capped_backoff_ms(2, 50, 1), 4);
@@ -880,7 +740,7 @@ mod tests {
 
     #[test]
     fn transient_errors_retry_then_succeed() {
-        use std::sync::atomic::AtomicU32;
+        use std::sync::atomic::{AtomicU32, Ordering};
         let failures: Vec<AtomicU32> = (0..8).map(|_| AtomicU32::new(0)).collect();
         let labels = (0..8).map(|i| format!("item#{i}")).collect();
         let (outcomes, report) = sweep_items_isolated(

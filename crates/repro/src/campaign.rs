@@ -23,8 +23,9 @@ pub enum Target {
     /// Measures per-chip units through the fleet sweep: it can resume
     /// from a checkpoint and be split across shard workers.
     Units(&'static str, fn(&Scale, Option<&CheckpointStore>) -> String),
-    /// One run with no per-chip units, at paper density when `true`.
-    Whole(&'static str, fn(bool) -> String),
+    /// One run with no per-chip units, at paper density when `true`; it
+    /// takes the scale's worker count.
+    Whole(&'static str, fn(&Scale, bool) -> String),
 }
 
 /// Every target, in `repro all` order.
@@ -52,12 +53,13 @@ pub static TARGETS: [Target; 21] = {
         Units("fig22", |s, c| combined::fig22_ckpt(s, c).to_string()),
         Units("fig23", |s, c| combined::fig23_ckpt(s, c).to_string()),
         Units("fig24", |s, c| trr_eval::fig24_ckpt(s, c).to_string()),
-        Whole("fig25", |full| {
-            let cfg = if full {
+        Whole("fig25", |s, full| {
+            let mut cfg = if full {
                 pud_memsim::Fig25Config::full()
             } else {
                 pud_memsim::Fig25Config::quick()
             };
+            cfg.threads = s.threads;
             pud_memsim::fig25::fig25(&cfg).to_string()
         }),
     ]
@@ -77,7 +79,7 @@ impl Target {
     pub fn render(&self, scale: &Scale, full: bool, ckpt: Option<&CheckpointStore>) -> String {
         match self {
             Target::Units(_, f) => f(scale, ckpt),
-            Target::Whole(_, f) => f(full),
+            Target::Whole(_, f) => f(scale, full),
         }
     }
 }
