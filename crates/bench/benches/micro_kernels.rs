@@ -1,24 +1,47 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
 //! hammer path, the HC_first bisection and its closed-form check, the
-//! executor's batched hammer loops and its construction, the victim data
-//! summary, SiMRA charge sharing, and one memory-system simulation slice.
+//! executor's batched hammer loops and its construction, one Fig. 24 TRR
+//! evasion run, the victim data summary, SiMRA charge sharing, and one
+//! memory-system simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
 //! per-iteration timings also land in the `bench.*` histograms of the
 //! global `pud-observe` registry, dumped at the end.
 
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use pud_bench::run_micro;
-use pud_bender::{ops, Executor};
+use pud_bender::{ops, Executor, TestEnv};
 use pud_disturb::{AggressionKind, DataSummary, DisturbEngine, HammerEvent};
-use pud_dram::{profiles::TESTED_MODULES, BankId, ChipGeometry, DataPattern, RowAddr, RowData};
+use pud_dram::{
+    profiles::{self, TESTED_MODULES},
+    BankId, ChipGeometry, DataPattern, RowAddr, RowData,
+};
+use pud_trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
 use pudhammer::fleet::{sweep, ChipUnderTest, Fleet, FleetConfig};
 use pudhammer::hcfirst::{measure_hc_first, HcSearch, Trial, WarmStart};
 use pudhammer::patterns::rowhammer_ds_for;
 use pudhammer::wcdp::find_wcdp;
 
 const SAMPLES: u64 = 10;
+
+/// Shortest sample the timing gate accepts: a ~3 µs replay timed once per
+/// sample let timer granularity and scheduler noise swing its ratio from
+/// 13x to 23x between runs.
+const MIN_SAMPLE: Duration = Duration::from_micros(300);
+
+/// Inner iterations that make one sample of `f` last at least
+/// [`MIN_SAMPLE`], counted by running `f` for that long.
+fn inner_for<T>(mut f: impl FnMut() -> T) -> u64 {
+    let start = Instant::now();
+    let mut n = 0;
+    while start.elapsed() < MIN_SAMPLE {
+        black_box(f());
+        n += 1;
+    }
+    n
+}
 
 fn bench_engine_hammer() {
     let profile = &TESTED_MODULES[1];
@@ -49,14 +72,23 @@ fn bench_executor_loop() {
     // Same program through the compiled replay and through the interpreter
     // oracle. Their outputs are bit-identical (see
     // `tests/compiled_equivalence.rs`); only the speed may differ.
-    let compiled = run_micro("executor_ds_rowhammer_10k", SAMPLES, 1, || {
+    let mut compiled_run = || {
         exec.quiesce();
         black_box(exec.run(black_box(&program)))
-    });
-    let interp = run_micro("executor_ds_rowhammer_10k_interp", SAMPLES, 1, || {
+    };
+    let inner = inner_for(&mut compiled_run);
+    let compiled = run_micro("executor_ds_rowhammer_10k", SAMPLES, inner, compiled_run);
+    let mut interp_run = || {
         exec.quiesce();
         black_box(exec.interpret(black_box(&program)).expect("valid program"))
-    });
+    };
+    let inner = inner_for(&mut interp_run);
+    let interp = run_micro(
+        "executor_ds_rowhammer_10k_interp",
+        SAMPLES,
+        inner,
+        interp_run,
+    );
     let speedup = interp / compiled;
     println!("[executor_compiled] compiled replay speedup: {speedup:.1}x over interpreter");
     // CI sets PUD_BENCH_MIN_SPEEDUP to fail the job on a fast-path
@@ -83,6 +115,37 @@ fn bench_executor_new() {
     run_micro("executor_new", SAMPLES, 100, || {
         chip = (chip + 1) % 16;
         black_box(Executor::new(profile, geometry, black_box(chip), 42))
+    });
+}
+
+/// One Fig. 24 run at quick scale: the 8-sided RowHammer evasion pattern
+/// (200K hammers per aggressor) under the sampling TRR with refresh on,
+/// compile included (informational).
+fn bench_fig24_rh8_trr_run() {
+    let profile = profiles::most_simra_vulnerable();
+    let geometry = ChipGeometry::scaled_for_tests();
+    let bank = BankId(0);
+    let probe = Executor::new(profile, geometry, 0, 42);
+    let (_, hero) = probe
+        .engine()
+        .model()
+        .hero_row()
+        .expect("chip 0 has the hero row");
+    let aggressors: Vec<RowAddr> = (0..4)
+        .flat_map(|i| [RowAddr(hero.0 - (2 * i + 1)), RowAddr(hero.0 + (2 * i + 1))])
+        .map(|a| probe.chip().to_logical(a))
+        .collect();
+    let dummy = probe.chip().to_logical(RowAddr(5));
+    run_micro("fig24_rh8_trr_run", SAMPLES, 1, || {
+        let mut exec = Executor::new(profile, geometry, 0, 42);
+        exec.set_env(TestEnv::with_refresh());
+        exec.set_observer(Box::new(SamplingTrr::new(
+            SamplingTrrConfig::default(),
+            profile.mapping(),
+            0xC0FFEE,
+        )));
+        let program = trr_patterns::rowhammer_evasion(bank, &aggressors, dummy, 200_000);
+        black_box(exec.run(&program))
     });
 }
 
@@ -232,6 +295,7 @@ fn main() {
     bench_engine_hammer();
     bench_executor_loop();
     bench_executor_new();
+    bench_fig24_rh8_trr_run();
     bench_hc_first_search();
     bench_fleet_sweep_serial_vs_parallel();
     bench_data_summary();

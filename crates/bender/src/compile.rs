@@ -12,7 +12,7 @@
 //! same metrics and work counters, the same warm-up-then-bulk-replay loop
 //! batching; the speed comes from the pre-resolved addresses and from the
 //! executor pairing replay with the `pud-disturb` batching caches
-//! ([`pud_disturb::BatchState`]). The interpreter survives only as the
+//! ([`pud_disturb::batch`]). The interpreter survives only as the
 //! test oracle ([`crate::Executor::interpret`]).
 
 use pud_dram::{BankId, Chip, DataPattern, Picos, RowAddr};

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use pud_disturb::{
-    AggressionKind, BatchState, BatchStats, Bitflip, DataSummary, DisturbEngine, FlipClass,
-    HammerEvent, VictimForecast,
+    AggressionKind, BatchStats, Bitflip, DataSummary, DisturbEngine, FlipClass, HammerEvent,
+    VictimForecast,
 };
 use pud_dram::{BankId, Chip, ChipGeometry, DataPattern, ModuleProfile, Picos, RowAddr, RowData};
 use pud_observe::{Counter, SharedSink, TraceEvent, TraceKind};
@@ -224,7 +224,9 @@ pub struct Executor {
     refresh_acc: f64,
     refresh_ptr: u32,
     refs_seen: u64,
-    recording: Option<Vec<HammerEvent>>,
+    /// Events of the iteration being recorded, each with the weight the
+    /// engine resolved for it.
+    recording: Option<Vec<(HammerEvent, f64)>>,
     watch: Option<Watch>,
     report: RunReport,
     metrics: ExecMetrics,
@@ -233,13 +235,10 @@ pub struct Executor {
     cancel_countdown: u32,
     /// True while a compiled replay is in flight: `apply_event` then
     /// routes through the engine's batching caches (the interpreter
-    /// oracle leaves it off and uses the uncached engine).
+    /// oracle leaves it off and uses the uncached engine). The caches
+    /// persist across runs — every entry is either immutable or
+    /// invalidated on data writes.
     batched: bool,
-    /// Pure-function caches for compiled replay (vulnerability samples,
-    /// factor-curve products, victim data summaries). Persists across
-    /// runs — every entry is either immutable or invalidated on data
-    /// writes.
-    batch: BatchState,
     /// Reusable flip buffer: keeps `apply_event` allocation-free.
     flip_scratch: Vec<Bitflip>,
 }
@@ -294,14 +293,13 @@ impl Executor {
             fault: None,
             cancel_countdown: CANCEL_CHECK_INTERVAL,
             batched: false,
-            batch: BatchState::new(),
             flip_scratch: Vec::new(),
         }
     }
 
     /// Cache statistics of the compiled replay's batching state.
     pub fn batch_stats(&self) -> BatchStats {
-        self.batch.stats()
+        self.engine.batch_stats()
     }
 
     /// Installs a resolved fault schedule (see [`crate::fault`]), replacing
@@ -404,7 +402,7 @@ impl Executor {
         }
         if forced > 0 {
             pud_observe::counter("faults.injected.stuck_bits").add(forced);
-            self.batch.invalidate_row(bank, phys);
+            self.engine.invalidate_summary(bank, phys);
         }
     }
 
@@ -514,7 +512,6 @@ impl Executor {
             .expect("valid bank")
             .fill_row(phys, pattern);
         self.engine.rewrite(bank, phys);
-        self.batch.invalidate_row(bank, phys);
         self.apply_stuck(bank, phys);
     }
 
@@ -606,6 +603,7 @@ impl Executor {
             let mut forecast = at.forecast?;
             let tail: Vec<&HammerEvent> = tail
                 .iter()
+                .map(|(e, _)| e)
                 .filter(|e| e.bank == bank && e.victim == victim)
                 .collect();
             if !tail.is_empty() && tail_source.is_some_and(|s| at.steady_victims.contains(&s)) {
@@ -857,9 +855,9 @@ impl Executor {
                 .filter(|_| !flipped)
                 .and_then(|d| self.engine.forecast(bank, victim, d))
                 .map(|mut forecast| {
-                    for ev in recorded
+                    for (ev, _) in recorded
                         .iter()
-                        .filter(|e| e.bank == bank && e.victim == victim)
+                        .filter(|(e, _)| e.bank == bank && e.victim == victim)
                     {
                         self.engine.forecast_steady(&mut forecast, ev);
                     }
@@ -867,14 +865,14 @@ impl Executor {
                 });
             watch.at_bulk = Some(AtBulk {
                 forecast,
-                steady_victims: recorded.iter().map(|e| (e.bank, e.victim)).collect(),
+                steady_victims: recorded.iter().map(|(e, _)| (e.bank, e.victim)).collect(),
             });
         }
         let remaining = count - 2;
-        for ev in &recorded {
+        for (ev, w) in &recorded {
             let mut bulk = *ev;
             bulk.repeat = ev.repeat.saturating_mul(remaining);
-            self.apply_event(&bulk);
+            self.apply_event_with(&bulk, Some(*w));
         }
         self.clock = self
             .clock
@@ -893,7 +891,7 @@ impl Executor {
             acts: body_acts * remaining,
         });
         let now = self.clock;
-        for ev in &recorded {
+        for (ev, _) in &recorded {
             if let Some(h) = self.hist.get_mut(&(ev.bank.0, ev.victim.0)) {
                 h.last_end = now;
             }
@@ -972,9 +970,12 @@ impl Executor {
             // Implicit close of a still-open episode.
             self.do_pre(bank);
         }
+        // The bank's open-row buffer (empty after the close above) is
+        // reused, so an activation allocates nothing.
+        let mut open_rows = std::mem::take(&mut self.banks[bank.0 as usize].open);
+        open_rows.push(phys);
         let st = &self.banks[bank.0 as usize];
         let mut episode = Episode::Single { row: phys };
-        let mut open_rows = vec![phys];
         let mut consumed_pending = false;
         if let (Some(pre_t), Some((prev_phys, prev_logical, prev_on))) = (st.last_pre, st.closed) {
             let gap = now - pre_t;
@@ -1130,7 +1131,6 @@ impl Executor {
                 .expect("valid bank")
                 .fill_row(r, pattern);
             self.engine.rewrite(bank, r);
-            self.batch.invalidate_row(bank, r);
             self.apply_stuck(bank, r);
         }
     }
@@ -1183,7 +1183,7 @@ impl Executor {
             .expect("valid bank")
             .write_row(dst, data)
             .expect("copy within geometry");
-        self.batch.invalidate_row(bank, dst);
+        self.engine.invalidate_summary(bank, dst);
         self.apply_stuck(bank, dst);
     }
 
@@ -1205,13 +1205,18 @@ impl Executor {
             .filter_map(|r| bank_rows.and_then(|b| b.row(r)))
             .collect();
         let result = RowData::majority_with_zeros(cols, &present, voters - present.len());
+        // A repeated operation on a settled group deposits what every
+        // member already holds: skip the rewrite (and keep the summaries).
+        let settled = bank_rows.is_some_and(|b| members.iter().all(|&r| b.row(r) == Some(&result)));
         for &r in members {
-            self.chip
-                .bank_mut(bank)
-                .expect("valid bank")
-                .write_row(r, result.clone())
-                .expect("group within geometry");
-            self.batch.invalidate_row(bank, r);
+            if !settled {
+                self.chip
+                    .bank_mut(bank)
+                    .expect("valid bank")
+                    .write_row(r, result.clone())
+                    .expect("group within geometry");
+                self.engine.invalidate_summary(bank, r);
+            }
             self.apply_stuck(bank, r);
         }
     }
@@ -1226,7 +1231,7 @@ impl Executor {
             // interpreter oracle scans one bit at a time, the reference
             // the replay's word-parallel scan matches.
             Some(r) if self.batched => self
-                .batch
+                .engine
                 .summary_or_else(bank, row, || DataSummary::from_row(r)),
             Some(r) => DataSummary::from_row_per_bit(r),
             None => DataSummary {
@@ -1439,23 +1444,30 @@ impl Executor {
     }
 
     fn apply_event(&mut self, ev: &HammerEvent) {
-        if let Some(rec) = self.recording.as_mut() {
-            rec.push(*ev);
-        }
+        self.apply_event_with(ev, None);
+    }
+
+    /// Applies `ev` to the engine. A compiled replay applies a bulk event
+    /// with the weight its recorded iteration resolved (`resolved`); the
+    /// interpreter oracle recomputes every weight.
+    fn apply_event_with(&mut self, ev: &HammerEvent, resolved: Option<f64>) {
         let default_fill = DataPattern::ZEROS;
         let bank = self.chip.bank_mut(ev.bank).expect("event banks are valid");
         let victim_data = bank.row_mut_or(ev.victim, default_fill);
         self.flip_scratch.clear();
-        if self.batched {
-            self.engine
-                .hammer_batched(ev, victim_data, &mut self.batch, &mut self.flip_scratch);
-        } else {
-            self.engine.hammer(ev, victim_data, &mut self.flip_scratch);
-            // Uncached oracle, but the summary cache may hold this row from
-            // an earlier compiled run: drop it if this event flipped bits.
-            if !self.flip_scratch.is_empty() {
-                self.batch.invalidate_row(ev.bank, ev.victim);
+        let w = match (self.batched, resolved) {
+            (true, Some(w)) => {
+                self.engine
+                    .hammer_resolved(ev, w, victim_data, &mut self.flip_scratch);
+                w
             }
+            (true, None) => self
+                .engine
+                .hammer_batched(ev, victim_data, &mut self.flip_scratch),
+            (false, _) => self.engine.hammer(ev, victim_data, &mut self.flip_scratch),
+        };
+        if let Some(rec) = self.recording.as_mut() {
+            rec.push((*ev, w));
         }
         if !self.flip_scratch.is_empty() {
             self.metrics.flips.add(self.flip_scratch.len() as u64);

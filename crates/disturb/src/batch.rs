@@ -11,37 +11,44 @@
 //! combinations millions of times — can compute each once and serve every
 //! later event from a cache without changing a single output bit.
 //!
-//! [`BatchState`] holds two maps. The weight map is keyed by everything
-//! the factor-curve product reads. The victim map holds one entry per
-//! row: its vulnerability sample, its data summary (counted a word at a
-//! time) and, per flip class, its eligibility. A batched hammer event
-//! therefore makes one probe per map, and the engine's evaluation works
-//! on the victim entry that probe found.
+//! The per-row values live in the engine's one record per row (see
+//! [`crate::DisturbEngine`]), beside the row's disturbance state and flip
+//! history, so a batched hammer event makes one map probe. The weight —
+//! the factor-curve product — depends on the victim and on the event's
+//! *shape*: everything else [`crate::DisturbEngine::event_weight`] reads
+//! (kind with its timings, on-time, temperature, aggressor data bits,
+//! distance). This module holds what the records share:
 //!
-//! The state belongs to the *caller* (the executor's compiled replay), not
-//! to the engine: the uncached [`crate::DisturbEngine::hammer`] stays the
-//! reference the executor's interpreter oracle runs on, per-bit summary
-//! scan included, so differential tests and compiled-vs-interpreted
-//! speedup numbers compare against code without the optimisation.
-//! Correctness still never depends on the caches — every value is a pure
-//! function of its key, and the data summary (the only value whose input
-//! can mutate) is invalidated by the engine itself when it materializes
-//! flips and by the executor at every other row-data write.
+//! - [`ShapeTable`] interns shapes to dense `u32` ids. A small
+//!   direct-mapped memo in front of its map answers the repeating shapes
+//!   of a replayed loop with one comparison instead of a hash.
+//! - [`WeightSlots`], the inline weight cache of one record, maps shape
+//!   ids to weights. Ids are assigned once per distinct shape and never
+//!   reused, so a slot whose id matches holds exactly the weight of this
+//!   victim under this shape: the cache is exact, not a hash fingerprint.
+//! - The backing weight map, keyed by `(bank, row, shape id)`, catches
+//!   the shapes a record's few slots evicted.
+//!
+//! The uncached [`crate::DisturbEngine::hammer`] stays the reference the
+//! executor's interpreter oracle runs on, per-bit summary scan included,
+//! so differential tests and compiled-vs-interpreted speedup numbers
+//! compare against code without the optimisation. Correctness never
+//! depends on the caches — every value is a pure function of its key, and
+//! the data summary (the only value whose input can mutate) is invalidated
+//! by the engine when it materializes flips or a row is rewritten, and by
+//! the executor at every other row-data write.
 
 use pud_dram::{BankId, FastMap, Picos, RowAddr};
 
-use crate::event::{AggressionKind, DataSummary, HammerEvent};
-use crate::vuln::RowVuln;
+use crate::event::{AggressionKind, HammerEvent};
 
-/// Cache key capturing every input [`crate::DisturbEngine::event_weight`]
-/// reads: the victim identity (which pins the vulnerability sample and the
-/// spatial region), the full aggression kind (timings included), the
+/// Everything [`crate::DisturbEngine::event_weight`] reads of an event
+/// besides the victim: the full aggression kind (timings included), the
 /// aggressor on-time, the exact temperature and aggressor-data bits, and
-/// the victim distance.
+/// the victim distance. `repeat` scales the accumulation, not the
+/// per-cycle weight, so it is not part of the shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct WeightKey {
-    bank: BankId,
-    victim: RowAddr,
+pub(crate) struct WeightShape {
     kind: AggressionKind,
     t_aggon: Picos,
     temperature_bits: u64,
@@ -50,13 +57,9 @@ pub(crate) struct WeightKey {
     distance: u32,
 }
 
-impl WeightKey {
-    /// The weight-cache key of one event (everything but `repeat`, which
-    /// scales the accumulation, not the per-cycle weight).
-    pub(crate) fn of(ev: &HammerEvent) -> WeightKey {
-        WeightKey {
-            bank: ev.bank,
-            victim: ev.victim,
+impl WeightShape {
+    pub(crate) fn of(ev: &HammerEvent) -> WeightShape {
+        WeightShape {
             kind: ev.kind,
             t_aggon: ev.t_aggon,
             temperature_bits: ev.temperature.0.to_bits(),
@@ -65,17 +68,110 @@ impl WeightKey {
             distance: ev.distance,
         }
     }
+
+    /// The memo slot of this shape: kind variant and distance, the fields
+    /// that differ between the events one activation emits.
+    fn memo_slot(&self) -> usize {
+        let variant = match self.kind {
+            AggressionKind::RowHammerSingle => 0,
+            AggressionKind::RowHammerDouble => 1,
+            AggressionKind::RowHammerFarDouble => 2,
+            AggressionKind::ComraDouble { .. } => 3,
+            AggressionKind::ComraSingle { .. } => 4,
+            AggressionKind::SimraDouble { .. } => 5,
+            AggressionKind::SimraSingle { .. } => 6,
+        };
+        variant * 2 + usize::from(self.distance >= 2)
+    }
 }
 
-/// Hit/miss counts of one [`BatchState`]'s caches (observability only —
-/// the counters never influence results).
+/// Memo slots of a [`ShapeTable`]: one per kind variant and distance
+/// class.
+const MEMO_SLOTS: usize = 14;
+
+/// Interns [`WeightShape`]s to dense ids, first come first numbered.
+#[derive(Debug, Default)]
+pub(crate) struct ShapeTable {
+    ids: FastMap<WeightShape, u32>,
+    memo: [Option<(WeightShape, u32)>; MEMO_SLOTS],
+}
+
+impl ShapeTable {
+    /// The id of `ev`'s shape, assigning the next one to a new shape.
+    pub(crate) fn id_of(&mut self, ev: &HammerEvent) -> u32 {
+        let shape = WeightShape::of(ev);
+        let slot = &mut self.memo[shape.memo_slot()];
+        if let Some((s, id)) = slot {
+            if *s == shape {
+                return *id;
+            }
+        }
+        let next = self.ids.len() as u32;
+        let id = *self.ids.entry(shape).or_insert(next);
+        *slot = Some((shape, id));
+        id
+    }
+}
+
+/// Inline weight slots of one record.
+const WEIGHT_SLOTS: usize = 4;
+
+/// One record's inline weight cache: the weights of its row's most
+/// recently inserted shapes, by shape id, newest first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WeightSlots {
+    ids: [u32; WEIGHT_SLOTS],
+    weights: [f64; WEIGHT_SLOTS],
+}
+
+impl WeightSlots {
+    /// The id of an empty slot; [`ShapeTable`] never assigns it (it would
+    /// need 2^32 distinct shapes).
+    const EMPTY: u32 = u32::MAX;
+
+    pub(crate) fn get(&self, id: u32) -> Option<f64> {
+        self.ids
+            .iter()
+            .position(|&s| s == id)
+            .map(|i| self.weights[i])
+    }
+
+    /// Inserts `id` as the newest slot, evicting the oldest.
+    pub(crate) fn insert(&mut self, id: u32, w: f64) {
+        self.ids.copy_within(..WEIGHT_SLOTS - 1, 1);
+        self.weights.copy_within(..WEIGHT_SLOTS - 1, 1);
+        self.ids[0] = id;
+        self.weights[0] = w;
+    }
+}
+
+impl Default for WeightSlots {
+    fn default() -> WeightSlots {
+        WeightSlots {
+            ids: [WeightSlots::EMPTY; WEIGHT_SLOTS],
+            weights: [0.0; WEIGHT_SLOTS],
+        }
+    }
+}
+
+/// The engine-wide half of the batched path: the shape table, the backing
+/// weight map and the statistics.
+#[derive(Debug, Default)]
+pub(crate) struct SharedCaches {
+    pub(crate) shapes: ShapeTable,
+    pub(crate) weights: FastMap<(BankId, RowAddr, u32), f64>,
+    pub(crate) stats: BatchStats,
+}
+
+/// Hit/miss counts of an engine's batched-path caches (observability only
+/// — the counters never influence results).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Vulnerability-sample cache hits.
     pub vuln_hits: u64,
     /// Vulnerability-sample cache misses (fresh log-normal resamples).
     pub vuln_misses: u64,
-    /// Factor-curve product cache hits.
+    /// Factor-curve product cache hits (inline slot or backing map).
     pub weight_hits: u64,
     /// Factor-curve product cache misses (fresh curve evaluations).
     pub weight_misses: u64,
@@ -97,128 +193,10 @@ impl BatchStats {
     }
 }
 
-/// Everything the batched path caches about one row.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct VictimEntry {
-    /// The row's vulnerability sample, from its first batched hammer on
-    /// (aggressor summaries create entries without one).
-    pub(crate) vuln: Option<RowVuln>,
-    /// The summary of the row's current data; `None` after a write.
-    pub(crate) summary: Option<DataSummary>,
-    /// Per [`crate::FlipClass`] (by discriminant), the `ones_fraction`
-    /// bits of the summary the eligibility `(p, factor)` was computed for,
-    /// [`VictimEntry::NO_ELIG`] before the first. The other input,
-    /// `beta`, is the row's own and never changes.
-    pub(crate) eligs: [(u64, (f64, f64)); 2],
-}
-
-impl VictimEntry {
-    /// The key of an eligibility slot not computed yet: a NaN pattern no
-    /// ones fraction (a ratio of two counts) has. A sentinel instead of an
-    /// `Option` keeps the entry, one per touched row, 16 bytes smaller.
-    pub(crate) const NO_ELIG: u64 = u64::MAX;
-}
-
-impl Default for VictimEntry {
-    fn default() -> VictimEntry {
-        VictimEntry {
-            vuln: None,
-            summary: None,
-            eligs: [(VictimEntry::NO_ELIG, (0.0, 0.0)); 2],
-        }
-    }
-}
-
-/// One row's [`VictimEntry`] and the statistics its lookups count into,
-/// as the batched hammer path hands them down the engine's evaluation.
-pub(crate) struct VictimCache<'a> {
-    pub(crate) entry: &'a mut VictimEntry,
-    pub(crate) stats: &'a mut BatchStats,
-}
-
-impl VictimCache<'_> {
-    /// The cached summary of the row, computed through `compute` (a scan
-    /// of the row's current data) on a miss.
-    pub(crate) fn summary_or_else(&mut self, compute: impl FnOnce() -> DataSummary) -> DataSummary {
-        if let Some(s) = self.entry.summary {
-            self.stats.summary_hits += 1;
-            return s;
-        }
-        self.stats.summary_misses += 1;
-        let s = compute();
-        self.entry.summary = Some(s);
-        s
-    }
-}
-
-/// Reusable batching state for [`crate::DisturbEngine::hammer_batched`]:
-/// pure-function caches (per-row vulnerability samples, data summaries and
-/// eligibilities; factor-curve products) plus hit statistics.
-///
-/// One `BatchState` pairs with one engine (the cached values embed the
-/// engine's seed, profile, and calibration); sharing it across chips would
-/// serve one chip's samples to another. Entries survive across runs —
-/// vulnerability, weight and eligibility values are immutable facts of the
-/// chip, and summaries are invalidated whenever the underlying row data
-/// changes (see [`BatchState::invalidate_row`]).
-#[derive(Debug, Default)]
-pub struct BatchState {
-    pub(crate) victims: FastMap<(BankId, RowAddr), VictimEntry>,
-    pub(crate) weights: FastMap<WeightKey, f64>,
-    pub(crate) stats: BatchStats,
-}
-
-impl BatchState {
-    /// An empty batching state.
-    pub fn new() -> BatchState {
-        BatchState::default()
-    }
-
-    /// The cached data summary of `row`, computing and caching it through
-    /// `compute` on a miss. `compute` must scan the row's *current* data;
-    /// the entry is dropped by [`BatchState::invalidate_row`] (and by the
-    /// engine on materialized flips) whenever that data changes. Rows the
-    /// summaries of which can change without an invalidation call (e.g.
-    /// rows that do not exist yet) must not go through this cache.
-    pub fn summary_or_else(
-        &mut self,
-        bank: BankId,
-        row: RowAddr,
-        compute: impl FnOnce() -> DataSummary,
-    ) -> DataSummary {
-        VictimCache {
-            entry: self.victims.entry((bank, row)).or_default(),
-            stats: &mut self.stats,
-        }
-        .summary_or_else(compute)
-    }
-
-    /// Drops the cached data summary of one row. Must be called whenever
-    /// the row's data changes outside the engine (writes, in-DRAM copies,
-    /// charge-share deposits, fault-injected stuck bits); the engine
-    /// invalidates on its own materialized flips.
-    pub fn invalidate_row(&mut self, bank: BankId, row: RowAddr) {
-        if let Some(entry) = self.victims.get_mut(&(bank, row)) {
-            entry.summary = None;
-        }
-    }
-
-    /// Drops every cached entry (per-row entries and weights) while
-    /// keeping the allocated capacity and statistics.
-    pub fn clear(&mut self) {
-        self.victims.clear();
-        self.weights.clear();
-    }
-
-    /// Cache hit/miss statistics accumulated so far.
-    pub fn stats(&self) -> BatchStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::DataSummary;
     use pud_dram::{Celsius, DataPattern};
 
     fn event(kind: AggressionKind) -> HammerEvent {
@@ -232,53 +210,61 @@ mod tests {
     }
 
     #[test]
-    fn weight_key_ignores_repeat_only() {
+    fn shape_ignores_victim_and_repeat_only() {
         let a = event(AggressionKind::RowHammerDouble);
         let mut b = a;
         b.repeat = 9999;
-        assert_eq!(WeightKey::of(&a), WeightKey::of(&b));
+        b.victim = RowAddr(7);
+        b.bank = BankId(0);
+        assert_eq!(WeightShape::of(&a), WeightShape::of(&b));
         // Every other field participates.
         let mut c = a;
         c.temperature = Celsius(50.0);
-        assert_ne!(WeightKey::of(&a), WeightKey::of(&c));
+        assert_ne!(WeightShape::of(&a), WeightShape::of(&c));
         let mut d = a;
         d.distance = 2;
-        assert_ne!(WeightKey::of(&a), WeightKey::of(&d));
+        assert_ne!(WeightShape::of(&a), WeightShape::of(&d));
         let mut e = a;
         e.aggressor_data = DataSummary::from_pattern(DataPattern::ZEROS);
-        assert_ne!(WeightKey::of(&a), WeightKey::of(&e));
+        assert_ne!(WeightShape::of(&a), WeightShape::of(&e));
         let mut f = a;
         f.kind = AggressionKind::RowHammerSingle;
-        assert_ne!(WeightKey::of(&a), WeightKey::of(&f));
+        assert_ne!(WeightShape::of(&a), WeightShape::of(&f));
+        let mut g = a;
+        g.t_aggon = Picos::from_ns(70.0);
+        assert_ne!(WeightShape::of(&a), WeightShape::of(&g));
     }
 
     #[test]
-    fn invalidate_row_touches_only_summaries() {
-        let mut b = BatchState::new();
-        let key = (BankId(0), RowAddr(7));
-        let elig = (0.5f64.to_bits(), (0.5, 1.0));
-        b.victims.insert(
-            key,
-            VictimEntry {
-                vuln: Some(RowVuln {
-                    key: 1,
-                    t_rh: 10.0,
-                    t_simra: f64::INFINITY,
-                    comra_factor: 1.0,
-                    beta: 1.5,
-                    is_hero: false,
-                }),
-                summary: Some(DataSummary {
-                    ones_fraction: 0.5,
-                    checker_fraction: 1.0,
-                }),
-                eligs: [elig, (VictimEntry::NO_ELIG, (0.0, 0.0))],
-            },
-        );
-        b.invalidate_row(key.0, key.1);
-        assert!(b.victims[&key].summary.is_none());
-        assert!(b.victims[&key].vuln.is_some() && b.victims[&key].eligs[0] == elig);
-        b.clear();
-        assert!(b.victims.is_empty());
+    fn shape_ids_are_stable_through_memo_collisions() {
+        let mut t = ShapeTable::default();
+        let a = event(AggressionKind::RowHammerDouble);
+        let mut b = a;
+        b.temperature = Celsius(50.0);
+        // `a` and `b` share a memo slot and evict each other from it; the
+        // map keeps their ids apart.
+        let (ia, ib) = (t.id_of(&a), t.id_of(&b));
+        assert_ne!(ia, ib);
+        for _ in 0..3 {
+            assert_eq!(t.id_of(&a), ia);
+            assert_eq!(t.id_of(&b), ib);
+        }
+        assert_eq!(t.id_of(&event(AggressionKind::RowHammerSingle)), 2);
+    }
+
+    #[test]
+    fn weight_slots_serve_only_their_ids() {
+        let mut s = WeightSlots::default();
+        assert_eq!(s.get(0), None);
+        for id in 0..6u32 {
+            s.insert(id, f64::from(id) + 0.5);
+        }
+        // Oldest first out: ids 0 and 1 were evicted by 4 and 5.
+        assert_eq!(s.get(0), None);
+        assert_eq!(s.get(1), None);
+        for id in 2..6u32 {
+            assert_eq!(s.get(id), Some(f64::from(id) + 0.5));
+        }
+        assert_eq!(s.get(WeightSlots::EMPTY - 1), None);
     }
 }

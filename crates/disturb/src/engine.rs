@@ -1,9 +1,15 @@
 //! The disturbance engine: turns hammer events into accumulated disturbance
 //! and materialized bitflips.
 
-use pud_dram::{BankId, ChipGeometry, FastMap, Manufacturer, ModuleProfile, RowAddr, RowData};
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
-use crate::batch::{BatchState, VictimCache, WeightKey};
+use pud_dram::{
+    BankId, ChipGeometry, FastHasher, FastMap, Manufacturer, ModuleProfile, RowAddr, RowData,
+};
+
+use crate::batch::{BatchStats, SharedCaches, WeightSlots};
 use crate::calib;
 use crate::curve::LogLogCurve;
 use crate::event::{AggressionKind, DataSummary, FlipClass, HammerEvent};
@@ -60,6 +66,117 @@ impl RowState {
     }
 }
 
+/// Columns of one row, hashed with the simulation's hasher (no
+/// `RandomState` to seed).
+type ColSet = HashSet<u32, BuildHasherDefault<FastHasher>>;
+
+/// A per-[`FlipClass`] eligibility slot: the `ones_fraction` bits of the
+/// summary the `(p, factor)` pair was computed for.
+type EligSlot = (u64, (f64, f64));
+
+/// The key of an eligibility slot not computed yet: a NaN pattern no ones
+/// fraction (a ratio of two counts) has.
+const NO_ELIG: u64 = u64::MAX;
+
+/// Everything the engine keeps about one row, in one map entry: its
+/// disturbance state, its flip history, and the batched path's caches.
+#[derive(Debug, Clone)]
+struct RowRecord {
+    /// Accumulated disturbance; stands for zero unless `epoch` is the
+    /// engine's (see [`DisturbEngine::restore_all`]).
+    state: RowState,
+    epoch: u64,
+    /// Columns already flipped — survives charge restoration (a refresh
+    /// preserves the flipped data), cleared only when the row is
+    /// rewritten. Boxed on the first flip: most rows never flip, and a
+    /// pointer keeps their record small.
+    history: Option<Box<ColSet>>,
+    /// Batched path: the row's vulnerability sample, from its first
+    /// batched hammer on (aggressor summaries create records without one).
+    vuln: Option<RowVuln>,
+    /// Batched path: the summary of the row's current data; `None` after
+    /// a write.
+    summary: Option<DataSummary>,
+    /// Batched path: per [`FlipClass`] (by discriminant), the eligibility
+    /// of the last summary it was computed for. The other input, `beta`,
+    /// is the row's own and never changes.
+    eligs: [EligSlot; 2],
+    /// Batched path: the row's weights under recent event shapes.
+    weights: WeightSlots,
+}
+
+impl Default for RowRecord {
+    fn default() -> RowRecord {
+        RowRecord {
+            state: RowState::default(),
+            epoch: 0,
+            history: None,
+            vuln: None,
+            summary: None,
+            eligs: [(NO_ELIG, (0.0, 0.0)); 2],
+            weights: WeightSlots::default(),
+        }
+    }
+}
+
+impl RowRecord {
+    /// Cells already flipped.
+    fn flipped(&self) -> u64 {
+        self.history.as_ref().map_or(0, |h| h.len() as u64)
+    }
+
+    /// The row's state under restore epoch `epoch`.
+    fn state_at(&self, epoch: u64) -> RowState {
+        if self.epoch == epoch {
+            self.state
+        } else {
+            RowState::default()
+        }
+    }
+
+    /// The row's state under `epoch`, zeroed first if it predates it.
+    fn live_state(&mut self, epoch: u64) -> &mut RowState {
+        if self.epoch != epoch {
+            self.state = RowState::default();
+            self.epoch = epoch;
+        }
+        &mut self.state
+    }
+
+    /// The cached vulnerability sample, drawn from `model` on a miss.
+    fn vuln(&mut self, model: &VulnModel, ev: &HammerEvent, stats: &mut BatchStats) -> RowVuln {
+        match self.vuln {
+            Some(v) => {
+                stats.vuln_hits += 1;
+                v
+            }
+            None => {
+                stats.vuln_misses += 1;
+                let v = model.row_vuln(ev.bank, ev.victim);
+                self.vuln = Some(v);
+                v
+            }
+        }
+    }
+
+    /// The cached summary of the row, computed through `compute` (a scan
+    /// of the row's current data) on a miss.
+    fn summary_or_else(
+        &mut self,
+        stats: &mut BatchStats,
+        compute: impl FnOnce() -> DataSummary,
+    ) -> DataSummary {
+        if let Some(s) = self.summary {
+            stats.summary_hits += 1;
+            return s;
+        }
+        stats.summary_misses += 1;
+        let s = compute();
+        self.summary = Some(s);
+        s
+    }
+}
+
 /// One event of a [`VictimForecast`]: its kind, per-cycle weight and
 /// cycle count.
 #[derive(Debug, Clone, Copy)]
@@ -107,7 +224,7 @@ impl VictimForecast {
                 .any(|class| {
                     let t_base = self.vuln.base_threshold(class);
                     t_base.is_finite()
-                        && DisturbEngine::visible_flips(
+                        && visible_flips(
                             t_base,
                             st,
                             &self.vuln,
@@ -125,21 +242,11 @@ impl VictimForecast {
     }
 }
 
-/// Per-chip read-disturbance engine.
-///
-/// The engine accumulates disturbance per victim row and materializes
-/// bitflips into the caller-provided row data when thresholds are crossed.
-/// Charge restoration (victim activation, refresh, or rewrite) must be
-/// reported via [`DisturbEngine::restore`], which resets the row's
-/// accumulators — this is the mechanism that makes Target Row Refresh
-/// effective against RowHammer (§7).
+/// The calibrated model an event's weight is computed from: the
+/// vulnerability sampler and the factor curves.
 #[derive(Debug, Clone)]
-pub struct DisturbEngine {
+struct Factors {
     model: VulnModel,
-    /// Columns already flipped per victim row — survives charge
-    /// restoration (a refresh preserves the flipped data), cleared only
-    /// when the row is rewritten.
-    flip_history: FastMap<(BankId, RowAddr), std::collections::HashSet<u32>>,
     press_rh: LogLogCurve,
     press_comra: LogLogCurve,
     comra_timing: LogLogCurve,
@@ -147,210 +254,10 @@ pub struct DisturbEngine {
     simra_pre_act: LogLogCurve,
     temp_comra: LogLogCurve,
     spatial_rh: [f64; 5],
-    states: FastMap<(BankId, RowAddr), RowState>,
 }
 
-impl DisturbEngine {
-    /// Creates an engine for chip `chip_index` of `profile` under a fleet
-    /// seed.
-    pub fn new(
-        profile: &ModuleProfile,
-        geometry: ChipGeometry,
-        chip_index: u32,
-        seed: u64,
-    ) -> DisturbEngine {
-        let mfr = profile.chip_vendor;
-        DisturbEngine {
-            model: VulnModel::new(profile, geometry, chip_index, seed),
-            flip_history: FastMap::default(),
-            press_rh: calib::press_curve_rowhammer(),
-            press_comra: calib::press_curve_comra(),
-            comra_timing: calib::comra_timing_curve(mfr),
-            simra_act_pre: calib::simra_act_pre_curve(),
-            simra_pre_act: calib::simra_pre_act_curve(),
-            temp_comra: calib::temp_curve_comra(mfr),
-            spatial_rh: calib::spatial_weights_rh(mfr),
-            states: FastMap::default(),
-        }
-    }
-
-    /// The vulnerability sampler backing this engine.
-    pub fn model(&self) -> &VulnModel {
-        &self.model
-    }
-
-    /// Applies a batch of hammer cycles to a victim row, materializing any
-    /// resulting bitflips into `victim_data` and appending them to `out`.
-    ///
-    /// The uncached reference for [`DisturbEngine::hammer_batched`]: every
-    /// per-event value is recomputed from the model.
-    pub fn hammer(&mut self, ev: &HammerEvent, victim_data: &mut RowData, out: &mut Vec<Bitflip>) {
-        // A batched event with repeat N stands for N applied disturbance
-        // events; the profiler's work counter weights it accordingly.
-        pud_observe::profile::work_events(ev.repeat);
-        let vuln = self.model.row_vuln(ev.bank, ev.victim);
-        let w = self.event_weight(ev, &vuln);
-        self.apply_weighted(ev, &vuln, w, victim_data, out, None);
-    }
-
-    /// As [`DisturbEngine::hammer`], with the per-row vulnerability
-    /// sample, data summary and eligibilities served from the victim's
-    /// entry in `batch` (one lookup) and the per-event factor-curve
-    /// product from its weight map. Every cached value is a pure function
-    /// of its key, and the word-parallel summary counts exactly what the
-    /// per-bit reference counts, so the accumulated disturbance and the
-    /// materialized flips are bit-identical to the uncached path — the
-    /// compiled executor replay leans on this.
-    pub fn hammer_batched(
-        &mut self,
-        ev: &HammerEvent,
-        victim_data: &mut RowData,
-        batch: &mut BatchState,
-        out: &mut Vec<Bitflip>,
-    ) {
-        pud_observe::profile::work_events(ev.repeat);
-        let BatchState {
-            victims,
-            weights,
-            stats,
-        } = batch;
-        let entry = victims.entry((ev.bank, ev.victim)).or_default();
-        let vuln = match entry.vuln {
-            Some(v) => {
-                stats.vuln_hits += 1;
-                v
-            }
-            None => {
-                stats.vuln_misses += 1;
-                let v = self.model.row_vuln(ev.bank, ev.victim);
-                entry.vuln = Some(v);
-                v
-            }
-        };
-        let wkey = WeightKey::of(ev);
-        let w = match weights.get(&wkey) {
-            Some(w) => {
-                stats.weight_hits += 1;
-                *w
-            }
-            None => {
-                stats.weight_misses += 1;
-                let w = self.event_weight(ev, &vuln);
-                weights.insert(wkey, w);
-                w
-            }
-        };
-        let mut cache = VictimCache { entry, stats };
-        self.apply_weighted(ev, &vuln, w, victim_data, out, Some(&mut cache));
-    }
-
-    /// Shared back half of [`DisturbEngine::hammer`] and
-    /// [`DisturbEngine::hammer_batched`]: accumulates the weighted
-    /// disturbance and evaluates both flip classes against the (stale, as
-    /// of before this event) state snapshot.
-    fn apply_weighted(
-        &mut self,
-        ev: &HammerEvent,
-        vuln: &RowVuln,
-        w: f64,
-        victim_data: &mut RowData,
-        out: &mut Vec<Bitflip>,
-        mut cache: Option<&mut VictimCache>,
-    ) {
-        let st = {
-            let st = self.states.entry((ev.bank, ev.victim)).or_default();
-            st.accumulate(ev.kind, w, ev.repeat);
-            *st
-        };
-        for c in [FlipClass::RowHammer, FlipClass::Simra] {
-            self.evaluate_flips_into(ev, vuln, st, c, victim_data, out, cache.as_deref_mut());
-        }
-    }
-
-    /// Reports charge restoration of a victim row (activation or refresh):
-    /// accumulated disturbance is cleared, but the record of already
-    /// flipped cells survives — refresh preserves the (corrupted) data.
-    pub fn restore(&mut self, bank: BankId, row: RowAddr) {
-        self.states.remove(&(bank, row));
-    }
-
-    /// Reports that a row's data was rewritten: disturbance *and* the
-    /// flipped-cell history are cleared.
-    pub fn rewrite(&mut self, bank: BankId, row: RowAddr) {
-        self.states.remove(&(bank, row));
-        self.flip_history.remove(&(bank, row));
-    }
-
-    /// Clears all accumulated disturbance (e.g. a full refresh cycle).
-    pub fn restore_all(&mut self) {
-        self.states.clear();
-    }
-
-    /// Accumulated disturbance of a row, in effective hammers, as
-    /// `(rowhammer_class, simra_class)`.
-    pub fn accumulated(&self, bank: BankId, row: RowAddr) -> (f64, f64) {
-        self.states
-            .get(&(bank, row))
-            .map_or((0.0, 0.0), |s| (s.a_rh, s.a_simra))
-    }
-
-    /// Freezes `victim`'s disturbance state and data summary (`data` is
-    /// its current content) as the start of a [`VictimForecast`], or
-    /// `None` if the row has flipped cells on record: with a clean history
-    /// the first crossing always materializes a flip, which is what makes
-    /// the forecast's threshold test the whole answer.
-    pub fn forecast(
-        &self,
-        bank: BankId,
-        victim: RowAddr,
-        data: &RowData,
-    ) -> Option<VictimForecast> {
-        if self
-            .flip_history
-            .get(&(bank, victim))
-            .is_some_and(|h| !h.is_empty())
-        {
-            return None;
-        }
-        Some(VictimForecast {
-            vuln: self.model.row_vuln(bank, victim),
-            summary: DataSummary::from_row(data),
-            cols: data.cols(),
-            start: self
-                .states
-                .get(&(bank, victim))
-                .copied()
-                .unwrap_or_default(),
-            steady: Vec::new(),
-            tail: Vec::new(),
-        })
-    }
-
-    /// Appends `ev`, an event of the loop's steady-state iteration on the
-    /// forecast's victim, with the weight [`DisturbEngine::hammer`] gives it.
-    pub fn forecast_steady(&self, forecast: &mut VictimForecast, ev: &HammerEvent) {
-        let e = self.weighted(forecast, ev);
-        forecast.steady.push(e);
-    }
-
-    /// Appends `ev`, an event the loop's closing flush emits on the
-    /// forecast's victim after the bulk phase.
-    pub fn forecast_tail(&self, forecast: &mut VictimForecast, ev: &HammerEvent) {
-        let e = self.weighted(forecast, ev);
-        forecast.tail.push(e);
-    }
-
-    fn weighted(&self, forecast: &VictimForecast, ev: &HammerEvent) -> Weighted {
-        Weighted {
-            kind: ev.kind,
-            w: self.event_weight(ev, &forecast.vuln),
-            repeat: ev.repeat,
-        }
-    }
-
-    /// The per-event weight (effective hammers per cycle) an event carries
-    /// for its victim. Exposed for analysis and white-box testing.
-    pub fn event_weight(&self, ev: &HammerEvent, vuln: &RowVuln) -> f64 {
+impl Factors {
+    fn event_weight(&self, ev: &HammerEvent, vuln: &RowVuln) -> f64 {
         let mfr = self.model.manufacturer();
         let mut w = match ev.kind {
             AggressionKind::RowHammerSingle => calib::SS_ROWHAMMER_WEIGHT,
@@ -434,230 +341,506 @@ impl DisturbEngine {
         }
         w
     }
+}
 
-    /// Data-dependent eligibility threshold multiplier of `class` for a
-    /// victim holding `summary`: the fraction of cells whose stored value
-    /// can flip under the class's direction mix, normalized to the
-    /// worst-case data pattern.
-    /// [`DisturbEngine::eligibility`] through the victim's cache entry
-    /// when one is available: the result is pure in `(class,
-    /// ones_fraction, beta)`, `beta` is the entry's own row's, and the
-    /// `powf` is a measurable slice of a cache-hit hammer call.
-    fn eligibility_cached(
-        class: FlipClass,
-        summary: &DataSummary,
-        beta: f64,
-        cache: Option<&mut VictimCache>,
-    ) -> (f64, f64) {
-        let Some(c) = cache else {
-            return DisturbEngine::eligibility(class, summary, beta);
-        };
-        let ones = summary.ones_fraction.to_bits();
-        let slot = &mut c.entry.eligs[class as usize];
-        if slot.0 != ones {
-            *slot = (ones, DisturbEngine::eligibility(class, summary, beta));
+/// Per-chip read-disturbance engine.
+///
+/// The engine accumulates disturbance per victim row and materializes
+/// bitflips into the caller-provided row data when thresholds are crossed.
+/// Charge restoration (victim activation, refresh, or rewrite) must be
+/// reported via [`DisturbEngine::restore`], which resets the row's
+/// accumulators — this is the mechanism that makes Target Row Refresh
+/// effective against RowHammer (§7).
+///
+/// Each row the engine has seen has one record: its disturbance state, its
+/// flip history, and the batched path's per-row caches (see
+/// [`crate::batch`]), so a hammer event makes one map probe.
+#[derive(Debug)]
+pub struct DisturbEngine {
+    factors: Factors,
+    records: FastMap<(BankId, RowAddr), RowRecord>,
+    /// Bumped by [`DisturbEngine::restore_all`]: a record's state counts
+    /// only under the epoch it was written in.
+    epoch: u64,
+    shared: SharedCaches,
+}
+
+impl DisturbEngine {
+    /// Creates an engine for chip `chip_index` of `profile` under a fleet
+    /// seed.
+    pub fn new(
+        profile: &ModuleProfile,
+        geometry: ChipGeometry,
+        chip_index: u32,
+        seed: u64,
+    ) -> DisturbEngine {
+        let mfr = profile.chip_vendor;
+        DisturbEngine {
+            factors: Factors {
+                model: VulnModel::new(profile, geometry, chip_index, seed),
+                press_rh: calib::press_curve_rowhammer(),
+                press_comra: calib::press_curve_comra(),
+                comra_timing: calib::comra_timing_curve(mfr),
+                simra_act_pre: calib::simra_act_pre_curve(),
+                simra_pre_act: calib::simra_pre_act_curve(),
+                temp_comra: calib::temp_curve_comra(mfr),
+                spatial_rh: calib::spatial_weights_rh(mfr),
+            },
+            records: FastMap::default(),
+            epoch: 0,
+            shared: SharedCaches::default(),
         }
-        slot.1
     }
 
-    fn eligibility(class: FlipClass, summary: &DataSummary, beta: f64) -> (f64, f64) {
-        let dom = class.dominant_fraction();
-        let frac_src_dom = if class.dominant_source_bit() {
-            summary.ones_fraction
-        } else {
-            1.0 - summary.ones_fraction
-        };
-        let p = (dom * frac_src_dom + (1.0 - dom) * (1.0 - frac_src_dom)).max(1e-3);
-        let factor = (class.reference_eligibility() / p).powf(1.0 / beta);
-        (p, factor)
+    /// The vulnerability sampler backing this engine.
+    pub fn model(&self) -> &VulnModel {
+        &self.factors.model
     }
 
-    /// Effective progress (in absolute effective hammers) counted toward
-    /// `class` flips, with the §6 pattern couplings: same-class but
-    /// cross-pattern progress transfers at `κ = 0.25` (CoMRA → RowHammer),
-    /// cross-class progress at `γ = 0.2` (SiMRA → RowHammer).
+    /// Applies a batch of hammer cycles to a victim row, materializing any
+    /// resulting bitflips into `victim_data` and appending them to `out`.
+    /// Returns the event's per-cycle weight.
     ///
-    /// Conditioning transfers only *into* the actively driven lineage —
-    /// an already pre-hammered lineage receives nothing, which is what
-    /// makes the §6 staged patterns reduce HC_first by 1.34×/1.22×/1.66×
-    /// instead of firing during their pre-hammer stages. Cross-class
-    /// progress is normalized by the *effective* (eligibility-adjusted)
-    /// threshold of the contributing class.
-    fn effective_progress(
-        st: RowState,
-        vuln: &RowVuln,
-        class: FlipClass,
-        summary: &DataSummary,
-    ) -> f64 {
-        let k = calib::SAME_CLASS_PATTERN_COUPLING;
-        let g = calib::CROSS_CLASS_COUPLING;
-        match class {
-            FlipClass::RowHammer => {
-                let cross = if vuln.t_simra.is_finite() && st.a_rh > 0.0 && st.a_simra > 0.0 {
-                    let (_, elig_simra) =
-                        DisturbEngine::eligibility(FlipClass::Simra, summary, vuln.beta);
-                    let (_, elig_rh) =
-                        DisturbEngine::eligibility(FlipClass::RowHammer, summary, vuln.beta);
-                    g * st.a_simra / (vuln.t_simra * elig_simra) * vuln.t_rh * elig_rh
-                } else {
-                    0.0
-                };
-                (st.a_rh + k * st.a_comra + cross).max(st.a_comra)
-            }
-            FlipClass::Simra => {
-                let cross = if st.a_simra > 0.0 && st.a_rh + st.a_comra > 0.0 {
-                    let (_, elig_simra) =
-                        DisturbEngine::eligibility(FlipClass::Simra, summary, vuln.beta);
-                    let (_, elig_rh) =
-                        DisturbEngine::eligibility(FlipClass::RowHammer, summary, vuln.beta);
-                    calib::CROSS_CLASS_COUPLING_TO_SIMRA * (st.a_rh + st.a_comra)
-                        / (vuln.t_rh * elig_rh)
-                        * vuln.t_simra
-                        * elig_simra
-                } else {
-                    0.0
-                };
-                st.a_simra + cross
-            }
-        }
-    }
-
-    /// The threshold test of [`DisturbEngine::evaluate_flips_into`]: how
-    /// many cells of `class` a victim in state `st` holding `summary`
-    /// shows flipped (0 below `t_first`), before subtracting the ones
-    /// already materialized. Shared with [`VictimForecast::flips_after`],
-    /// so the forecast runs the live path's float operations.
-    #[allow(clippy::too_many_arguments)]
-    fn visible_flips(
-        t_base: f64,
-        st: RowState,
-        vuln: &RowVuln,
-        class: FlipClass,
-        summary: &DataSummary,
-        cols: u32,
-        cache: Option<&mut VictimCache>,
-    ) -> u64 {
-        let progress = DisturbEngine::effective_progress(st, vuln, class, summary);
-        if progress <= 0.0 {
-            return 0;
-        }
-        let (p, elig_factor) = DisturbEngine::eligibility_cached(class, summary, vuln.beta, cache);
-        let t_first = t_base * elig_factor;
-        if progress < t_first {
-            return 0;
-        }
-        let crossed = (progress / t_first).powf(vuln.beta).floor() as u64;
-        let eligible_cells = (p * f64::from(cols)).ceil() as u64;
-        crossed.min(eligible_cells)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_flips_into(
+    /// The uncached reference for [`DisturbEngine::hammer_batched`]: every
+    /// per-event value is recomputed from the model.
+    pub fn hammer(
         &mut self,
         ev: &HammerEvent,
-        vuln: &RowVuln,
-        st: RowState,
-        class: FlipClass,
         victim_data: &mut RowData,
         out: &mut Vec<Bitflip>,
-        mut cache: Option<&mut VictimCache>,
-    ) {
-        let t_base = vuln.base_threshold(class);
-        if !t_base.is_finite() {
-            return;
-        }
-        // Data-dependent eligibility: fraction of the victim's cells whose
-        // stored value lets them flip under this class's direction mix.
-        // The batched path serves the summary from the victim's entry; it
-        // is invalidated below whenever this call mutates the row, so the
-        // cached value always equals a fresh scan. The uncached path scans
-        // one bit at a time, the reference the word-parallel scan matches.
-        let summary = match cache.as_deref_mut() {
-            Some(c) => c.summary_or_else(|| DataSummary::from_row(victim_data)),
-            None => DataSummary::from_row_per_bit(victim_data),
-        };
-        let visible = DisturbEngine::visible_flips(
-            t_base,
-            st,
-            vuln,
-            class,
-            &summary,
-            victim_data.cols(),
-            cache.as_deref_mut(),
-        );
-        if visible == 0 {
-            return;
-        }
-        // Cells flipped before the last charge restoration stay flipped:
-        // the weak-cell walk continues past them instead of re-counting
-        // them after a refresh.
-        let hist_len = self
-            .flip_history
-            .get(&(ev.bank, ev.victim))
-            .map_or(0, |h| h.len() as u64);
-        let already = st.emitted(class).max(hist_len);
-        if visible <= already {
-            return;
-        }
-        let fresh = (visible - already).min(MATERIALIZE_CAP);
-        let before = out.len();
-        out.reserve(fresh as usize);
-        let cols = victim_data.cols();
-        let class_tag = match class {
-            FlipClass::RowHammer => 0xA1u64,
-            FlipClass::Simra => 0xA2u64,
-        };
-        for i in already + 1..=already + fresh {
-            let dominant = rng::unit(&[vuln.key(), class_tag, i, 0x10]) < class.dominant_fraction();
-            let preferred = if dominant {
-                class.dominant_source_bit()
-            } else {
-                !class.dominant_source_bit()
-            };
-            // Probe pseudo-random columns for a cell currently storing the
-            // source value; if the drawn direction has no eligible cells
-            // left (e.g. a solid victim), the opposite-direction population
-            // carries the flip — the eligibility factor already priced the
-            // direction mix into the threshold.
-            let mut found = None;
-            let history = self.flip_history.entry((ev.bank, ev.victim)).or_default();
-            'directions: for src in [preferred, !preferred] {
-                for probe in 0..96u64 {
-                    let col = (rng::mix_all(&[vuln.key(), class_tag, i, 0x20 + probe])
-                        % u64::from(cols)) as u32;
-                    if victim_data.bit(col) == src && !history.contains(&col) {
-                        found = Some((col, src));
-                        break 'directions;
+    ) -> f64 {
+        // A batched event with repeat N stands for N applied disturbance
+        // events; the profiler's work counter weights it accordingly.
+        pud_observe::profile::work_events(ev.repeat);
+        let vuln = self.factors.model.row_vuln(ev.bank, ev.victim);
+        let w = self.factors.event_weight(ev, &vuln);
+        let rec = self.records.entry((ev.bank, ev.victim)).or_default();
+        apply_weighted(rec, self.epoch, ev, &vuln, w, victim_data, out, None);
+        w
+    }
+
+    /// As [`DisturbEngine::hammer`], with the per-row vulnerability
+    /// sample, data summary, eligibilities and weight served from the
+    /// victim's record (one map probe) and the event's shape id from the
+    /// shape table's memo. Every cached value is a pure function of its
+    /// key, and the word-parallel summary counts exactly what the per-bit
+    /// reference counts, so the accumulated disturbance and the
+    /// materialized flips are bit-identical to the uncached path — the
+    /// compiled executor replay leans on this.
+    pub fn hammer_batched(
+        &mut self,
+        ev: &HammerEvent,
+        victim_data: &mut RowData,
+        out: &mut Vec<Bitflip>,
+    ) -> f64 {
+        pud_observe::profile::work_events(ev.repeat);
+        let DisturbEngine {
+            factors,
+            records,
+            epoch,
+            shared,
+        } = self;
+        let shape = shared.shapes.id_of(ev);
+        let stats = &mut shared.stats;
+        let rec = records.entry((ev.bank, ev.victim)).or_default();
+        let vuln = rec.vuln(&factors.model, ev, stats);
+        let w = match rec.weights.get(shape) {
+            Some(w) => {
+                stats.weight_hits += 1;
+                w
+            }
+            None => {
+                let w = match shared.weights.entry((ev.bank, ev.victim, shape)) {
+                    Entry::Occupied(e) => {
+                        stats.weight_hits += 1;
+                        *e.get()
                     }
+                    Entry::Vacant(e) => {
+                        stats.weight_misses += 1;
+                        *e.insert(factors.event_weight(ev, &vuln))
+                    }
+                };
+                rec.weights.insert(shape, w);
+                w
+            }
+        };
+        apply_weighted(rec, *epoch, ev, &vuln, w, victim_data, out, Some(stats));
+        w
+    }
+
+    /// [`DisturbEngine::hammer_batched`] with the weight already resolved:
+    /// `w` must be what `hammer_batched` (or [`DisturbEngine::hammer`])
+    /// returned for an event differing from `ev` at most in `repeat`. The
+    /// executor's bulk replay applies its recorded events this way.
+    pub fn hammer_resolved(
+        &mut self,
+        ev: &HammerEvent,
+        w: f64,
+        victim_data: &mut RowData,
+        out: &mut Vec<Bitflip>,
+    ) {
+        pud_observe::profile::work_events(ev.repeat);
+        let stats = &mut self.shared.stats;
+        let rec = self.records.entry((ev.bank, ev.victim)).or_default();
+        let vuln = rec.vuln(&self.factors.model, ev, stats);
+        apply_weighted(rec, self.epoch, ev, &vuln, w, victim_data, out, Some(stats));
+    }
+
+    /// The cached data summary of `row`, computing and caching it through
+    /// `compute` on a miss. `compute` must scan the row's *current* data;
+    /// the cache is dropped by [`DisturbEngine::invalidate_summary`], by
+    /// [`DisturbEngine::rewrite`] and by the engine's own materialized
+    /// flips whenever that data changes. Rows whose data can change
+    /// without one of those calls (e.g. rows that do not exist yet) must
+    /// not go through this cache.
+    pub fn summary_or_else(
+        &mut self,
+        bank: BankId,
+        row: RowAddr,
+        compute: impl FnOnce() -> DataSummary,
+    ) -> DataSummary {
+        self.records
+            .entry((bank, row))
+            .or_default()
+            .summary_or_else(&mut self.shared.stats, compute)
+    }
+
+    /// Drops the cached data summary of one row. Must be called whenever
+    /// the row's data changes outside the engine (in-DRAM copies,
+    /// charge-share deposits, fault-injected stuck bits); the engine drops
+    /// it on its own materialized flips and on [`DisturbEngine::rewrite`].
+    pub fn invalidate_summary(&mut self, bank: BankId, row: RowAddr) {
+        if let Some(rec) = self.records.get_mut(&(bank, row)) {
+            rec.summary = None;
+        }
+    }
+
+    /// Hit/miss statistics of the batched path's caches.
+    pub fn batch_stats(&self) -> BatchStats {
+        self.shared.stats
+    }
+
+    /// Reports charge restoration of a victim row (activation or refresh):
+    /// accumulated disturbance is cleared, but the record of already
+    /// flipped cells survives — refresh preserves the (corrupted) data.
+    pub fn restore(&mut self, bank: BankId, row: RowAddr) {
+        if let Some(rec) = self.records.get_mut(&(bank, row)) {
+            rec.state = RowState::default();
+        }
+    }
+
+    /// Reports that a row's data was rewritten: disturbance, the
+    /// flipped-cell history and the cached data summary are cleared.
+    pub fn rewrite(&mut self, bank: BankId, row: RowAddr) {
+        if let Some(rec) = self.records.get_mut(&(bank, row)) {
+            rec.state = RowState::default();
+            if let Some(h) = &mut rec.history {
+                h.clear();
+            }
+            rec.summary = None;
+        }
+    }
+
+    /// Clears all accumulated disturbance (e.g. a full refresh cycle) in
+    /// constant time: records written before the new epoch read as zero.
+    pub fn restore_all(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Accumulated disturbance of a row, in effective hammers, as
+    /// `(rowhammer_class, simra_class)`.
+    pub fn accumulated(&self, bank: BankId, row: RowAddr) -> (f64, f64) {
+        self.records.get(&(bank, row)).map_or((0.0, 0.0), |r| {
+            let s = r.state_at(self.epoch);
+            (s.a_rh, s.a_simra)
+        })
+    }
+
+    /// Freezes `victim`'s disturbance state and data summary (`data` is
+    /// its current content) as the start of a [`VictimForecast`], or
+    /// `None` if the row has flipped cells on record: with a clean history
+    /// the first crossing always materializes a flip, which is what makes
+    /// the forecast's threshold test the whole answer.
+    pub fn forecast(
+        &self,
+        bank: BankId,
+        victim: RowAddr,
+        data: &RowData,
+    ) -> Option<VictimForecast> {
+        let rec = self.records.get(&(bank, victim));
+        if rec.is_some_and(|r| r.flipped() > 0) {
+            return None;
+        }
+        Some(VictimForecast {
+            vuln: self.factors.model.row_vuln(bank, victim),
+            summary: DataSummary::from_row(data),
+            cols: data.cols(),
+            start: rec.map_or_else(RowState::default, |r| r.state_at(self.epoch)),
+            steady: Vec::new(),
+            tail: Vec::new(),
+        })
+    }
+
+    /// Appends `ev`, an event of the loop's steady-state iteration on the
+    /// forecast's victim, with the weight [`DisturbEngine::hammer`] gives it.
+    pub fn forecast_steady(&self, forecast: &mut VictimForecast, ev: &HammerEvent) {
+        let e = self.weighted(forecast, ev);
+        forecast.steady.push(e);
+    }
+
+    /// Appends `ev`, an event the loop's closing flush emits on the
+    /// forecast's victim after the bulk phase.
+    pub fn forecast_tail(&self, forecast: &mut VictimForecast, ev: &HammerEvent) {
+        let e = self.weighted(forecast, ev);
+        forecast.tail.push(e);
+    }
+
+    fn weighted(&self, forecast: &VictimForecast, ev: &HammerEvent) -> Weighted {
+        Weighted {
+            kind: ev.kind,
+            w: self.event_weight(ev, &forecast.vuln),
+            repeat: ev.repeat,
+        }
+    }
+
+    /// The per-event weight (effective hammers per cycle) an event carries
+    /// for its victim. Exposed for analysis and white-box testing.
+    pub fn event_weight(&self, ev: &HammerEvent, vuln: &RowVuln) -> f64 {
+        self.factors.event_weight(ev, vuln)
+    }
+}
+
+/// Shared back half of the hammer paths: accumulates the weighted
+/// disturbance into `rec` and evaluates both flip classes against the
+/// (stale, as of before this event) state snapshot. `stats` is `Some` on
+/// the batched path, which then serves the summary and eligibilities from
+/// `rec`.
+#[allow(clippy::too_many_arguments)]
+fn apply_weighted(
+    rec: &mut RowRecord,
+    epoch: u64,
+    ev: &HammerEvent,
+    vuln: &RowVuln,
+    w: f64,
+    victim_data: &mut RowData,
+    out: &mut Vec<Bitflip>,
+    mut stats: Option<&mut BatchStats>,
+) {
+    let st = {
+        let st = rec.live_state(epoch);
+        st.accumulate(ev.kind, w, ev.repeat);
+        *st
+    };
+    for c in [FlipClass::RowHammer, FlipClass::Simra] {
+        evaluate_flips_into(rec, vuln, st, c, victim_data, out, stats.as_deref_mut());
+    }
+}
+
+/// Data-dependent eligibility threshold multiplier of `class` for a
+/// victim holding `summary`: the fraction of cells whose stored value can
+/// flip under the class's direction mix, normalized to the worst-case
+/// data pattern.
+fn eligibility(class: FlipClass, summary: &DataSummary, beta: f64) -> (f64, f64) {
+    let dom = class.dominant_fraction();
+    let frac_src_dom = if class.dominant_source_bit() {
+        summary.ones_fraction
+    } else {
+        1.0 - summary.ones_fraction
+    };
+    let p = (dom * frac_src_dom + (1.0 - dom) * (1.0 - frac_src_dom)).max(1e-3);
+    let factor = (class.reference_eligibility() / p).powf(1.0 / beta);
+    (p, factor)
+}
+
+/// [`eligibility`] through the victim record's slots when available: the
+/// result is pure in `(class, ones_fraction, beta)`, `beta` is the
+/// record's own row's, and the `powf` is a measurable slice of a
+/// cache-hit hammer call.
+fn eligibility_cached(
+    class: FlipClass,
+    summary: &DataSummary,
+    beta: f64,
+    eligs: Option<&mut [EligSlot; 2]>,
+) -> (f64, f64) {
+    let Some(eligs) = eligs else {
+        return eligibility(class, summary, beta);
+    };
+    let ones = summary.ones_fraction.to_bits();
+    let slot = &mut eligs[class as usize];
+    if slot.0 != ones {
+        *slot = (ones, eligibility(class, summary, beta));
+    }
+    slot.1
+}
+
+/// Effective progress (in absolute effective hammers) counted toward
+/// `class` flips, with the §6 pattern couplings: same-class but
+/// cross-pattern progress transfers at `κ = 0.25` (CoMRA → RowHammer),
+/// cross-class progress at `γ = 0.2` (SiMRA → RowHammer).
+///
+/// Conditioning transfers only *into* the actively driven lineage — an
+/// already pre-hammered lineage receives nothing, which is what makes the
+/// §6 staged patterns reduce HC_first by 1.34×/1.22×/1.66× instead of
+/// firing during their pre-hammer stages. Cross-class progress is
+/// normalized by the *effective* (eligibility-adjusted) threshold of the
+/// contributing class.
+fn effective_progress(
+    st: RowState,
+    vuln: &RowVuln,
+    class: FlipClass,
+    summary: &DataSummary,
+) -> f64 {
+    let k = calib::SAME_CLASS_PATTERN_COUPLING;
+    let g = calib::CROSS_CLASS_COUPLING;
+    match class {
+        FlipClass::RowHammer => {
+            let cross = if vuln.t_simra.is_finite() && st.a_rh > 0.0 && st.a_simra > 0.0 {
+                let (_, elig_simra) = eligibility(FlipClass::Simra, summary, vuln.beta);
+                let (_, elig_rh) = eligibility(FlipClass::RowHammer, summary, vuln.beta);
+                g * st.a_simra / (vuln.t_simra * elig_simra) * vuln.t_rh * elig_rh
+            } else {
+                0.0
+            };
+            (st.a_rh + k * st.a_comra + cross).max(st.a_comra)
+        }
+        FlipClass::Simra => {
+            let cross = if st.a_simra > 0.0 && st.a_rh + st.a_comra > 0.0 {
+                let (_, elig_simra) = eligibility(FlipClass::Simra, summary, vuln.beta);
+                let (_, elig_rh) = eligibility(FlipClass::RowHammer, summary, vuln.beta);
+                calib::CROSS_CLASS_COUPLING_TO_SIMRA * (st.a_rh + st.a_comra)
+                    / (vuln.t_rh * elig_rh)
+                    * vuln.t_simra
+                    * elig_simra
+            } else {
+                0.0
+            };
+            st.a_simra + cross
+        }
+    }
+}
+
+/// The threshold test of [`evaluate_flips_into`]: how many cells of
+/// `class` a victim in state `st` holding `summary` shows flipped (0 below
+/// `t_first`), before subtracting the ones already materialized. Shared
+/// with [`VictimForecast::flips_after`], so the forecast runs the live
+/// path's float operations.
+fn visible_flips(
+    t_base: f64,
+    st: RowState,
+    vuln: &RowVuln,
+    class: FlipClass,
+    summary: &DataSummary,
+    cols: u32,
+    eligs: Option<&mut [EligSlot; 2]>,
+) -> u64 {
+    let progress = effective_progress(st, vuln, class, summary);
+    if progress <= 0.0 {
+        return 0;
+    }
+    let (p, elig_factor) = eligibility_cached(class, summary, vuln.beta, eligs);
+    let t_first = t_base * elig_factor;
+    if progress < t_first {
+        return 0;
+    }
+    let crossed = (progress / t_first).powf(vuln.beta).floor() as u64;
+    let eligible_cells = (p * f64::from(cols)).ceil() as u64;
+    crossed.min(eligible_cells)
+}
+
+fn evaluate_flips_into(
+    rec: &mut RowRecord,
+    vuln: &RowVuln,
+    st: RowState,
+    class: FlipClass,
+    victim_data: &mut RowData,
+    out: &mut Vec<Bitflip>,
+    stats: Option<&mut BatchStats>,
+) {
+    let t_base = vuln.base_threshold(class);
+    if !t_base.is_finite() {
+        return;
+    }
+    // Data-dependent eligibility: fraction of the victim's cells whose
+    // stored value lets them flip under this class's direction mix. The
+    // batched path serves the summary from the victim's record; it is
+    // invalidated below whenever this call mutates the row, so the cached
+    // value always equals a fresh scan. The uncached path scans one bit at
+    // a time, the reference the word-parallel scan matches.
+    let cached = stats.is_some();
+    let summary = match stats {
+        Some(stats) => rec.summary_or_else(stats, || DataSummary::from_row(victim_data)),
+        None => DataSummary::from_row_per_bit(victim_data),
+    };
+    let visible = visible_flips(
+        t_base,
+        st,
+        vuln,
+        class,
+        &summary,
+        victim_data.cols(),
+        cached.then_some(&mut rec.eligs),
+    );
+    if visible == 0 {
+        return;
+    }
+    // Cells flipped before the last charge restoration stay flipped: the
+    // weak-cell walk continues past them instead of re-counting them after
+    // a refresh.
+    let already = st.emitted(class).max(rec.flipped());
+    if visible <= already {
+        return;
+    }
+    let fresh = (visible - already).min(MATERIALIZE_CAP);
+    let before = out.len();
+    out.reserve(fresh as usize);
+    let cols = victim_data.cols();
+    let history = rec.history.get_or_insert_with(Box::default);
+    let class_tag = match class {
+        FlipClass::RowHammer => 0xA1u64,
+        FlipClass::Simra => 0xA2u64,
+    };
+    for i in already + 1..=already + fresh {
+        let dominant = rng::unit(&[vuln.key(), class_tag, i, 0x10]) < class.dominant_fraction();
+        let preferred = if dominant {
+            class.dominant_source_bit()
+        } else {
+            !class.dominant_source_bit()
+        };
+        // Probe pseudo-random columns for a cell currently storing the
+        // source value; if the drawn direction has no eligible cells left
+        // (e.g. a solid victim), the opposite-direction population carries
+        // the flip — the eligibility factor already priced the direction
+        // mix into the threshold.
+        let mut found = None;
+        'directions: for src in [preferred, !preferred] {
+            for probe in 0..96u64 {
+                let col = (rng::mix_all(&[vuln.key(), class_tag, i, 0x20 + probe])
+                    % u64::from(cols)) as u32;
+                if victim_data.bit(col) == src && !history.contains(&col) {
+                    found = Some((col, src));
+                    break 'directions;
                 }
             }
-            if let Some((col, src)) = found {
-                history.insert(col);
-                victim_data.set_bit(col, !src);
-                out.push(Bitflip {
-                    col,
-                    to: !src,
-                    class,
-                });
-            }
         }
-        // The victim data changed under a cached summary: drop the entry
-        // so the next evaluation (including the second class of this very
-        // event) rescans the mutated row, exactly as the uncached path
-        // does.
-        if out.len() > before {
-            if let Some(c) = cache {
-                c.entry.summary = None;
-            }
+        if let Some((col, src)) = found {
+            history.insert(col);
+            victim_data.set_bit(col, !src);
+            out.push(Bitflip {
+                col,
+                to: !src,
+                class,
+            });
         }
-        let st_mut = self
-            .states
-            .get_mut(&(ev.bank, ev.victim))
-            .expect("state exists for hammered row");
-        match class {
-            FlipClass::RowHammer => st_mut.emitted_rh = already + fresh,
-            FlipClass::Simra => st_mut.emitted_simra = already + fresh,
-        }
+    }
+    // The victim data changed: drop the cached summary so the next
+    // evaluation (including the second class of this very event, and any
+    // later batched event after an uncached one) rescans the mutated row.
+    if out.len() > before {
+        rec.summary = None;
+    }
+    match class {
+        FlipClass::RowHammer => rec.state.emitted_rh = already + fresh,
+        FlipClass::Simra => rec.state.emitted_simra = already + fresh,
     }
 }
 
@@ -725,14 +908,12 @@ mod tests {
 
     #[test]
     fn batched_path_is_bit_identical_to_plain_hammer() {
-        use crate::batch::BatchState;
         // Drive both paths through the full lifecycle — sub-threshold
         // accumulation, the first flips, massive over-hammering, restore,
         // and a temperature change — and require identical flips, identical
         // victim data, and identical f64 accumulator state at every step.
         let mut plain = engine(1);
         let mut batched = engine(1);
-        let mut batch = BatchState::new();
         let mut v_plain = victim_row();
         let mut v_batched = victim_row();
         let vuln = plain.model().row_vuln(BankId(0), RowAddr(10));
@@ -758,7 +939,7 @@ mod tests {
                 }
                 let expected = hammer(&mut plain, &ev, &mut v_plain);
                 let mut got = Vec::new();
-                batched.hammer_batched(&ev, &mut v_batched, &mut batch, &mut got);
+                batched.hammer_batched(&ev, &mut v_batched, &mut got);
                 assert_eq!(expected, got, "flips diverge at step {step} {kind:?}");
                 assert_eq!(
                     v_plain, v_batched,
@@ -775,7 +956,7 @@ mod tests {
                 batched.restore(BankId(0), RowAddr(10));
             }
         }
-        let stats = batch.stats();
+        let stats = batched.batch_stats();
         assert!(stats.hits() > stats.misses(), "caches must carry the load");
     }
 

@@ -55,7 +55,7 @@ mod event;
 pub mod rng;
 mod vuln;
 
-pub use batch::{BatchState, BatchStats};
+pub use batch::BatchStats;
 pub use curve::{solve_mu_for_inverse_mean, LogLogCurve};
 pub use engine::{Bitflip, DisturbEngine, VictimForecast};
 pub use event::{AggressionKind, DataSummary, FlipClass, HammerEvent};

@@ -203,3 +203,142 @@ impl WithTAggOn for HammerEvent {
         self
     }
 }
+
+/// One seeded hammer event on `victim`: its kind, distance, on-time,
+/// temperature and aggressor data vary, so each victim sees more event
+/// shapes than its record holds inline weight slots.
+fn random_event(seed: u64, step: u64, victim: (BankId, RowAddr)) -> HammerEvent {
+    let d = Picos::from_ns(3.0);
+    let kinds = [
+        AggressionKind::RowHammerSingle,
+        AggressionKind::RowHammerDouble,
+        AggressionKind::RowHammerFarDouble,
+        AggressionKind::ComraDouble {
+            pre_to_act: Picos::from_ns(7.5),
+            reversed: false,
+        },
+        AggressionKind::ComraSingle {
+            pre_to_act: Picos::from_ns(7.5),
+            reversed: true,
+        },
+        AggressionKind::SimraDouble {
+            n_rows: 4,
+            act_to_pre: d,
+            pre_to_act: d,
+        },
+        AggressionKind::SimraSingle {
+            n_rows: 8,
+            act_to_pre: d,
+            pre_to_act: d,
+        },
+    ];
+    let patterns = [
+        DataPattern::ZEROS,
+        DataPattern::ONES,
+        DataPattern::CHECKER_55,
+        DataPattern::CHECKER_AA,
+    ];
+    HammerEvent {
+        bank: victim.0,
+        victim: victim.1,
+        kind: kinds[gen_u64(seed, step, 10, 0, kinds.len() as u64) as usize],
+        t_aggon: Picos::from_ns([36.0, 36.0, 7800.0][gen_u64(seed, step, 11, 0, 3) as usize]),
+        temperature: Celsius([80.0, 80.0, 50.0][gen_u64(seed, step, 12, 0, 3) as usize]),
+        aggressor_data: DataSummary::from_pattern(
+            patterns[gen_u64(seed, step, 13, 0, patterns.len() as u64) as usize],
+        ),
+        distance: gen_u32(seed, step, 14, 1, 3),
+        repeat: [1, 40, 2_000, 30_000][gen_u64(seed, step, 15, 0, 4) as usize],
+    }
+}
+
+#[test]
+fn batched_records_agree_with_the_uncached_engine() {
+    // Seeded interleavings of hammers, restorations, rewrites and full
+    // refreshes on a few rows of two banks. The batched engine serves its
+    // summaries, eligibilities and weights from one record per row (and
+    // sometimes takes an uncached hammer, or a bulk event with its weight
+    // already resolved); the reference recomputes everything. Flips, row
+    // data, accumulated disturbance and forecasts must agree bit for bit.
+    let victims: Vec<(BankId, RowAddr)> = [(0, 10), (0, 11), (0, 13), (1, 10)]
+        .into_iter()
+        .map(|(b, r)| (BankId(b), RowAddr(r)))
+        .collect();
+    let mut total_flips = 0;
+    for seed in 0..6u64 {
+        let mut batched = engine(seed);
+        let mut reference = engine(seed);
+        let mut data_b: Vec<RowData> = victims
+            .iter()
+            .map(|_| RowData::filled(1024, DataPattern::CHECKER_AA))
+            .collect();
+        let mut data_r = data_b.clone();
+        for step in 0..400u64 {
+            let i = gen_u64(seed, step, 0, 0, victims.len() as u64) as usize;
+            let (bank, row) = victims[i];
+            let what = format!("seed {seed} step {step}");
+            match gen_u64(seed, step, 1, 0, 20) {
+                0 => {
+                    batched.restore(bank, row);
+                    reference.restore(bank, row);
+                }
+                1 => {
+                    let p = DataPattern(gen_u32(seed, step, 2, 0, 256) as u8);
+                    data_b[i] = RowData::filled(1024, p);
+                    data_r[i] = RowData::filled(1024, p);
+                    batched.rewrite(bank, row);
+                    reference.rewrite(bank, row);
+                }
+                2 => {
+                    batched.restore_all();
+                    reference.restore_all();
+                }
+                op => {
+                    let ev = random_event(seed, step, (bank, row));
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let w = match op % 3 {
+                        0 => batched.hammer(&ev, &mut data_b[i], &mut got),
+                        _ => batched.hammer_batched(&ev, &mut data_b[i], &mut got),
+                    };
+                    reference.hammer(&ev, &mut data_r[i], &mut want);
+                    if op % 4 == 0 {
+                        // A bulk replay of the same event, weight resolved.
+                        let mut bulk = ev;
+                        bulk.repeat = ev.repeat * 7;
+                        batched.hammer_resolved(&bulk, w, &mut data_b[i], &mut got);
+                        reference.hammer(&bulk, &mut data_r[i], &mut want);
+                    }
+                    assert_eq!(got, want, "{what}: flips");
+                    total_flips += got.len();
+                }
+            }
+            assert!(data_b[i] == data_r[i], "{what}: row data");
+            for &(b, r) in &victims {
+                assert_eq!(
+                    batched.accumulated(b, r).0.to_bits(),
+                    reference.accumulated(b, r).0.to_bits(),
+                    "{what}: accumulated"
+                );
+                assert_eq!(
+                    batched.accumulated(b, r).1.to_bits(),
+                    reference.accumulated(b, r).1.to_bits(),
+                    "{what}: accumulated"
+                );
+            }
+            // Forecasts start from the same state and history.
+            let ev = random_event(seed, step + 1_000_000, (bank, row));
+            let forecast = |e: &DisturbEngine, data: &RowData| {
+                e.forecast(bank, row, data).map(|mut f| {
+                    e.forecast_steady(&mut f, &ev);
+                    [1, 10, 1_000, 100_000].map(|k| f.flips_after(k))
+                })
+            };
+            assert_eq!(
+                forecast(&batched, &data_b[i]),
+                forecast(&reference, &data_r[i]),
+                "{what}: forecast"
+            );
+        }
+    }
+    assert!(total_flips > 0, "the interleavings must reach HC_first");
+}

@@ -33,6 +33,29 @@ fn append_dummy_windows(p: &mut TestProgram, bank: BankId, dummy: RowAddr) {
     }
 }
 
+/// Appends `total` units of work issued `per_window` units per refresh
+/// window: one counted loop over the full windows, then the remainder
+/// window. `window(p, burst)` appends one window of `burst` units.
+///
+/// A program is then about ten steps whatever `total` is; the executor
+/// runs the outer loop's iterations one by one (its body holds REFs, so it
+/// is never bulk-replayed), exactly as it would the unrolled windows.
+fn windowed(
+    total: u64,
+    per_window: u64,
+    mut window: impl FnMut(&mut TestProgram, u64),
+) -> TestProgram {
+    let mut p = TestProgram::new();
+    let (full, rest) = (total / per_window, total % per_window);
+    if full > 0 {
+        p.repeat(full, |w| window(w, per_window));
+    }
+    if rest > 0 {
+        window(&mut p, rest);
+    }
+    p
+}
+
 /// N-sided RowHammer TRR-evasion pattern: hammers each row of `aggressors`
 /// `hammers_per_aggressor` times in 156-ACT refresh intervals interleaved
 /// with dummy-row intervals.
@@ -48,20 +71,15 @@ pub fn rowhammer_evasion(
 ) -> TestProgram {
     assert!(!aggressors.is_empty(), "need at least one aggressor");
     let per_window = (ACTS_PER_TREFI / aggressors.len() as u64).max(1);
-    let mut p = TestProgram::new();
-    let mut done = 0u64;
-    while done < hammers_per_aggressor {
-        let burst = per_window.min(hammers_per_aggressor - done);
+    windowed(hammers_per_aggressor, per_window, |p, burst| {
         p.repeat(burst, |body| {
             for &a in aggressors {
                 body.act(bank, a, t_ras()).pre(bank, t_rp());
             }
         });
         p.refresh(t_rfc());
-        append_dummy_windows(&mut p, bank, dummy);
-        done += burst;
-    }
-    p
+        append_dummy_windows(p, bank, dummy);
+    })
 }
 
 /// CoMRA TRR-evasion pattern: `total_pairs` in-DRAM copy cycles of
@@ -74,12 +92,8 @@ pub fn comra_evasion(
     dummy: RowAddr,
     total_pairs: u64,
 ) -> TestProgram {
-    let per_window = ACTS_PER_TREFI / 2;
     let pre_act = Picos::from_ns(pud_disturb::calib::COMRA_PRE_ACT_NS);
-    let mut p = TestProgram::new();
-    let mut done = 0u64;
-    while done < total_pairs {
-        let burst = per_window.min(total_pairs - done);
+    windowed(total_pairs, ACTS_PER_TREFI / 2, |p, burst| {
         p.repeat(burst, |body| {
             body.act(bank, src, t_ras())
                 .pre(bank, pre_act)
@@ -87,10 +101,8 @@ pub fn comra_evasion(
                 .pre(bank, t_rp());
         });
         p.refresh(t_rfc());
-        append_dummy_windows(&mut p, bank, dummy);
-        done += burst;
-    }
-    p
+        append_dummy_windows(p, bank, dummy);
+    })
 }
 
 /// SiMRA TRR-evasion pattern: `total_ops` ACT‑PRE‑ACT group activations of
@@ -100,12 +112,8 @@ pub fn comra_evasion(
 /// operation and the SiMRA HC_first (as low as 26) is reached well within
 /// one refresh interval (Observation 26).
 pub fn simra_evasion(bank: BankId, r1: RowAddr, r2: RowAddr, total_ops: u64) -> TestProgram {
-    let per_window = ACTS_PER_TREFI / 2;
     let d = Picos::from_ns(SIMRA_DELAY_NS);
-    let mut p = TestProgram::new();
-    let mut done = 0u64;
-    while done < total_ops {
-        let burst = per_window.min(total_ops - done);
+    windowed(total_ops, ACTS_PER_TREFI / 2, |p, burst| {
         p.repeat(burst, |body| {
             body.act(bank, r1, d)
                 .pre(bank, d)
@@ -113,9 +121,7 @@ pub fn simra_evasion(bank: BankId, r1: RowAddr, r2: RowAddr, total_ops: u64) -> 
                 .pre(bank, t_rp());
         });
         p.refresh(t_rfc());
-        done += burst;
-    }
-    p
+    })
 }
 
 #[cfg(test)]
@@ -139,6 +145,24 @@ mod tests {
         let p = comra_evasion(BankId(0), RowAddr(10), RowAddr(12), RowAddr(200), 200);
         let windows = 200u64.div_ceil(ACTS_PER_TREFI / 2);
         assert_eq!(p.act_count(), 400 + windows * 3 * ACTS_PER_TREFI);
+    }
+
+    #[test]
+    fn programs_are_one_window_loop_plus_the_remainder() {
+        // 500 hammers at 78 per window: 6 full windows and one of 32.
+        let p = rowhammer_evasion(BankId(0), &[RowAddr(10), RowAddr(14)], RowAddr(200), 500);
+        assert_eq!(p.steps().len(), 1 + 8);
+        assert!(matches!(
+            p.steps()[0],
+            pud_bender::Step::Loop { count: 6, .. }
+        ));
+        // An exact multiple has no remainder window.
+        let p = simra_evasion(BankId(0), RowAddr(8), RowAddr(10), 156);
+        assert_eq!(p.steps().len(), 1);
+        assert_eq!(p.act_count(), 312);
+        assert!(simra_evasion(BankId(0), RowAddr(8), RowAddr(10), 0)
+            .steps()
+            .is_empty());
     }
 
     #[test]

@@ -10,15 +10,24 @@
 //! The HC_first search answers most of its checks from a recorded closed
 //! form instead of replaying them (`hcfirst::Trial`); the last two tests
 //! hold each such check to a freshly prepared, fully simulated trial.
+//!
+//! The TRR evasion programs are built as one loop over their refresh
+//! windows plus a remainder window; a test holds each to the unrolled
+//! window sequence it stands for, on both paths.
 
 use std::sync::{Arc, Mutex};
 
 use pudhammer_suite::bender::fault::{
     FaultConfig, FaultKind, FaultPlan, StuckCell, TransientFault,
 };
-use pudhammer_suite::bender::{ExecError, Executor, RunReport, Step, TestEnv, TestProgram};
+use pudhammer_suite::bender::{
+    ActivityObserver, ExecError, Executor, RunReport, Step, TestEnv, TestProgram,
+};
+use pudhammer_suite::disturb::calib::{
+    ACTS_PER_TREFI, COMRA_PRE_ACT_NS, SIMRA_DELAY_NS, T_RAS_NS, T_RP_NS,
+};
 use pudhammer_suite::dram::profiles::{self, TESTED_MODULES};
-use pudhammer_suite::dram::{BankId, DataPattern, ModuleProfile, Picos, RowAddr};
+use pudhammer_suite::dram::{BankId, DataPattern, ModuleProfile, Picos, RowAddr, RowData};
 use pudhammer_suite::hammer::fleet::{ChipUnderTest, Fleet, FleetConfig};
 use pudhammer_suite::hammer::hcfirst::{prepare, HcSearch, Trial};
 use pudhammer_suite::hammer::patterns::{self, Kernel, PatternClass};
@@ -275,6 +284,285 @@ fn trr_programs_with_refresh_and_nested_loops_match_the_oracle() {
         );
         pair.run(program, what).expect("TRR programs are valid");
     }
+}
+
+/// Reference builders: the evasion patterns as flat window sequences, one
+/// burst loop, REF and dummy windows per refresh window, the way
+/// `trr::patterns` built them before they became window loops.
+mod flat {
+    use super::*;
+
+    fn t_ras() -> Picos {
+        Picos::from_ns(T_RAS_NS)
+    }
+
+    fn t_rp() -> Picos {
+        Picos::from_ns(T_RP_NS)
+    }
+
+    fn t_rfc() -> Picos {
+        Picos::from_ns(350.0)
+    }
+
+    fn dummy_windows(p: &mut TestProgram, bank: BankId, dummy: RowAddr) {
+        for _ in 0..3 {
+            p.repeat(ACTS_PER_TREFI, |body| {
+                body.act(bank, dummy, t_ras()).pre(bank, t_rp());
+            });
+            p.refresh(t_rfc());
+        }
+    }
+
+    pub fn rowhammer(bank: BankId, aggs: &[RowAddr], dummy: RowAddr, hammers: u64) -> TestProgram {
+        let per_window = (ACTS_PER_TREFI / aggs.len() as u64).max(1);
+        let mut p = TestProgram::new();
+        let mut done = 0;
+        while done < hammers {
+            let burst = per_window.min(hammers - done);
+            p.repeat(burst, |body| {
+                for &a in aggs {
+                    body.act(bank, a, t_ras()).pre(bank, t_rp());
+                }
+            });
+            p.refresh(t_rfc());
+            dummy_windows(&mut p, bank, dummy);
+            done += burst;
+        }
+        p
+    }
+
+    pub fn comra(
+        bank: BankId,
+        src: RowAddr,
+        dst: RowAddr,
+        dummy: RowAddr,
+        pairs: u64,
+    ) -> TestProgram {
+        let mut p = TestProgram::new();
+        let mut done = 0;
+        while done < pairs {
+            let burst = (ACTS_PER_TREFI / 2).min(pairs - done);
+            p.repeat(burst, |body| {
+                body.act(bank, src, t_ras())
+                    .pre(bank, Picos::from_ns(COMRA_PRE_ACT_NS))
+                    .act(bank, dst, t_ras())
+                    .pre(bank, t_rp());
+            });
+            p.refresh(t_rfc());
+            dummy_windows(&mut p, bank, dummy);
+            done += burst;
+        }
+        p
+    }
+
+    pub fn simra(bank: BankId, r1: RowAddr, r2: RowAddr, ops: u64) -> TestProgram {
+        let d = Picos::from_ns(SIMRA_DELAY_NS);
+        let mut p = TestProgram::new();
+        let mut done = 0;
+        while done < ops {
+            let burst = (ACTS_PER_TREFI / 2).min(ops - done);
+            p.repeat(burst, |body| {
+                body.act(bank, r1, d)
+                    .pre(bank, d)
+                    .act(bank, r2, t_ras())
+                    .pre(bank, t_rp());
+            });
+            p.refresh(t_rfc());
+            done += burst;
+        }
+        p
+    }
+}
+
+/// What an observer is asked and answers, in order.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Act(BankId, RowAddr),
+    Ref(Vec<(BankId, RowAddr)>),
+}
+
+/// A sampling TRR that logs every `on_act` and every `on_ref` answer.
+struct Logged {
+    trr: SamplingTrr,
+    log: Arc<Mutex<Vec<Seen>>>,
+}
+
+impl ActivityObserver for Logged {
+    fn on_act(&mut self, bank: BankId, logical_row: RowAddr) {
+        self.log.lock().unwrap().push(Seen::Act(bank, logical_row));
+        self.trr.on_act(bank, logical_row);
+    }
+
+    fn on_ref(&mut self, bank_hint: BankId) -> Vec<(BankId, RowAddr)> {
+        let victims = self.trr.on_ref(bank_hint);
+        self.log.lock().unwrap().push(Seen::Ref(victims.clone()));
+        victims
+    }
+}
+
+/// Everything observable of one TRR run.
+#[derive(Debug, PartialEq)]
+struct TrrRun {
+    flips: Vec<pudhammer_suite::bender::FlipRecord>,
+    reads: Vec<RowData>,
+    elapsed: Picos,
+    acts: u64,
+    trace: Vec<TraceEvent>,
+    seen: Vec<Seen>,
+    rows: Vec<Option<RowData>>,
+    accumulated: Vec<(f64, f64)>,
+}
+
+/// Runs `program` on a fresh executor with refresh on and a logged
+/// sampling TRR, compiled (`try_run`) or interpreted, after writing
+/// `victim_dp` around and `aggressor_dp` over the physical `aggressors`.
+fn trr_run(
+    program: &TestProgram,
+    aggressors: &[RowAddr],
+    (victim_dp, aggressor_dp): (DataPattern, DataPattern),
+    compiled: bool,
+) -> TrrRun {
+    let profile = profiles::most_simra_vulnerable();
+    let geometry = FleetConfig::quick().geometry;
+    let mut exec = Executor::new(profile, geometry, 0, 24);
+    let ring = Arc::new(Mutex::new(RingBufferSink::new(1 << 20)));
+    exec.set_trace_sink(ring.clone());
+    let log = Arc::new(Mutex::new(Vec::new()));
+    exec.set_env(TestEnv::with_refresh());
+    exec.set_observer(Box::new(Logged {
+        trr: SamplingTrr::new(SamplingTrrConfig::default(), profile.mapping(), 0xC0FFEE),
+        log: log.clone(),
+    }));
+    let bank = BankId(0);
+    for &a in aggressors {
+        for r in a.0.saturating_sub(2)..=a.0 + 2 {
+            exec.write_row(bank, exec.chip().to_logical(RowAddr(r)), victim_dp);
+        }
+    }
+    for &a in aggressors {
+        exec.write_row(bank, exec.chip().to_logical(a), aggressor_dp);
+    }
+    let report = if compiled {
+        exec.try_run(program)
+    } else {
+        exec.interpret(program)
+    }
+    .expect("TRR programs are valid");
+    let rows_per_bank = geometry.rows_per_bank();
+    let trace = drain(&ring);
+    let seen = log.lock().unwrap().clone();
+    TrrRun {
+        flips: report.flips,
+        reads: report.reads,
+        elapsed: report.elapsed,
+        acts: report.acts,
+        trace,
+        seen,
+        rows: (0..rows_per_bank)
+            .map(|r| exec.chip().bank(bank).unwrap().row(RowAddr(r)).cloned())
+            .collect(),
+        accumulated: (0..rows_per_bank)
+            .map(|r| exec.engine().accumulated(bank, RowAddr(r)))
+            .collect(),
+    }
+}
+
+#[test]
+fn window_loop_evasion_programs_match_their_flat_window_sequences() {
+    // Physical rows; the quick fleet's most SiMRA-vulnerable family maps
+    // them to logical addresses below. Every count leaves a remainder
+    // window (78 ACT pairs or 156/k hammers per window), and one RowHammer
+    // count is an exact multiple.
+    let profile = profiles::most_simra_vulnerable();
+    let chip = Executor::new(profile, FleetConfig::quick().geometry, 0, 24);
+    let logical = |phys: u32| chip.chip().to_logical(RowAddr(phys));
+    let bank = BankId(0);
+    let (a, b, c, dummy) = (logical(20), logical(22), logical(24), logical(60));
+    // A SiMRA-4 group sandwiching the family's most vulnerable row.
+    let (_, hero) = chip
+        .engine()
+        .model()
+        .hero_row()
+        .expect("chip 0 has the hero row");
+    let hero_sa = chip
+        .chip()
+        .geometry()
+        .subarray_of(hero)
+        .expect("hero in range");
+    let simra = patterns::simra_ds_kernels(chip.chip(), hero_sa, 4)
+        .into_iter()
+        .find(|k| patterns::simra_victims(chip.chip(), k).0.contains(&hero))
+        .expect("a SiMRA-4 group sandwiches the hero row");
+    let Kernel::Simra { r1, r2, .. } = simra else {
+        unreachable!("simra_ds_kernels builds SiMRA kernels")
+    };
+    let members = patterns::simra_members(chip.chip(), &simra).expect("a SiMRA group");
+    let checker = (DataPattern::CHECKER_AA, DataPattern::CHECKER_55);
+    let cases = [
+        (
+            "1-sided rowhammer",
+            trr_patterns::rowhammer_evasion(bank, &[a], dummy, 500),
+            flat::rowhammer(bank, &[a], dummy, 500),
+            vec![RowAddr(20), RowAddr(60)],
+            checker,
+        ),
+        (
+            "3-sided rowhammer",
+            trr_patterns::rowhammer_evasion(bank, &[a, b, c], dummy, 3_000),
+            flat::rowhammer(bank, &[a, b, c], dummy, 3_000),
+            vec![RowAddr(20), RowAddr(22), RowAddr(24), RowAddr(60)],
+            checker,
+        ),
+        (
+            "2-sided rowhammer, whole windows",
+            trr_patterns::rowhammer_evasion(bank, &[a, b], dummy, 780),
+            flat::rowhammer(bank, &[a, b], dummy, 780),
+            vec![RowAddr(20), RowAddr(22), RowAddr(60)],
+            checker,
+        ),
+        (
+            "comra",
+            trr_patterns::comra_evasion(bank, a, b, dummy, 2_000),
+            flat::comra(bank, a, b, dummy, 2_000),
+            vec![RowAddr(20), RowAddr(22), RowAddr(60)],
+            checker,
+        ),
+        (
+            "simra",
+            trr_patterns::simra_evasion(bank, r1, r2, 2_000),
+            flat::simra(bank, r1, r2, 2_000),
+            members,
+            // SiMRA flips 1→0: all-ones victims, all-zeros group.
+            (DataPattern::ONES, DataPattern::ZEROS),
+        ),
+    ];
+    let mut any_flips = false;
+    for (what, windowed, unrolled, aggressors, patterns) in &cases {
+        assert!(
+            windowed.steps().len() <= 10,
+            "{what}: {} steps",
+            windowed.steps().len()
+        );
+        assert_eq!(windowed.act_count(), unrolled.act_count(), "{what}: acts");
+        assert_eq!(windowed.cmd_count(), unrolled.cmd_count(), "{what}: cmds");
+        assert_eq!(windowed.duration(), unrolled.duration(), "{what}: duration");
+        for compiled in [true, false] {
+            let got = trr_run(windowed, aggressors, *patterns, compiled);
+            let want = trr_run(unrolled, aggressors, *patterns, compiled);
+            assert!(
+                got.seen
+                    .iter()
+                    .any(|s| matches!(s, Seen::Ref(v) if !v.is_empty())),
+                "{what}: TRR must refresh victims"
+            );
+            any_flips |= !got.flips.is_empty();
+            assert!(
+                got == want,
+                "{what} (compiled: {compiled}) diverges from its flat reference"
+            );
+        }
+    }
+    assert!(any_flips, "the SiMRA program must flip bits under TRR");
 }
 
 /// SplitMix64: a seeded, dependency-free source of program shapes.

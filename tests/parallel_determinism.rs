@@ -8,7 +8,7 @@ use pudhammer_suite::bender::fault::FaultConfig;
 
 use pudhammer_suite::bender::ops;
 use pudhammer_suite::dram::RowAddr;
-use pudhammer_suite::hammer::experiments::{simra, table2, Scale};
+use pudhammer_suite::hammer::experiments::{simra, table2, trr_eval, Scale};
 use pudhammer_suite::hammer::fleet::{sweep, Fleet, FleetConfig};
 use pudhammer_suite::observe::{profile, RingBufferSink, SharedSink, TraceEvent};
 
@@ -135,6 +135,33 @@ fn sweeps_are_byte_identical_across_thread_counts() {
         merged_serial, merged_parallel,
         "merged trace stream must not depend on threads"
     );
+}
+
+#[test]
+fn fig24_is_byte_identical_at_one_two_and_four_threads() {
+    let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    // Fig. 24's workers claim its techniques longest first; rows and the
+    // merged trace stream must still fold in technique order.
+    let global = Arc::new(Mutex::new(RingBufferSink::new(1 << 20)));
+    pudhammer_suite::observe::set_global_sink(global.clone());
+    let run = |threads| {
+        let mut scale = tiny_scale(threads);
+        scale.trr_hammers = 20_000;
+        let rendered = trr_eval::fig24(&scale).to_string();
+        let mut ring = global.lock().unwrap();
+        assert_eq!(ring.dropped(), 0, "ring must hold the full event stream");
+        let events = ring.to_vec();
+        ring.clear();
+        (rendered, events)
+    };
+    let serial = run(1);
+    assert!(!serial.1.is_empty());
+    for threads in [2, 4] {
+        let parallel = run(threads);
+        assert_eq!(serial.0, parallel.0, "fig24 rows at {threads} threads");
+        assert!(serial.1 == parallel.1, "fig24 trace at {threads} threads");
+    }
+    pudhammer_suite::observe::clear_global_sink();
 }
 
 /// The call-tree shape a profiled run produces, with the wall-clock fields
