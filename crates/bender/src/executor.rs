@@ -224,9 +224,7 @@ pub struct Executor {
     refresh_acc: f64,
     refresh_ptr: u32,
     refs_seen: u64,
-    /// Events of the iteration being recorded, each with the weight the
-    /// engine resolved for it.
-    recording: Option<Vec<(HammerEvent, f64)>>,
+    recording: Option<Vec<HammerEvent>>,
     watch: Option<Watch>,
     report: RunReport,
     metrics: ExecMetrics,
@@ -603,7 +601,6 @@ impl Executor {
             let mut forecast = at.forecast?;
             let tail: Vec<&HammerEvent> = tail
                 .iter()
-                .map(|(e, _)| e)
                 .filter(|e| e.bank == bank && e.victim == victim)
                 .collect();
             if !tail.is_empty() && tail_source.is_some_and(|s| at.steady_victims.contains(&s)) {
@@ -855,9 +852,9 @@ impl Executor {
                 .filter(|_| !flipped)
                 .and_then(|d| self.engine.forecast(bank, victim, d))
                 .map(|mut forecast| {
-                    for (ev, _) in recorded
+                    for ev in recorded
                         .iter()
-                        .filter(|(e, _)| e.bank == bank && e.victim == victim)
+                        .filter(|e| e.bank == bank && e.victim == victim)
                     {
                         self.engine.forecast_steady(&mut forecast, ev);
                     }
@@ -865,14 +862,14 @@ impl Executor {
                 });
             watch.at_bulk = Some(AtBulk {
                 forecast,
-                steady_victims: recorded.iter().map(|(e, _)| (e.bank, e.victim)).collect(),
+                steady_victims: recorded.iter().map(|e| (e.bank, e.victim)).collect(),
             });
         }
         let remaining = count - 2;
-        for (ev, w) in &recorded {
+        for ev in &recorded {
             let mut bulk = *ev;
             bulk.repeat = ev.repeat.saturating_mul(remaining);
-            self.apply_event_with(&bulk, Some(*w));
+            self.apply_event(&bulk);
         }
         self.clock = self
             .clock
@@ -891,7 +888,7 @@ impl Executor {
             acts: body_acts * remaining,
         });
         let now = self.clock;
-        for (ev, _) in &recorded {
+        for ev in &recorded {
             if let Some(h) = self.hist.get_mut(&(ev.bank.0, ev.victim.0)) {
                 h.last_end = now;
             }
@@ -1444,30 +1441,18 @@ impl Executor {
     }
 
     fn apply_event(&mut self, ev: &HammerEvent) {
-        self.apply_event_with(ev, None);
-    }
-
-    /// Applies `ev` to the engine. A compiled replay applies a bulk event
-    /// with the weight its recorded iteration resolved (`resolved`); the
-    /// interpreter oracle recomputes every weight.
-    fn apply_event_with(&mut self, ev: &HammerEvent, resolved: Option<f64>) {
+        if let Some(rec) = self.recording.as_mut() {
+            rec.push(*ev);
+        }
         let default_fill = DataPattern::ZEROS;
         let bank = self.chip.bank_mut(ev.bank).expect("event banks are valid");
         let victim_data = bank.row_mut_or(ev.victim, default_fill);
         self.flip_scratch.clear();
-        let w = match (self.batched, resolved) {
-            (true, Some(w)) => {
-                self.engine
-                    .hammer_resolved(ev, w, victim_data, &mut self.flip_scratch);
-                w
-            }
-            (true, None) => self
-                .engine
-                .hammer_batched(ev, victim_data, &mut self.flip_scratch),
-            (false, _) => self.engine.hammer(ev, victim_data, &mut self.flip_scratch),
-        };
-        if let Some(rec) = self.recording.as_mut() {
-            rec.push((*ev, w));
+        if self.batched {
+            self.engine
+                .hammer_batched(ev, victim_data, &mut self.flip_scratch);
+        } else {
+            self.engine.hammer(ev, victim_data, &mut self.flip_scratch);
         }
         if !self.flip_scratch.is_empty() {
             self.metrics.flips.add(self.flip_scratch.len() as u64);

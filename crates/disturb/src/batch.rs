@@ -13,11 +13,12 @@
 //!
 //! The per-row values live in the engine's one record per row (see
 //! [`crate::DisturbEngine`]), beside the row's disturbance state and flip
-//! history, so a batched hammer event makes one map probe. The weight —
-//! the factor-curve product — depends on the victim and on the event's
-//! *shape*: everything else [`crate::DisturbEngine::event_weight`] reads
-//! (kind with its timings, on-time, temperature, aggressor data bits,
-//! distance). This module holds what the records share:
+//! history, so a batched hammer event makes one map probe into the
+//! engine. The weight — the factor-curve product — depends on the victim
+//! and on the event's *shape*: everything else
+//! [`crate::DisturbEngine::event_weight`] reads (kind with its timings,
+//! on-time, temperature, aggressor data bits, distance). This module holds
+//! what the records share:
 //!
 //! - [`ShapeTable`] interns shapes to dense `u32` ids. A small
 //!   direct-mapped memo in front of its map answers the repeating shapes
@@ -118,7 +119,7 @@ const WEIGHT_SLOTS: usize = 4;
 
 /// One record's inline weight cache: the weights of its row's most
 /// recently inserted shapes, by shape id, newest first.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WeightSlots {
     ids: [u32; WEIGHT_SLOTS],
     weights: [f64; WEIGHT_SLOTS],

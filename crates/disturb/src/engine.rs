@@ -354,7 +354,8 @@ impl Factors {
 ///
 /// Each row the engine has seen has one record: its disturbance state, its
 /// flip history, and the batched path's per-row caches (see
-/// [`crate::batch`]), so a hammer event makes one map probe.
+/// [`crate::batch`]), so a hammer event makes one map probe into the
+/// engine.
 #[derive(Debug)]
 pub struct DisturbEngine {
     factors: Factors,
@@ -399,16 +400,10 @@ impl DisturbEngine {
 
     /// Applies a batch of hammer cycles to a victim row, materializing any
     /// resulting bitflips into `victim_data` and appending them to `out`.
-    /// Returns the event's per-cycle weight.
     ///
     /// The uncached reference for [`DisturbEngine::hammer_batched`]: every
     /// per-event value is recomputed from the model.
-    pub fn hammer(
-        &mut self,
-        ev: &HammerEvent,
-        victim_data: &mut RowData,
-        out: &mut Vec<Bitflip>,
-    ) -> f64 {
+    pub fn hammer(&mut self, ev: &HammerEvent, victim_data: &mut RowData, out: &mut Vec<Bitflip>) {
         // A batched event with repeat N stands for N applied disturbance
         // events; the profiler's work counter weights it accordingly.
         pud_observe::profile::work_events(ev.repeat);
@@ -416,7 +411,6 @@ impl DisturbEngine {
         let w = self.factors.event_weight(ev, &vuln);
         let rec = self.records.entry((ev.bank, ev.victim)).or_default();
         apply_weighted(rec, self.epoch, ev, &vuln, w, victim_data, out, None);
-        w
     }
 
     /// As [`DisturbEngine::hammer`], with the per-row vulnerability
@@ -432,7 +426,7 @@ impl DisturbEngine {
         ev: &HammerEvent,
         victim_data: &mut RowData,
         out: &mut Vec<Bitflip>,
-    ) -> f64 {
+    ) {
         pud_observe::profile::work_events(ev.repeat);
         let DisturbEngine {
             factors,
@@ -465,25 +459,6 @@ impl DisturbEngine {
             }
         };
         apply_weighted(rec, *epoch, ev, &vuln, w, victim_data, out, Some(stats));
-        w
-    }
-
-    /// [`DisturbEngine::hammer_batched`] with the weight already resolved:
-    /// `w` must be what `hammer_batched` (or [`DisturbEngine::hammer`])
-    /// returned for an event differing from `ev` at most in `repeat`. The
-    /// executor's bulk replay applies its recorded events this way.
-    pub fn hammer_resolved(
-        &mut self,
-        ev: &HammerEvent,
-        w: f64,
-        victim_data: &mut RowData,
-        out: &mut Vec<Bitflip>,
-    ) {
-        pud_observe::profile::work_events(ev.repeat);
-        let stats = &mut self.shared.stats;
-        let rec = self.records.entry((ev.bank, ev.victim)).or_default();
-        let vuln = rec.vuln(&self.factors.model, ev, stats);
-        apply_weighted(rec, self.epoch, ev, &vuln, w, victim_data, out, Some(stats));
     }
 
     /// The cached data summary of `row`, computing and caching it through
@@ -958,6 +933,59 @@ mod tests {
         }
         let stats = batched.batch_stats();
         assert!(stats.hits() > stats.misses(), "caches must carry the load");
+    }
+
+    #[test]
+    fn invalidation_drops_only_the_summary() {
+        // Sub-threshold events flip nothing, so only the calls under test
+        // touch the record's caches.
+        let mut e = engine(1);
+        let mut v = victim_row();
+        let ev = checker_event(AggressionKind::RowHammerDouble, 10);
+        let key = (BankId(0), RowAddr(10));
+        let mut out = Vec::new();
+        e.hammer_batched(&ev, &mut v, &mut out);
+        let cold = e.records[&key].clone();
+        assert!(cold.vuln.is_some() && cold.summary.is_some());
+        assert_ne!(cold.eligs[FlipClass::RowHammer as usize].0, NO_ELIG);
+        // The cache deltas of one more batched event on the row.
+        let mut next = |e: &mut DisturbEngine| {
+            let before = e.batch_stats();
+            e.hammer_batched(&ev, &mut v, &mut out);
+            let after = e.batch_stats();
+            (
+                after.vuln_hits - before.vuln_hits,
+                after.vuln_misses - before.vuln_misses,
+                after.weight_hits - before.weight_hits,
+                after.weight_misses - before.weight_misses,
+                after.summary_misses - before.summary_misses,
+            )
+        };
+        let kept_all = (1, 0, 1, 0, 0);
+        let lost_summary = (1, 0, 1, 0, 1);
+        assert_eq!(next(&mut e), kept_all);
+        for drop_summary in [
+            DisturbEngine::invalidate_summary as fn(&mut DisturbEngine, BankId, RowAddr),
+            DisturbEngine::rewrite,
+        ] {
+            drop_summary(&mut e, key.0, key.1);
+            let rec = &e.records[&key];
+            assert!(rec.summary.is_none());
+            assert_eq!(rec.vuln, cold.vuln);
+            assert_eq!(rec.weights, cold.weights);
+            assert_eq!(rec.eligs[0].0, cold.eligs[0].0);
+            assert_eq!(rec.eligs[1].0, cold.eligs[1].0);
+            assert_eq!(next(&mut e), lost_summary);
+        }
+        // Charge restoration, one row or all, zeroes the state and keeps
+        // every cache.
+        e.restore(key.0, key.1);
+        assert_eq!(e.accumulated(key.0, key.1), (0.0, 0.0));
+        assert_eq!(next(&mut e), kept_all);
+        e.restore_all();
+        assert_eq!(e.accumulated(key.0, key.1), (0.0, 0.0));
+        assert_eq!(next(&mut e), kept_all);
+        assert!(e.accumulated(key.0, key.1).0 > 0.0);
     }
 
     #[test]

@@ -257,9 +257,10 @@ fn batched_records_agree_with_the_uncached_engine() {
     // Seeded interleavings of hammers, restorations, rewrites and full
     // refreshes on a few rows of two banks. The batched engine serves its
     // summaries, eligibilities and weights from one record per row (and
-    // sometimes takes an uncached hammer, or a bulk event with its weight
-    // already resolved); the reference recomputes everything. Flips, row
-    // data, accumulated disturbance and forecasts must agree bit for bit.
+    // sometimes takes an uncached hammer, or a bulk event of the same
+    // shape, as bulk replay applies); the reference recomputes everything.
+    // Flips, row data, accumulated disturbance and forecasts must agree bit
+    // for bit.
     let victims: Vec<(BankId, RowAddr)> = [(0, 10), (0, 11), (0, 13), (1, 10)]
         .into_iter()
         .map(|(b, r)| (BankId(b), RowAddr(r)))
@@ -296,16 +297,16 @@ fn batched_records_agree_with_the_uncached_engine() {
                 op => {
                     let ev = random_event(seed, step, (bank, row));
                     let (mut got, mut want) = (Vec::new(), Vec::new());
-                    let w = match op % 3 {
+                    match op % 3 {
                         0 => batched.hammer(&ev, &mut data_b[i], &mut got),
                         _ => batched.hammer_batched(&ev, &mut data_b[i], &mut got),
-                    };
+                    }
                     reference.hammer(&ev, &mut data_r[i], &mut want);
                     if op % 4 == 0 {
-                        // A bulk replay of the same event, weight resolved.
+                        // A bulk replay of the same event.
                         let mut bulk = ev;
                         bulk.repeat = ev.repeat * 7;
-                        batched.hammer_resolved(&bulk, w, &mut data_b[i], &mut got);
+                        batched.hammer_batched(&bulk, &mut data_b[i], &mut got);
                         reference.hammer(&bulk, &mut data_r[i], &mut want);
                     }
                     assert_eq!(got, want, "{what}: flips");

@@ -74,39 +74,7 @@ where
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let schedule: Vec<usize> = (0..items.len()).collect();
-    sweep_items_scheduled(threads, items, &schedule, f)
-}
-
-/// [`sweep_items`] whose parallel workers claim items in `schedule`
-/// order (a permutation of the item indices) — longest first, say, so the
-/// largest item does not start last and run alone. Indices passed to `f`
-/// and the order of the results are the items' own; the serial path runs
-/// in item order.
-///
-/// # Panics
-///
-/// Panics if `schedule` is not a permutation of `0..items.len()`.
-pub fn sweep_items_scheduled<T, R, F>(
-    threads: usize,
-    items: Vec<T>,
-    schedule: &[usize],
-    f: F,
-) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
     let n = items.len();
-    let mut seen = vec![false; n];
-    for &i in schedule {
-        assert!(
-            i < n && !std::mem::replace(&mut seen[i], true),
-            "schedule must permute the items"
-        );
-    }
-    assert_eq!(schedule.len(), n, "schedule must permute the items");
     crate::live::add_items_total(n as u64);
     if threads <= 1 || n <= 1 {
         return items
@@ -132,11 +100,10 @@ where
                 let _anchored = anchor.install();
                 let _shard = ShardGuard::install();
                 loop {
-                    let claim = next.fetch_add(1, Ordering::Relaxed);
-                    if claim >= n {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    let i = schedule[claim];
                     // fetch_add hands out each index exactly once, so the
                     // slot lock is uncontended — it exists to move `&mut T`
                     // across the thread boundary without unsafe code.
@@ -185,18 +152,6 @@ mod tests {
             assert_eq!(serial, parallel, "threads={threads}");
         }
         assert_eq!(serial[5], 15);
-        let reversed: Vec<usize> = (0..37).rev().collect();
-        for threads in [1, 2, 4] {
-            let scheduled =
-                sweep_items_scheduled(threads, items.clone(), &reversed, |i, v| *v * 2 + i as u64);
-            assert_eq!(serial, scheduled, "scheduled, threads={threads}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "schedule must permute the items")]
-    fn schedule_must_be_a_permutation() {
-        sweep_items_scheduled(2, vec![1, 2, 3], &[0, 0, 2], |_, v| *v);
     }
 
     #[test]

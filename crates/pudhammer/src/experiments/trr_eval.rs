@@ -9,8 +9,8 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use pud_bender::{Executor, TestEnv, TestProgram};
-use pud_dram::{profiles, BankId, Chip, DataPattern, RowAddr};
+use pud_bender::{Executor, TestEnv};
+use pud_dram::{profiles, BankId, DataPattern, RowAddr};
 use pud_observe::json::JsonArray;
 use pud_observe::{JsonValue, RingBufferSink, SharedSink};
 use pud_trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
@@ -231,26 +231,11 @@ pub fn fig24_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Fig24 {
     let dest = pud_observe::global_sink();
     let tracing = dest.is_some();
     let labels: Vec<String> = techniques.iter().map(|(name, _)| name.clone()).collect();
-    // Workers claim the techniques longest first (by program ACTs), so the
-    // largest run does not start last and finish alone; the outcomes still
-    // come back in technique order.
-    let dummy = probe.chip().to_logical(dummy_phys);
-    let acts: Vec<u64> = techniques
-        .iter()
-        .map(|(_, tech)| {
-            tech.setup(probe.chip(), dummy, scale.trr_hammers)
-                .program
-                .act_count()
-        })
-        .collect();
-    let mut schedule: Vec<usize> = (0..techniques.len()).collect();
-    schedule.sort_by_key(|&i| std::cmp::Reverse(acts[i]));
     let (outcomes, sweep) = crate::fleet::sweep::sweep_items_isolated(
         threads,
         scale.sweep_policy(),
         labels,
         techniques,
-        &schedule,
         |_, (name, tech)| {
             let _span = pud_observe::span("fig24.technique_ns");
             let mut events = Vec::new();
@@ -307,58 +292,6 @@ enum Technique {
     Simra(Kernel),
 }
 
-/// One technique's run on a chip: its physical aggressors, the patterns
-/// to initialize victims and aggressors with, and its evasion program.
-struct Setup {
-    aggressor_phys: Vec<RowAddr>,
-    victim_dp: DataPattern,
-    aggressor_dp: DataPattern,
-    program: TestProgram,
-}
-
-impl Technique {
-    /// The technique's run on `chip`, with the logical `dummy` row and
-    /// `hammers` hammers.
-    fn setup(&self, chip: &Chip, dummy: RowAddr, hammers: u64) -> Setup {
-        let bank = BankId(0);
-        match self {
-            Technique::RowHammer(aggs) => {
-                let logical: Vec<RowAddr> = aggs.iter().map(|&a| chip.to_logical(a)).collect();
-                Setup {
-                    aggressor_phys: aggs.clone(),
-                    victim_dp: DataPattern::CHECKER_AA,
-                    aggressor_dp: DataPattern::CHECKER_55,
-                    program: trr_patterns::rowhammer_evasion(bank, &logical, dummy, hammers),
-                }
-            }
-            Technique::Comra { src, dst } => Setup {
-                aggressor_phys: vec![*src, *dst],
-                victim_dp: DataPattern::CHECKER_AA,
-                aggressor_dp: DataPattern::CHECKER_55,
-                program: trr_patterns::comra_evasion(
-                    bank,
-                    chip.to_logical(*src),
-                    chip.to_logical(*dst),
-                    dummy,
-                    hammers,
-                ),
-            },
-            Technique::Simra(kernel) => {
-                let Kernel::Simra { r1, r2, .. } = kernel else {
-                    unreachable!("Technique::Simra holds a Simra kernel")
-                };
-                Setup {
-                    aggressor_phys: crate::patterns::simra_members(chip, kernel)
-                        .unwrap_or_default(),
-                    victim_dp: DataPattern::ONES,
-                    aggressor_dp: DataPattern::ZEROS,
-                    program: trr_patterns::simra_evasion(bank, *r1, *r2, hammers),
-                }
-            }
-        }
-    }
-}
-
 fn run_once(
     scale: &Scale,
     profile: &'static pud_dram::ModuleProfile,
@@ -395,12 +328,41 @@ fn run_once(
     let dummy = exec.chip().to_logical(dummy_phys);
     // Initialize the neighbourhood: aggressors with their pattern, every
     // other nearby row with the victim pattern.
-    let Setup {
-        aggressor_phys,
-        victim_dp,
-        aggressor_dp,
-        program,
-    } = tech.setup(exec.chip(), dummy, scale.trr_hammers);
+    let (aggressor_phys, victim_dp, aggressor_dp, program) = match tech {
+        Technique::RowHammer(aggs) => {
+            let logical: Vec<RowAddr> = aggs.iter().map(|&a| exec.chip().to_logical(a)).collect();
+            (
+                aggs.clone(),
+                DataPattern::CHECKER_AA,
+                DataPattern::CHECKER_55,
+                trr_patterns::rowhammer_evasion(bank, &logical, dummy, scale.trr_hammers),
+            )
+        }
+        Technique::Comra { src, dst } => (
+            vec![*src, *dst],
+            DataPattern::CHECKER_AA,
+            DataPattern::CHECKER_55,
+            trr_patterns::comra_evasion(
+                bank,
+                exec.chip().to_logical(*src),
+                exec.chip().to_logical(*dst),
+                dummy,
+                scale.trr_hammers,
+            ),
+        ),
+        Technique::Simra(kernel) => {
+            let members = crate::patterns::simra_members(exec.chip(), kernel).unwrap_or_default();
+            let Kernel::Simra { r1, r2, .. } = kernel else {
+                unreachable!("Technique::Simra holds a Simra kernel")
+            };
+            (
+                members,
+                DataPattern::ONES,
+                DataPattern::ZEROS,
+                trr_patterns::simra_evasion(bank, *r1, *r2, scale.trr_hammers),
+            )
+        }
+    };
     let lo = aggressor_phys
         .iter()
         .map(|r| r.0)

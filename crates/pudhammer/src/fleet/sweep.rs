@@ -618,16 +618,12 @@ fn collate_outcomes<R>(
 /// Isolating work-stealing map over arbitrary owned items (the
 /// [`sweep_items`] analog of [`sweep_isolated`], for sweeps that are not
 /// keyed by [`ChipUnderTest`] — e.g. per-technique TRR evaluations).
-/// Labels index the report rows. Workers claim the items in `schedule`
-/// order (see [`pud_observe::par::sweep_items_scheduled`]); outcomes,
-/// report rows and the indices `f` and the shard split see stay in item
-/// order.
+/// Labels index the report rows.
 pub fn sweep_items_isolated<T, R, F>(
     threads: usize,
     policy: SweepPolicy,
     labels: Vec<String>,
     items: Vec<T>,
-    schedule: &[usize],
     f: F,
 ) -> (Vec<SweepOutcome<R>>, SweepReport)
 where
@@ -637,7 +633,7 @@ where
 {
     assert_eq!(labels.len(), items.len(), "one label per item");
     let n = items.len();
-    let raw = pud_observe::par::sweep_items_scheduled(threads, items, schedule, |i, item| {
+    let raw = sweep_items(threads, items, |i, item| {
         match super::shard::skip_for(i, n) {
             Some(reason) => (SweepOutcome::Skipped(reason), 0),
             None => run_supervised(policy, || f(i, &mut *item)),
@@ -752,7 +748,6 @@ mod tests {
             SweepPolicy::default(),
             labels,
             (0..8usize).collect(),
-            &[7, 6, 5, 4, 3, 2, 1, 0],
             |i, v: &mut usize| {
                 // Items 2 and 5 fail transiently twice before succeeding.
                 if (*v == 2 || *v == 5) && failures[i].fetch_add(1, Ordering::SeqCst) < 2 {
@@ -781,7 +776,6 @@ mod tests {
             SweepPolicy::default(),
             labels,
             vec![0usize, 1],
-            &[0, 1],
             |_, v: &mut usize| {
                 if *v == 1 {
                     std::panic::panic_any(ExecError::Fault {
@@ -811,7 +805,6 @@ mod tests {
             SweepPolicy { max_retries: 2 },
             vec!["x".to_string()],
             vec![0usize],
-            &[0],
             |_, _: &mut usize| -> usize {
                 std::panic::panic_any(ExecError::Fault {
                     kind: pud_bender::fault::FaultKind::CommandTimeout,
@@ -832,7 +825,6 @@ mod tests {
             SweepPolicy::default(),
             vec!["x".to_string()],
             vec![0usize],
-            &[0],
             |_, _: &mut usize| -> usize { panic!("unexpected invariant breach {}", 42) },
         );
         let err = outcomes[0].quarantine().expect("quarantined");
@@ -890,7 +882,6 @@ mod tests {
             SweepPolicy::default(),
             labels,
             vec![0usize, 1],
-            &[0, 1],
             |_, v: &mut usize| {
                 if *v == 1 {
                     std::panic::panic_any(Cancelled {

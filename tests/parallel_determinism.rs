@@ -140,7 +140,7 @@ fn sweeps_are_byte_identical_across_thread_counts() {
 #[test]
 fn fig24_is_byte_identical_at_one_two_and_four_threads() {
     let _guard = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    // Fig. 24's workers claim its techniques longest first; rows and the
+    // Fig. 24's workers finish its techniques in any order; rows and the
     // merged trace stream must still fold in technique order.
     let global = Arc::new(Mutex::new(RingBufferSink::new(1 << 20)));
     pudhammer_suite::observe::set_global_sink(global.clone());
