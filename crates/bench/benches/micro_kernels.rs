@@ -172,6 +172,7 @@ fn bench_hc_first_search() {
     let mut trial = Trial::new(
         &mut exec,
         BankId(0),
+        &[],
         &kernel,
         victim,
         aggressor_dp,

@@ -618,19 +618,22 @@ impl Executor {
         Ok((report, forecast))
     }
 
-    /// Admits `program` exactly as [`Executor::try_run`] does — the
-    /// cancellation probe, validation (the refresh-window bound included)
-    /// and the fault clock — then answers from `forecast` whether its
-    /// victim flips, without executing a command.
+    /// Admits each `prelude` program and then `program`, in that order,
+    /// exactly as [`Executor::try_run`] does — the cancellation probe,
+    /// validation (the refresh-window bound included) and the fault
+    /// clock — then answers from `forecast` whether the victim flips in
+    /// `program`, without executing a command.
     ///
     /// `Ok(None)`, with nothing admitted, when `program` is not the
     /// forecast's loop at a count above 3 under the recorded environment;
     /// run it instead. The answer equals the flip outcome of a replay only
-    /// while the device starts from the state the recording started from,
-    /// which the caller re-establishes between trials (see
-    /// `pudhammer::hcfirst::prepare`).
-    pub fn try_forecast(
+    /// while `program` starts from the state the recording started from:
+    /// the caller re-establishes it between trials (see
+    /// `pudhammer::hcfirst::prepare`) and runs the same `prelude`, none
+    /// of which flipped the victim, before the recording.
+    pub fn try_forecast<'p>(
         &mut self,
+        prelude: impl IntoIterator<Item = &'p TestProgram>,
         program: &TestProgram,
         forecast: &LoopForecast,
     ) -> Result<Option<bool>, ExecError> {
@@ -639,6 +642,9 @@ impl Executor {
         };
         if body != forecast.body.as_slice() || self.env != forecast.env {
             return Ok(None);
+        }
+        for stage in prelude {
+            self.admit(stage)?;
         }
         self.admit(program)?;
         // `bulk_replay` applies the steady-state events `count - 2` times.

@@ -60,11 +60,8 @@ impl ActivationWeights {
     pub fn is_safe_for(&self, profile: &ModuleProfile) -> bool {
         // Per operation type, the counted weight per op must be at least
         // threshold / HC_first(op).
-        let ok_comra = self.comra >= self.rowhammer_threshold / profile.comra.min
-            || self.rowhammer_threshold <= profile.rowhammer.min;
         let needed_comra = profile.rowhammer.min / profile.comra.min;
         let needed_simra = profile.simra.map_or(0.0, |s| profile.rowhammer.min / s.min);
-        let _ = ok_comra;
         self.rowhammer_threshold <= profile.rowhammer.min
             && self.comra + 1e-9
                 >= needed_comra * (self.rowhammer_threshold / profile.rowhammer.min)

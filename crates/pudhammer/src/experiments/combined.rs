@@ -8,15 +8,13 @@
 
 use std::fmt;
 
-use pud_bender::Executor;
-use pud_dram::{BankId, DataPattern, RowAddr};
+use pud_dram::DataPattern;
 
 use crate::experiments::{measure, sweep_fleet, DpSpec, Scale};
 use crate::fleet::checkpoint::{CheckpointStore, RunCtx};
 use crate::fleet::sweep::SweepReport;
 use crate::fleet::Fleet;
-use crate::hcfirst::prepare;
-use crate::hcfirst::WarmStart;
+use crate::hcfirst::{measure_hc_first_after, WarmStart};
 use crate::patterns::{comra_ds_for, rowhammer_ds_for, Kernel};
 use crate::report::{fmt_hc, Table};
 use crate::stats::{fraction_where, percent_change, Summary};
@@ -116,6 +114,15 @@ pub fn fig23_ckpt(scale: &Scale, ckpt: Option<&CheckpointStore>) -> Combined {
     run_combined(scale, StagePlan::ComraThenSimra, ctx.as_ref())
 }
 
+/// Per fraction: `(fraction, changes vs RowHammer-only, RowHammer-phase
+/// HC_firsts)`, all empty.
+fn no_changes() -> Vec<(f64, Vec<f64>, Vec<f64>)> {
+    FRACTIONS
+        .iter()
+        .map(|&fr| (fr, Vec::new(), Vec::new()))
+        .collect()
+}
+
 fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Combined {
     // §6.2: the experiment runs on the chips used for SiMRA
     // characterization.
@@ -124,10 +131,7 @@ fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Com
     let dp = DataPattern::CHECKER_55;
     let mut sweep = SweepReport::default();
     let per_chip = sweep_fleet(scale, &mut fleet, &mut sweep, ctx, |_, chip| {
-        let mut per_fraction: Vec<(f64, Vec<f64>, Vec<f64>)> = FRACTIONS
-            .iter()
-            .map(|&fr| (fr, Vec::new(), Vec::new()))
-            .collect();
+        let mut per_fraction = no_changes();
         let mut baseline_vals = Vec::new();
         let bank = chip.bank();
         for (simra_kernel, victim) in crate::experiments::simra::ds_targets(chip, 4, cap) {
@@ -142,39 +146,35 @@ fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Com
                 continue;
             };
             baseline_vals.push(h_rh as f64);
-            // Per-technique baselines (same data pattern for consistency).
-            let mut stage_kernels: Vec<(Kernel, u64)> = Vec::new();
-            let stages_ok = match plan {
-                StagePlan::Comra => comra_kernel
-                    .and_then(|k| hc(&k).map(|h| stage_kernels.push((k, h))))
-                    .is_some(),
-                StagePlan::Simra => hc(&simra_kernel)
-                    .map(|h| stage_kernels.push((simra_kernel, h)))
-                    .is_some(),
-                StagePlan::ComraThenSimra => {
-                    let c = comra_kernel.and_then(|k| hc(&k).map(|h| (k, h)));
-                    let s = hc(&simra_kernel).map(|h| (simra_kernel, h));
-                    match (c, s) {
-                        (Some(c), Some(s)) => {
-                            stage_kernels.push(c);
-                            stage_kernels.push(s);
-                            true
-                        }
-                        _ => false,
-                    }
-                }
+            // Per-technique baselines (same data pattern for consistency),
+            // each measured even after one that finds no flip.
+            let stages = match plan {
+                StagePlan::Comra => vec![comra_kernel],
+                StagePlan::Simra => vec![Some(simra_kernel)],
+                StagePlan::ComraThenSimra => vec![comra_kernel, Some(simra_kernel)],
             };
-            if !stages_ok {
+            let measured: Vec<Option<(Kernel, u64)>> = stages
+                .into_iter()
+                .map(|k| k.and_then(|k| Some((k, hc(&k)?))))
+                .collect();
+            let Some(stage_kernels) = measured.into_iter().collect::<Option<Vec<_>>>() else {
                 continue;
-            }
+            };
             for (fr, changes, totals) in &mut per_fraction {
                 let stages: Vec<(Kernel, u64)> = stage_kernels
                     .iter()
                     .map(|&(k, h)| (k, ((h as f64) * *fr) as u64))
                     .collect();
-                if let Some(rh_phase) =
-                    combined_hc(scale, chip.exec(), bank, &stages, &rh_kernel, victim, dp)
-                {
+                if let Some(rh_phase) = measure_hc_first_after(
+                    chip.exec(),
+                    bank,
+                    &stages,
+                    &rh_kernel,
+                    victim,
+                    dp,
+                    dp.negated(),
+                    &scale.search,
+                ) {
                     changes.push(percent_change(rh_phase as f64, h_rh as f64));
                     totals.push(rh_phase as f64);
                 }
@@ -182,10 +182,7 @@ fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Com
         }
         (baseline_vals, per_fraction)
     });
-    let mut per_fraction: Vec<(f64, Vec<f64>, Vec<f64>)> = FRACTIONS
-        .iter()
-        .map(|&fr| (fr, Vec::new(), Vec::new()))
-        .collect();
+    let mut per_fraction = no_changes();
     let mut baseline_vals = Vec::new();
     for (chip_baseline, chip_fracs) in per_chip {
         baseline_vals.extend(chip_baseline);
@@ -199,68 +196,11 @@ fn run_combined(scale: &Scale, plan: StagePlan, ctx: Option<&RunCtx<'_>>) -> Com
         plan,
         per_fraction: per_fraction
             .into_iter()
-            .map(|(fr, ch, tot)| {
-                let s = Summary::from_values(&tot);
-                (fr, ch, s)
-            })
+            .map(|(fr, ch, tot)| (fr, ch, Summary::from_values(&tot)))
             .collect(),
         baseline: Summary::from_values(&baseline_vals),
         sweep,
     }
-}
-
-/// Measures the RowHammer-phase hammer count to first flip of a staged
-/// pattern: fixed pre-hammer stages followed by a RowHammer search phase.
-/// Returns 0 if the stages themselves flip the victim.
-fn combined_hc(
-    scale: &Scale,
-    exec: &mut Executor,
-    bank: BankId,
-    stages: &[(Kernel, u64)],
-    rh_kernel: &Kernel,
-    victim: RowAddr,
-    dp: DataPattern,
-) -> Option<u64> {
-    let _span = pud_observe::span("combined.search_ns");
-    let mut check = |rh_count: u64| -> bool {
-        // One program run is the cancellation grace unit: a cancelled
-        // search aborts before the next (expensive) hammer sequence.
-        crate::fleet::supervisor::poll_cancel();
-        prepare(exec, bank, rh_kernel, victim, dp, dp.negated());
-        for (k, c) in stages {
-            if *c > 0 {
-                let aggressors = k.aggressors();
-                for a in aggressors {
-                    exec.write_row(bank, a, dp);
-                }
-                let report = exec.run(&k.program(bank, *c));
-                if report.flips.iter().any(|f| f.phys_row == victim) {
-                    return true;
-                }
-            }
-        }
-        let report = exec.run(&rh_kernel.program(bank, rh_count));
-        report.flips.iter().any(|f| f.phys_row == victim)
-    };
-    let mut hi = 1u64;
-    while !check(hi) {
-        if hi >= scale.search.max_hammers {
-            return None;
-        }
-        hi = (hi * 4).min(scale.search.max_hammers);
-    }
-    if hi > 1 {
-        let mut lo = hi / 4;
-        while (hi - lo) as f64 > scale.search.tolerance * hi as f64 && hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if check(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-    }
-    Some(hi)
 }
 
 impl fmt::Display for Combined {

@@ -33,7 +33,7 @@ pub const SS_GROUP_SIZES: [u8; 5] = [2, 4, 8, 16, 32];
 /// subarray's blocks (mirroring the paper's "100 random groups per
 /// subarray", §5.2) so every subarray region is represented; the chip's
 /// designated most-vulnerable row is always included.
-pub(crate) fn ds_targets(chip: &mut ChipUnderTest, n: u8, cap: usize) -> Vec<(Kernel, RowAddr)> {
+pub fn ds_targets(chip: &mut ChipUnderTest, n: u8, cap: usize) -> Vec<(Kernel, RowAddr)> {
     let hero = chip.exec().engine().model().hero_row().map(|(_, r)| r);
     let mut targets = spread_targets(chip, n, cap, true);
     if let Some(hero) = hero {

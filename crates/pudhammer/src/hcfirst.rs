@@ -14,21 +14,23 @@
 //! miss falls back to the full cold search. Hits, misses, and the saved
 //! probe iterations are recorded under `hcfirst.warm.*`.
 //!
-//! A search's trials differ only in their loop count, and the executor
-//! replays any count above 3 as two explicit iterations, one bulk step
-//! linear in the count, and a count-independent tail. So a [`Trial`]
-//! simulates the first such trial of a search once, recording the
-//! victim's closed form, and answers every later check — bisection steps,
-//! warm-start validations and all repeats of a search — from it with the
-//! disturbance engine's own float operations. Each check still builds its
-//! program and passes the executor's admission (cancellation, validation,
-//! fault clock), so the bisection sees the same predicate and the fault
-//! schedule the same command stream as when every trial was replayed:
-//! results are identical, and repeats are nearly free. Simulated trials
-//! are counted under `hcfirst.replays`, checks under
+//! A search's trials differ only in their loop count after a fixed
+//! prelude (no stages for a plain search; the §6 pre-hammer stages for
+//! [`measure_hc_first_after`]), and the executor replays any count above
+//! 3 as two explicit iterations, one bulk step linear in the count, and a
+//! count-independent tail. So a [`Trial`] simulates the first such trial
+//! of a search once, recording the victim's closed form, and answers
+//! every later check — bisection steps, warm-start validations and all
+//! repeats of a search — from it with the disturbance engine's own float
+//! operations. Each check still builds its program and passes the
+//! executor's admission (cancellation, validation, fault clock) for every
+//! prelude stage and the loop, so the bisection sees the same predicate
+//! and the fault schedule the same command stream as when every trial was
+//! replayed: results are identical, and repeats are nearly free.
+//! Simulated trials are counted under `hcfirst.replays`, checks under
 //! `hcfirst.iterations`.
 
-use pud_bender::{ExecError, Executor, LoopForecast};
+use pud_bender::{ExecError, Executor, LoopForecast, RunReport, TestProgram};
 use pud_dram::{BankId, DataPattern, RowAddr};
 
 use crate::patterns::Kernel;
@@ -105,17 +107,8 @@ pub fn measure_hc_first(
     victim_dp: DataPattern,
     search: &HcSearch,
 ) -> Option<u64> {
-    let mut warm = WarmStart::new();
-    measure_hc_first_warm(
-        exec,
-        bank,
-        kernel,
-        victim,
-        aggressor_dp,
-        victim_dp,
-        search,
-        &mut warm,
-    )
+    let trial = Trial::new(exec, bank, &[], kernel, victim, aggressor_dp, victim_dp);
+    run_search(trial, search, &mut WarmStart::new())
 }
 
 /// [`measure_hc_first`] with a caller-held [`WarmStart`], so consecutive
@@ -132,10 +125,39 @@ pub fn measure_hc_first_warm(
     search: &HcSearch,
     warm: &mut WarmStart,
 ) -> Option<u64> {
+    let trial = Trial::new(exec, bank, &[], kernel, victim, aggressor_dp, victim_dp);
+    run_search(trial, search, warm)
+}
+
+/// The HC_first of a staged pattern (§6, Fig. 20): `kernel`'s hammer
+/// count to the first flip after the fixed `prelude` of `(stage, count)`
+/// (see [`Trial`]); `Some(1)` if the prelude alone flips the victim. One
+/// cold search whatever `search.repeats` says: repeats would return the
+/// same count and only move the fault clock.
+#[allow(clippy::too_many_arguments)]
+pub fn measure_hc_first_after(
+    exec: &mut Executor,
+    bank: BankId,
+    prelude: &[(Kernel, u64)],
+    kernel: &Kernel,
+    victim: RowAddr,
+    aggressor_dp: DataPattern,
+    victim_dp: DataPattern,
+    search: &HcSearch,
+) -> Option<u64> {
+    let trial = Trial::new(exec, bank, prelude, kernel, victim, aggressor_dp, victim_dp);
+    let once = HcSearch {
+        repeats: 1,
+        ..*search
+    };
+    run_search(trial, &once, &mut WarmStart::new())
+}
+
+/// The `search.repeats` searches of one [`Trial`]; the lowest HC_first.
+fn run_search(mut trial: Trial<'_>, search: &HcSearch, warm: &mut WarmStart) -> Option<u64> {
     let _span = pud_observe::span("hcfirst.search_ns");
     pud_observe::counter("hcfirst.searches").incr();
     pud_observe::histogram("hcfirst.repeats").record(u64::from(search.repeats.max(1)));
-    let mut trial = Trial::new(exec, bank, kernel, victim, aggressor_dp, victim_dp);
     let mut best: Option<u64> = None;
     for _ in 0..search.repeats.max(1) {
         let hc = search_once(&mut trial, search, warm);
@@ -179,18 +201,21 @@ fn bisect(
 
 /// The trial of one HC_first search: does the physical row `victim`
 /// flip after `count` hammer cycles of `kernel`, started from a freshly
-/// [`prepare`]d device?
+/// [`prepare`]d device that then ran the trial's fixed prelude?
 ///
 /// The first check above 3 hammers is simulated and records the closed
 /// form of the kernel's loop ([`Executor::try_run_forecast`]); every later
-/// check is admitted like a simulated one and answered from that closed
-/// form ([`Executor::try_forecast`]). Checks of at most 3 hammers, and
-/// every check when no closed form was recorded (a TRR observer or
-/// refresh on the executor, a program that is not one batchable loop, a
-/// victim that flips within the two explicit iterations), are simulated.
+/// check admits the prelude and the loop like a simulated one and is
+/// answered from that closed form ([`Executor::try_forecast`]). Checks of
+/// at most 3 hammers, and every check when no closed form was recorded (a
+/// TRR observer or refresh on the executor, a program that is not one
+/// batchable loop, a victim that flips in the prelude or within the two
+/// explicit iterations), are simulated.
 pub struct Trial<'a> {
     exec: &'a mut Executor,
     bank: BankId,
+    /// The prelude stages with a nonzero count, with their programs.
+    prelude: Vec<(&'a Kernel, TestProgram)>,
     kernel: &'a Kernel,
     victim: RowAddr,
     aggressor_dp: DataPattern,
@@ -201,18 +226,26 @@ pub struct Trial<'a> {
 
 impl<'a> Trial<'a> {
     /// The trial of `kernel` on `victim` with aggressors initialized to
-    /// `aggressor_dp` and the victim neighbourhood to `victim_dp`.
+    /// `aggressor_dp` and the victim neighbourhood to `victim_dp`, after
+    /// the `(stage, count)` prelude (see [`measure_hc_first_after`]).
     pub fn new(
         exec: &'a mut Executor,
         bank: BankId,
+        prelude: &'a [(Kernel, u64)],
         kernel: &'a Kernel,
         victim: RowAddr,
         aggressor_dp: DataPattern,
         victim_dp: DataPattern,
     ) -> Trial<'a> {
+        let prelude = prelude
+            .iter()
+            .filter(|&&(_, count)| count > 0)
+            .map(|(stage, count)| (stage, stage.program(bank, *count)))
+            .collect();
         Trial {
             exec,
             bank,
+            prelude,
             kernel,
             victim,
             aggressor_dp,
@@ -222,13 +255,15 @@ impl<'a> Trial<'a> {
         }
     }
 
-    /// Whether the victim flips within `count` hammer cycles. Errors are
-    /// the executor's: an invalid program or an injected fault, raised
-    /// at the same check as when every trial is simulated.
+    /// Whether the victim flips within the prelude and `count` hammer
+    /// cycles. Errors are the executor's: an invalid program or an
+    /// injected fault, raised at the same check as when every trial is
+    /// simulated.
     pub fn try_check(&mut self, count: u64) -> Result<bool, ExecError> {
         let program = self.kernel.program(self.bank, count);
         if let Some(forecast) = &self.forecast {
-            if let Some(flips) = self.exec.try_forecast(&program, forecast)? {
+            let prelude = self.prelude.iter().map(|(_, stage)| stage);
+            if let Some(flips) = self.exec.try_forecast(prelude, &program, forecast)? {
                 return Ok(flips);
             }
         }
@@ -241,6 +276,15 @@ impl<'a> Trial<'a> {
             self.aggressor_dp,
             self.victim_dp,
         );
+        let flipped = |report: RunReport| report.flips.iter().any(|f| f.phys_row == self.victim);
+        for (stage, stage_program) in &self.prelude {
+            for a in stage.aggressors() {
+                self.exec.write_row(self.bank, a, self.aggressor_dp);
+            }
+            if flipped(self.exec.try_run(stage_program)?) {
+                return Ok(true);
+            }
+        }
         let report = if count > 3 && !self.recorded {
             let (report, forecast) =
                 self.exec
@@ -251,7 +295,7 @@ impl<'a> Trial<'a> {
         } else {
             self.exec.try_run(&program)?
         };
-        Ok(report.flips.iter().any(|f| f.phys_row == self.victim))
+        Ok(flipped(report))
     }
 }
 
@@ -548,6 +592,31 @@ mod tests {
         assert_eq!(chained(&mut e, &rh, &mut warm), rh_cold);
         assert_eq!(chained(&mut e, &comra, &mut warm), comra_cold);
         assert_eq!(guard.registry().counter("hcfirst.warm.misses").get(), 1);
+    }
+
+    #[test]
+    fn prelude_that_flips_the_victim_measures_one() {
+        let mut e = exec();
+        let victim = RowAddr(33);
+        let opts = HcSearch::default();
+        let (dp, neg) = (DataPattern::CHECKER_55, DataPattern::CHECKER_AA);
+        let rh = patterns::rowhammer_ds_for(e.chip(), victim).unwrap();
+        let comra = patterns::comra_ds_for(e.chip(), victim, false).unwrap();
+        let hc_rh = measure_hc_first(&mut e, BankId(0), &rh, victim, dp, neg, &opts).unwrap();
+        let hc_comra = measure_hc_first(&mut e, BankId(0), &comra, victim, dp, neg, &opts).unwrap();
+        let mut after = |prelude: &[(Kernel, u64)]| {
+            measure_hc_first_after(&mut e, BankId(0), prelude, &rh, victim, dp, neg, &opts)
+        };
+        assert_eq!(after(&[(rh, hc_rh)]), Some(1));
+        assert_eq!(after(&[(comra, 0), (rh, hc_rh)]), Some(1));
+        // Below their HC_first the stages only lower the RowHammer count.
+        let staged = after(&[(comra, hc_comra / 2)]).unwrap();
+        assert!(1 < staged && staged < hc_rh, "staged {staged} vs {hc_rh}");
+        assert_eq!(
+            after(&[(comra, 0)]),
+            Some(hc_rh),
+            "an empty stage is skipped"
+        );
     }
 
     #[test]

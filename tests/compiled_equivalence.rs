@@ -28,8 +28,10 @@ use pudhammer_suite::disturb::calib::{
 };
 use pudhammer_suite::dram::profiles::{self, TESTED_MODULES};
 use pudhammer_suite::dram::{BankId, DataPattern, ModuleProfile, Picos, RowAddr, RowData};
+use pudhammer_suite::hammer::experiments::combined::FRACTIONS;
+use pudhammer_suite::hammer::experiments::simra::ds_targets;
 use pudhammer_suite::hammer::fleet::{ChipUnderTest, Fleet, FleetConfig};
-use pudhammer_suite::hammer::hcfirst::{prepare, HcSearch, Trial};
+use pudhammer_suite::hammer::hcfirst::{measure_hc_first, prepare, HcSearch, Trial};
 use pudhammer_suite::hammer::patterns::{self, Kernel, PatternClass};
 use pudhammer_suite::observe::{RingBufferSink, ShardGuard, TraceEvent};
 use pudhammer_suite::trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
@@ -820,74 +822,190 @@ fn hc_first_targets(chip: &mut ChipUnderTest) -> Vec<(Kernel, RowAddr)> {
     targets
 }
 
-/// Whether `victim` flips after `count` hammers of `kernel` on `exec`,
-/// prepared and simulated from scratch.
+/// A trial's prelude of `(stage, count)`, the kernel whose count is
+/// searched after it, and the victim.
+type StagedTrial = (Vec<(Kernel, u64)>, Kernel, RowAddr);
+
+/// The §6 staged trials on `chip`'s quick-scale Fig. 21–23 victims:
+/// double-sided RowHammer after a CoMRA, a SiMRA and a CoMRA→SiMRA
+/// prelude at each of [`FRACTIONS`] of every stage's own HC_first, the
+/// HC_firsts measured on the chip's executor with `dp`.
+fn staged_targets(chip: &mut ChipUnderTest, dp: DataPattern) -> Vec<StagedTrial> {
+    let bank = chip.bank();
+    let mut staged = Vec::new();
+    let cap = FleetConfig::quick().victims_per_subarray as usize * 6;
+    for (simra, victim) in ds_targets(chip, 4, cap) {
+        let c = chip.exec().chip();
+        let (Some(rh), Some(comra)) = (
+            patterns::rowhammer_ds_for(c, victim),
+            patterns::comra_ds_for(c, victim, false),
+        ) else {
+            continue;
+        };
+        let search = HcSearch::default();
+        let mut hc = |k: &Kernel| {
+            measure_hc_first(chip.exec(), bank, k, victim, dp, dp.negated(), &search)
+                .expect("the stage flips the victim within the cap")
+        };
+        let (hc_comra, hc_simra) = (hc(&comra), hc(&simra));
+        for fr in FRACTIONS {
+            let at = |h: u64| ((h as f64) * fr) as u64;
+            let (c, s) = ((comra, at(hc_comra)), (simra, at(hc_simra)));
+            for prelude in [vec![c], vec![s], vec![c, s]] {
+                staged.push((prelude, rh, victim));
+            }
+        }
+    }
+    staged
+}
+
+/// Whether `victim` flips within `prelude` and then `count` hammers of
+/// `kernel` on `exec`, prepared and simulated from scratch: each stage
+/// with a nonzero count has its aggressors rewritten with `dp` and runs
+/// in turn, and a flip in a stage ends the trial.
 fn simulated_trial(
     exec: &mut Executor,
     bank: BankId,
+    prelude: &[(Kernel, u64)],
     kernel: &Kernel,
     victim: RowAddr,
     dp: DataPattern,
     count: u64,
 ) -> Result<bool, ExecError> {
     prepare(exec, bank, kernel, victim, dp, dp.negated());
-    let report = exec.try_run(&kernel.program(bank, count))?;
-    Ok(report.flips.iter().any(|f| f.phys_row == victim))
+    let flipped = |report: RunReport| report.flips.iter().any(|f| f.phys_row == victim);
+    for (stage, stage_count) in prelude.iter().filter(|(_, c)| *c > 0) {
+        for a in stage.aggressors() {
+            exec.write_row(bank, a, dp);
+        }
+        if flipped(exec.try_run(&stage.program(bank, *stage_count))?) {
+            return Ok(true);
+        }
+    }
+    Ok(flipped(exec.try_run(&kernel.program(bank, count))?))
+}
+
+/// The closed-form trials of one test and the simulated oracle they are
+/// held to, on two executors of the same chip.
+struct Oracle {
+    closed: Executor,
+    simulated: Executor,
+    bank: BankId,
+    trials: u64,
+    crossings: u64,
+    /// Checks of at most 3 hammers: simulated by design.
+    short: u64,
+}
+
+impl Oracle {
+    /// Records a closed form at the search cap, bisects the crossing n*
+    /// on it, then holds the checks at 4, 5, n*-1, n*, n*+1 and the cap
+    /// to simulated trials.
+    fn hold(
+        &mut self,
+        prelude: &[(Kernel, u64)],
+        kernel: &Kernel,
+        victim: RowAddr,
+        dp: DataPattern,
+        what: &str,
+    ) {
+        let max = HcSearch::default().max_hammers;
+        let mut trial = Trial::new(
+            &mut self.closed,
+            self.bank,
+            prelude,
+            kernel,
+            victim,
+            dp,
+            dp.negated(),
+        );
+        let mut check = |count| trial.try_check(count).expect("no fault plan");
+        self.trials += 1;
+        let mut counts = vec![4, 5, max];
+        if check(max) {
+            let (mut lo, mut hi) = if check(4) { (3, 4) } else { (4, max) };
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                *(if check(mid) { &mut hi } else { &mut lo }) = mid;
+            }
+            self.crossings += 1;
+            counts.extend([hi - 1, hi, hi + 1]);
+        }
+        self.short += counts.iter().filter(|&&c| c <= 3).count() as u64;
+        for count in counts {
+            let want = simulated_trial(
+                &mut self.simulated,
+                self.bank,
+                prelude,
+                kernel,
+                victim,
+                dp,
+                count,
+            );
+            let what = format!("{what} {kernel:?} victim {victim:?} dp {dp:?} x{count}");
+            assert_eq!(check(count), want.expect("no fault plan"), "{what}");
+        }
+    }
 }
 
 #[test]
 fn closed_form_hc_first_checks_match_simulated_trials() {
     // Chip 0 of every quick family, every driver and server kernel at the
-    // default and a RowPress on-time, all four tested data patterns. Each
-    // trial records its closed form at 4 hammers; the crossing n* is then
-    // bisected on the closed form, and 4, 5, n*-1, n*, n*+1 and the
-    // search cap are each checked against a simulated trial.
-    let guard = ShardGuard::install();
+    // default and a RowPress on-time, all four tested data patterns; on
+    // the SiMRA-capable families also the Fig. 21–23 staged trials. Each
+    // trial records its closed form at the search cap; the crossing n* is
+    // then bisected on the closed form, and 4, 5, n*-1, n*, n*+1 and the
+    // cap are each checked against a simulated trial.
     let config = FleetConfig::quick();
-    let max = HcSearch::default().max_hammers;
     let mut fleet = Fleet::build(config);
-    let (mut trials, mut crossings, mut short) = (0u64, 0u64, 0u64);
-    for chip in fleet.chips.iter_mut().filter(|c| c.chip_index == 0) {
-        let bank = chip.bank();
+    let dp = DataPattern::CHECKER_55;
+    // The stage HC_firsts are measured before the shard that counts the
+    // trials' replays is installed.
+    let staged_per_chip: Vec<_> = fleet
+        .chips
+        .iter_mut()
+        .filter(|c| c.chip_index == 0)
+        .map(|chip| match chip.profile.supports_simra() {
+            true => staged_targets(chip, dp),
+            false => Vec::new(),
+        })
+        .collect();
+    let guard = ShardGuard::install();
+    let (mut trials, mut crossings, mut short, mut staged) = (0u64, 0u64, 0u64, 0u64);
+    let chips = fleet.chips.iter_mut().filter(|c| c.chip_index == 0);
+    for (chip, staged_trials) in chips.zip(staged_per_chip) {
         let targets = hc_first_targets(chip);
         let new_exec = || Executor::new(chip.profile, config.geometry, 0, config.seed);
-        let (mut closed, mut simulated) = (new_exec(), new_exec());
+        let mut oracle = Oracle {
+            closed: new_exec(),
+            simulated: new_exec(),
+            bank: chip.bank(),
+            trials: 0,
+            crossings: 0,
+            short: 0,
+        };
+        let key = chip.profile.key();
         for (kernel, victim) in targets {
             for kernel in [kernel, kernel.with_t_aggon(Picos::from_ns(7800.0))] {
                 for dp in DataPattern::TESTED {
-                    let mut trial =
-                        Trial::new(&mut closed, bank, &kernel, victim, dp, dp.negated());
-                    let mut check = |count| trial.try_check(count).expect("no fault plan");
-                    trials += 1;
-                    let mut counts = vec![4, 5, max];
-                    if check(max) {
-                        let (mut lo, mut hi) = if check(4) { (3, 4) } else { (4, max) };
-                        while hi - lo > 1 {
-                            let mid = lo + (hi - lo) / 2;
-                            *(if check(mid) { &mut hi } else { &mut lo }) = mid;
-                        }
-                        crossings += 1;
-                        counts.extend([hi - 1, hi, hi + 1]);
-                    }
-                    short += counts.iter().filter(|&&c| c <= 3).count() as u64;
-                    for count in counts {
-                        let what = format!(
-                            "{} {kernel:?} victim {victim:?} dp {dp:?} x{count}",
-                            chip.profile.key()
-                        );
-                        let want =
-                            simulated_trial(&mut simulated, bank, &kernel, victim, dp, count);
-                        assert_eq!(check(count), want.expect("no fault plan"), "{what}");
-                    }
+                    oracle.hold(&[], &kernel, victim, dp, &key);
                 }
             }
         }
+        for (prelude, kernel, victim) in staged_trials {
+            oracle.hold(&prelude, &kernel, victim, dp, &format!("{key} {prelude:?}"));
+            staged += 1;
+        }
+        trials += oracle.trials;
+        crossings += oracle.crossings;
+        short += oracle.short;
     }
+    assert!(staged >= 4 * 9, "{staged} staged trials");
     assert!(
         crossings * 2 > trials,
         "{crossings} of {trials} trials cross"
     );
-    // Each trial simulates its recording at 4 hammers and its checks of at
+    // Each trial simulates its recording at the cap and its checks of at
     // most 3 hammers: every other check is answered in closed form.
     let replays = guard.registry().counter("hcfirst.replays").get();
     assert_eq!(replays, trials + short, "one recording per trial");
@@ -896,17 +1014,17 @@ fn closed_form_hc_first_checks_match_simulated_trials() {
 #[test]
 fn closed_form_checks_raise_the_same_errors() {
     // A `--fault-seed 103` plan on both sides (chip 0 of every quick
-    // family), then the refresh-window bound of the strict environment:
-    // every check must fail, or pass with the same answer, exactly where
-    // the simulated trial does.
+    // family, with one Fig. 21 staged trial each), then the refresh-window
+    // bound of the strict environment: every check must fail, or pass
+    // with the same answer, exactly where the simulated trial does.
     let config = FleetConfig::quick();
     let faults = FaultConfig::from_seed(103);
     let mut fleet = Fleet::build(config);
     let mut errors = Vec::new();
     let counts = [1, 4, 16, 64, 256, 1024, 4096, 16384, 3000, 5000, 65536];
+    let (mut staged, mut staged_errors) = (0, 0);
     for chip in fleet.chips.iter_mut().filter(|c| c.chip_index == 0) {
         let bank = chip.bank();
-        let targets = hc_first_targets(chip);
         let new_exec = || {
             let mut e = Executor::new(chip.profile, config.geometry, 0, config.seed);
             e.enable_faults(&faults, &chip.profile.key(), 0);
@@ -916,20 +1034,57 @@ fn closed_form_checks_raise_the_same_errors() {
         if closed.fault_plan().is_none() {
             continue;
         }
-        for (kernel, victim) in &targets[..3] {
+        let mut trials: Vec<StagedTrial> = hc_first_targets(chip)[..3]
+            .iter()
+            .map(|&(kernel, victim)| (Vec::new(), kernel, victim))
+            .collect();
+        // Fig. 21's staged trial: CoMRA at half its HC_first, then
+        // double-sided RowHammer.
+        let (rh, victim) = (trials[0].1, trials[0].2);
+        let dp = DataPattern::CHECKER_55;
+        let comra = patterns::comra_ds_for(chip.exec().chip(), victim, false)
+            .expect("the victim hosts a CoMRA kernel");
+        let hc = measure_hc_first(
+            chip.exec(),
+            bank,
+            &comra,
+            victim,
+            dp,
+            dp.negated(),
+            &HcSearch::default(),
+        )
+        .expect("CoMRA flips the victim within the cap");
+        trials.push((vec![(comra, hc / 2)], rh, victim));
+        staged += 1;
+        for (prelude, kernel, victim) in &trials {
             for dp in DataPattern::TESTED {
-                let mut trial = Trial::new(&mut closed, bank, kernel, *victim, dp, dp.negated());
+                let mut trial = Trial::new(
+                    &mut closed,
+                    bank,
+                    prelude,
+                    kernel,
+                    *victim,
+                    dp,
+                    dp.negated(),
+                );
                 for count in counts {
                     let got = trial.try_check(count);
-                    let want = simulated_trial(&mut simulated, bank, kernel, *victim, dp, count);
-                    let what = format!("{} {kernel:?} dp {dp:?} x{count}", chip.profile.key());
+                    let want =
+                        simulated_trial(&mut simulated, bank, prelude, kernel, *victim, dp, count);
+                    let what = format!(
+                        "{} {prelude:?} {kernel:?} dp {dp:?} x{count}",
+                        chip.profile.key()
+                    );
                     assert_eq!(got, want, "{what}");
+                    staged_errors += usize::from(!prelude.is_empty() && got.is_err());
                     errors.extend(got.err());
                 }
             }
         }
         assert_eq!(closed.fault_commands(), simulated.fault_commands());
     }
+    assert!(staged > 0, "seed 103 plans faults");
+    assert!(staged_errors > 0, "a fault hits a staged trial");
     let fault = |transient: bool| {
         errors
             .iter()
@@ -950,11 +1105,11 @@ fn closed_form_checks_raise_the_same_errors() {
         .expect("row 40 hosts a double-sided kernel")
         .with_t_aggon(Picos::from_ns(7800.0));
     let dp = DataPattern::CHECKER_55;
-    let mut trial = Trial::new(&mut closed, bank, &kernel, victim, dp, dp.negated());
+    let mut trial = Trial::new(&mut closed, bank, &[], &kernel, victim, dp, dp.negated());
     let mut exceeded = 0;
     for count in [4, 1000, 100_000, 2000, 10_000] {
         let got = trial.try_check(count);
-        let want = simulated_trial(&mut simulated, bank, &kernel, victim, dp, count);
+        let want = simulated_trial(&mut simulated, bank, &[], &kernel, victim, dp, count);
         assert_eq!(got, want, "strict x{count}");
         exceeded += usize::from(matches!(got, Err(ExecError::RefreshWindowExceeded { .. })));
     }
