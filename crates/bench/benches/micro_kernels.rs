@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the simulator kernels: the disturbance engine's
 //! hammer path, the HC_first bisection and its closed-form check, the
-//! executor's batched hammer loops and its construction, one Fig. 24 TRR
-//! evasion run, the victim data summary, SiMRA charge sharing, and one
+//! executor's batched hammer loops and its construction, two Fig. 24 TRR
+//! evasion runs (8-sided RowHammer and SiMRA-16), the victim data summary, SiMRA charge sharing, and one
 //! memory-system simulation slice.
 //!
 //! Runs on the dependency-free `pud_bench::run_micro` runner; each bench's
@@ -21,7 +21,9 @@ use pud_dram::{
 use pud_trr::{patterns as trr_patterns, SamplingTrr, SamplingTrrConfig};
 use pudhammer::fleet::{sweep, ChipUnderTest, Fleet, FleetConfig};
 use pudhammer::hcfirst::{measure_hc_first, HcSearch, Trial, WarmStart};
-use pudhammer::patterns::rowhammer_ds_for;
+use pudhammer::patterns::{
+    rowhammer_ds_for, simra_ds_kernels, simra_members, simra_victims, Kernel,
+};
 use pudhammer::wcdp::find_wcdp;
 
 const SAMPLES: u64 = 10;
@@ -145,6 +147,52 @@ fn bench_fig24_rh8_trr_run() {
             0xC0FFEE,
         )));
         let program = trr_patterns::rowhammer_evasion(bank, &aggressors, dummy, 200_000);
+        black_box(exec.run(&program))
+    });
+}
+
+/// One Fig. 24 run at quick scale: SiMRA-16 on the group sandwiching the
+/// hero row (200K group activations, all-ones victims, all-zero members)
+/// under the sampling TRR with refresh on, compile included
+/// (informational).
+fn bench_fig24_simra16_trr_run() {
+    let profile = profiles::most_simra_vulnerable();
+    let geometry = ChipGeometry::scaled_for_tests();
+    let bank = BankId(0);
+    let probe = Executor::new(profile, geometry, 0, 42);
+    let (_, hero) = probe
+        .engine()
+        .model()
+        .hero_row()
+        .expect("chip 0 has the hero row");
+    let hero_sa = geometry.subarray_of(hero).expect("hero in range");
+    let kernel = simra_ds_kernels(probe.chip(), hero_sa, 16)
+        .into_iter()
+        .find(|k| simra_victims(probe.chip(), k).0.contains(&hero))
+        .expect("a SiMRA-16 group sandwiches the hero row");
+    let members = simra_members(probe.chip(), &kernel).expect("a SiMRA group");
+    let Kernel::Simra { r1, r2, .. } = kernel else {
+        unreachable!("simra_ds_kernels builds SiMRA kernels")
+    };
+    let (lo, hi) = (members[0].0 - 2, members[members.len() - 1].0 + 2);
+    run_micro("fig24_simra16_trr_run", SAMPLES, 1, || {
+        let mut exec = Executor::new(profile, geometry, 0, 42);
+        exec.set_env(TestEnv::with_refresh());
+        exec.set_observer(Box::new(SamplingTrr::new(
+            SamplingTrrConfig::default(),
+            profile.mapping(),
+            0xC0FFEE,
+        )));
+        for r in lo..=hi {
+            let row = RowAddr(r);
+            let dp = if members.contains(&row) {
+                DataPattern::ZEROS
+            } else {
+                DataPattern::ONES
+            };
+            exec.write_row(bank, exec.chip().to_logical(row), dp);
+        }
+        let program = trr_patterns::simra_evasion(bank, r1, r2, 200_000);
         black_box(exec.run(&program))
     });
 }
@@ -297,6 +345,7 @@ fn main() {
     bench_executor_loop();
     bench_executor_new();
     bench_fig24_rh8_trr_run();
+    bench_fig24_simra16_trr_run();
     bench_hc_first_search();
     bench_fleet_sweep_serial_vs_parallel();
     bench_data_summary();

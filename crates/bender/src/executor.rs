@@ -13,18 +13,20 @@ use std::sync::Arc;
 
 use pud_disturb::{
     AggressionKind, BatchStats, Bitflip, DataSummary, DisturbEngine, FlipClass, HammerEvent,
-    VictimForecast,
+    RecordId, VictimForecast,
 };
-use pud_dram::{BankId, Chip, ChipGeometry, DataPattern, ModuleProfile, Picos, RowAddr, RowData};
+use pud_dram::{
+    Bank, BankId, Chip, ChipGeometry, DataPattern, ModuleProfile, Picos, RowAddr, RowData,
+};
 use pud_observe::{Counter, SharedSink, TraceEvent, TraceKind};
 
 use crate::command::DramCommand;
 use crate::compile::{CompiledOp, CompiledProgram, ResolvedCmd};
 use crate::env::TestEnv;
 use crate::error::ExecError;
-use crate::fault::{FaultConfig, FaultPlan, FaultState, StuckCell};
+use crate::fault::{FaultConfig, FaultPlan, FaultState};
 use crate::program::{Step, TestProgram};
-use crate::simra_decode::simra_group;
+use crate::simra_decode::simra_group_into;
 
 /// PRE→ACT gaps below this violate `t_RP` enough to leave charge on the
 /// bitlines (enabling CoMRA / SiMRA behaviour).
@@ -51,9 +53,11 @@ const REFS_PER_WINDOW: f64 = 8192.0;
 pub trait ActivityObserver: Send {
     /// Called for every ACT command.
     fn on_act(&mut self, bank: BankId, logical_row: RowAddr);
-    /// Called for every REF command; returns logical rows to preventively
-    /// refresh (TRR victim refreshes).
-    fn on_ref(&mut self, bank_hint: BankId) -> Vec<(BankId, RowAddr)>;
+    /// Called for every REF command; appends the logical rows to
+    /// preventively refresh (TRR victim refreshes) to `victims`, which the
+    /// caller passes empty and owns, so a steady stream of REFs allocates
+    /// nothing.
+    fn on_ref(&mut self, bank_hint: BankId, victims: &mut Vec<(BankId, RowAddr)>);
 }
 
 /// One read-disturbance bitflip observed during a run.
@@ -131,18 +135,11 @@ struct BankState {
     /// Logical address of the most recent ACT (for decode purposes).
     open_cmd_logical: Option<RowAddr>,
     last_pre: Option<Picos>,
-    /// Physical + logical row of the episode closed by the last PRE, and
-    /// how long it was open.
-    closed: Option<(RowAddr, RowAddr, Picos)>,
+    /// Physical + logical row of the episode closed by the last PRE, how
+    /// long it was open, and the physical row's engine record.
+    closed: Option<(RowAddr, RowAddr, Picos, RecordId)>,
     /// Single activation awaiting emission (see [`PendingSingle`]).
     pending: Option<PendingSingle>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct VictimHist {
-    /// -1: last aggressor physically below the victim; +1: above; 0: none.
-    last_side: i8,
-    last_end: Picos,
 }
 
 /// A closed single-row activation whose hammer emission is deferred until
@@ -151,25 +148,48 @@ struct VictimHist {
 #[derive(Debug, Clone, Copy)]
 struct PendingSingle {
     row: RowAddr,
+    id: RecordId,
     start: Picos,
     end: Picos,
 }
 
-#[derive(Debug, Clone)]
+/// What an ACT opened, with the engine records of the rows it involves.
+/// A SiMRA group's members are the bank's open rows.
+#[derive(Debug, Clone, Copy)]
 enum Episode {
     Single {
         row: RowAddr,
+        id: RecordId,
     },
     ComraPair {
         src: RowAddr,
+        src_id: RecordId,
         dst: RowAddr,
+        dst_id: RecordId,
         pre_to_act: Picos,
     },
     Simra {
-        rows: Vec<RowAddr>,
+        first_id: RecordId,
         act_to_pre: Picos,
         pre_to_act: Picos,
     },
+}
+
+/// The last SiMRA group decoded, kept for the next group activation:
+/// every operation of an evasion loop repeats the same address pair.
+#[derive(Debug, Default)]
+struct SimraMemo {
+    /// `(bank, first logical, second logical, partial)` the group was
+    /// decoded for.
+    key: Option<(BankId, RowAddr, RowAddr, bool)>,
+    /// Whether the pair activates a group at all.
+    found: bool,
+    /// The members, physical and sorted (every other one on a partial
+    /// activation), and their engine records.
+    members: Vec<RowAddr>,
+    ids: Vec<RecordId>,
+    /// Decode buffer: the group's logical rows.
+    logical: Vec<RowAddr>,
 }
 
 /// Cached handles into the metrics registry, fetched once per executor so
@@ -190,6 +210,8 @@ struct ExecMetrics {
     partial_activations: Arc<Counter>,
     trr_interventions: Arc<Counter>,
     flips: Arc<Counter>,
+    bulk_steps: Arc<Counter>,
+    bulk_events: Arc<Counter>,
 }
 
 impl ExecMetrics {
@@ -206,6 +228,8 @@ impl ExecMetrics {
             partial_activations: pud_observe::counter("bender.partial_activations"),
             trr_interventions: pud_observe::counter("bender.trr_interventions"),
             flips: pud_observe::counter("bender.flips"),
+            bulk_steps: pud_observe::counter("bender.bulk_steps"),
+            bulk_events: pud_observe::counter("bender.bulk_events"),
         }
     }
 }
@@ -220,11 +244,14 @@ pub struct Executor {
     acts: u64,
     banks: Vec<BankState>,
     episodes: Vec<Option<Episode>>,
-    hist: pud_dram::FastMap<(u8, u32), VictimHist>,
+    simra: SimraMemo,
     refresh_acc: f64,
     refresh_ptr: u32,
     refs_seen: u64,
-    recording: Option<Vec<HammerEvent>>,
+    /// While set, `apply_event` appends each event and its victim's record
+    /// to `recorded`, a buffer reused by every bulk step.
+    recording: bool,
+    recorded: Vec<(HammerEvent, RecordId)>,
     watch: Option<Watch>,
     report: RunReport,
     metrics: ExecMetrics,
@@ -239,6 +266,8 @@ pub struct Executor {
     batched: bool,
     /// Reusable flip buffer: keeps `apply_event` allocation-free.
     flip_scratch: Vec<Bitflip>,
+    /// Reusable buffer for the observer's TRR victim refreshes.
+    trr_victims: Vec<(BankId, RowAddr)>,
 }
 
 /// Commands executed between two invocations of the registered
@@ -277,11 +306,12 @@ impl Executor {
             acts: 0,
             banks,
             episodes,
-            hist: pud_dram::FastMap::default(),
+            simra: SimraMemo::default(),
             refresh_acc: 0.0,
             refresh_ptr: 0,
             refs_seen: 0,
-            recording: None,
+            recording: false,
+            recorded: Vec::new(),
             watch: None,
             report: RunReport::default(),
             metrics: ExecMetrics::from_global(),
@@ -292,6 +322,7 @@ impl Executor {
             cancel_countdown: CANCEL_CHECK_INTERVAL,
             batched: false,
             flip_scratch: Vec::new(),
+            trr_victims: Vec::new(),
         }
     }
 
@@ -374,17 +405,13 @@ impl Executor {
     /// written data.
     fn apply_stuck(&mut self, bank: BankId, phys: RowAddr) {
         let Some(state) = &self.fault else { return };
-        if state.plan().stuck.is_empty() {
-            return;
-        }
-        let cells: Vec<StuckCell> = state
+        let mut cells = state
             .plan()
             .stuck
             .iter()
             .filter(|c| c.bank == bank.0 && c.row == phys.0)
-            .copied()
-            .collect();
-        if cells.is_empty() {
+            .peekable();
+        if cells.peek().is_none() {
             return;
         }
         let Ok(b) = self.chip.bank_mut(bank) else {
@@ -392,7 +419,7 @@ impl Executor {
         };
         let row = b.row_mut_or(phys, DataPattern::ZEROS);
         let mut forced = 0u64;
-        for c in &cells {
+        for c in cells {
             if row.bit(c.col) != c.value {
                 row.set_bit(c.col, c.value);
                 forced += 1;
@@ -486,8 +513,9 @@ impl Executor {
     /// on the real infrastructure. Row *data* (including flipped bits) is
     /// preserved.
     pub fn quiesce(&mut self) {
+        // Clears the accumulated disturbance and every victim's side
+        // history, which the engine keeps beside it.
         self.engine.restore_all();
-        self.hist.clear();
         for st in &mut self.banks {
             *st = BankState::default();
         }
@@ -593,14 +621,17 @@ impl Executor {
             // `measure` flushes the pending activations next: record that
             // tail, and the row whose summary the victim's bank flushes.
             tail_source = exec.banks[bank.0 as usize].pending.map(|p| (bank, p.row));
-            exec.recording = Some(Vec::new());
+            exec.recorded.clear();
+            exec.recording = true;
         });
-        let tail = self.recording.take().unwrap_or_default();
+        self.recording = false;
+        let tail = std::mem::take(&mut self.recorded);
         let at_bulk = self.watch.take().and_then(|w| w.at_bulk);
         let forecast = at_bulk.and_then(|at| {
             let mut forecast = at.forecast?;
             let tail: Vec<&HammerEvent> = tail
                 .iter()
+                .map(|(e, _)| e)
                 .filter(|e| e.bank == bank && e.victim == victim)
                 .collect();
             if !tail.is_empty() && tail_source.is_some_and(|s| at.steady_victims.contains(&s)) {
@@ -843,9 +874,13 @@ impl Executor {
         mut iterate: impl FnMut(&mut Executor),
     ) {
         iterate(self);
-        self.recording = Some(Vec::new());
+        self.recorded.clear();
+        self.recording = true;
         iterate(self);
-        let recorded = self.recording.take().expect("recording was on");
+        self.recording = false;
+        let recorded = std::mem::take(&mut self.recorded);
+        self.metrics.bulk_steps.incr();
+        self.metrics.bulk_events.add(recorded.len() as u64);
         if let Some(watch) = self.watch.as_mut().filter(|w| w.at_bulk.is_none()) {
             let (bank, victim) = (watch.bank, watch.victim);
             let flipped = self
@@ -858,9 +893,9 @@ impl Executor {
                 .filter(|_| !flipped)
                 .and_then(|d| self.engine.forecast(bank, victim, d))
                 .map(|mut forecast| {
-                    for ev in recorded
+                    for (ev, _) in recorded
                         .iter()
-                        .filter(|e| e.bank == bank && e.victim == victim)
+                        .filter(|(e, _)| e.bank == bank && e.victim == victim)
                     {
                         self.engine.forecast_steady(&mut forecast, ev);
                     }
@@ -868,14 +903,14 @@ impl Executor {
                 });
             watch.at_bulk = Some(AtBulk {
                 forecast,
-                steady_victims: recorded.iter().map(|e| (e.bank, e.victim)).collect(),
+                steady_victims: recorded.iter().map(|(e, _)| (e.bank, e.victim)).collect(),
             });
         }
         let remaining = count - 2;
-        for ev in &recorded {
-            let mut bulk = *ev;
+        for &(ev, id) in &recorded {
+            let mut bulk = ev;
             bulk.repeat = ev.repeat.saturating_mul(remaining);
-            self.apply_event(&bulk);
+            self.apply_event(&bulk, id);
         }
         self.clock = self
             .clock
@@ -893,12 +928,13 @@ impl Executor {
             iterations: remaining,
             acts: body_acts * remaining,
         });
+        // Every recorded victim's side history was written during the
+        // recorded iteration; the replayed ones end now.
         let now = self.clock;
-        for ev in &recorded {
-            if let Some(h) = self.hist.get_mut(&(ev.bank.0, ev.victim.0)) {
-                h.last_end = now;
-            }
+        for &(_, id) in &recorded {
+            self.engine.side_mut(id).last_end = now;
         }
+        self.recorded = recorded;
     }
 
     /// Executes one command with its row address already resolved.
@@ -969,18 +1005,22 @@ impl Executor {
         }
         self.acts += 1;
         self.metrics.acts.incr();
-        if !self.banks[bank.0 as usize].open.is_empty() {
+        let b = bank.0 as usize;
+        if !self.banks[b].open.is_empty() {
             // Implicit close of a still-open episode.
             self.do_pre(bank);
         }
         // The bank's open-row buffer (empty after the close above) is
         // reused, so an activation allocates nothing.
-        let mut open_rows = std::mem::take(&mut self.banks[bank.0 as usize].open);
+        let mut open_rows = std::mem::take(&mut self.banks[b].open);
         open_rows.push(phys);
-        let st = &self.banks[bank.0 as usize];
-        let mut episode = Episode::Single { row: phys };
+        let id = self.engine.record(bank, phys);
+        let mut episode = Episode::Single { row: phys, id };
         let mut consumed_pending = false;
-        if let (Some(pre_t), Some((prev_phys, prev_logical, prev_on))) = (st.last_pre, st.closed) {
+        let st = &self.banks[b];
+        if let (Some(pre_t), Some((prev_phys, prev_logical, prev_on, prev_id))) =
+            (st.last_pre, st.closed)
+        {
             let gap = now - pre_t;
             if gap.as_ns() < TRP_VIOLATION_NS && prev_phys != phys {
                 self.metrics.timing_violations.incr();
@@ -1002,7 +1042,9 @@ impl Executor {
                         });
                         episode = Episode::ComraPair {
                             src: prev_phys,
+                            src_id: prev_id,
                             dst: phys,
+                            dst_id: id,
                             pre_to_act: gap,
                         };
                         // The pair event subsumes the source activation.
@@ -1012,31 +1054,27 @@ impl Executor {
                     // SiMRA attempt: both delays violated. Chips from
                     // manufacturers that ignore heavily violating commands
                     // (footnote 2) fall through to a normal activation.
-                    if let Some(group) = simra_group(self.chip.geometry(), prev_logical, logical) {
-                        let mut members: Vec<RowAddr> =
-                            group.iter().map(|&r| self.chip.to_physical(r)).collect();
-                        members.sort_unstable();
-                        let partial = prev_on.as_ns() < pud_disturb::calib::SIMRA_PARTIAL_ACT_NS;
+                    let partial = prev_on.as_ns() < pud_disturb::calib::SIMRA_PARTIAL_ACT_NS;
+                    if self.decode_simra(bank, prev_logical, logical, partial) {
+                        let group = std::mem::take(&mut self.simra);
                         if partial {
-                            // Partial activation engages only every other
-                            // member (Observation 20).
-                            members = members.iter().step_by(2).copied().collect();
                             self.metrics.partial_activations.incr();
                         }
                         self.metrics.simra_groups.incr();
                         self.trace(TraceKind::SimraGroup {
                             bank: bank.0,
-                            first: members[0].0,
-                            rows: members.len().min(u16::MAX as usize) as u16,
+                            first: group.members[0].0,
+                            rows: group.members.len().min(u16::MAX as usize) as u16,
                             partial,
                         });
-                        self.charge_share(bank, &members, prev_phys);
-                        open_rows.clone_from(&members);
+                        self.charge_share(bank, &group.members, &group.ids, prev_phys);
+                        open_rows.clone_from(&group.members);
                         episode = Episode::Simra {
-                            rows: members,
+                            first_id: group.ids[0],
                             act_to_pre: prev_on,
                             pre_to_act: gap,
                         };
+                        self.simra = group;
                         // The group event subsumes the first activation.
                         consumed_pending = true;
                     }
@@ -1044,73 +1082,118 @@ impl Executor {
             }
         }
         if consumed_pending {
-            self.banks[bank.0 as usize].pending = None;
+            self.banks[b].pending = None;
         } else {
             self.flush_pending(bank);
         }
         // Activation restores the charge of every opened row, clearing any
         // disturbance accumulated on it while it was a victim.
-        for &r in &open_rows {
-            self.engine.restore(bank, r);
+        if matches!(episode, Episode::Simra { .. }) {
+            for &m in &self.simra.ids {
+                self.engine.restore_record(m);
+            }
+        } else {
+            self.engine.restore_record(id);
         }
-        let st = &mut self.banks[bank.0 as usize];
+        let st = &mut self.banks[b];
         st.open = open_rows;
         st.open_since = now;
         st.open_cmd_logical = Some(logical);
-        self.episodes[bank.0 as usize] = Some(episode);
+        self.episodes[b] = Some(episode);
+    }
+
+    /// Decodes the group `ACT r1 – PRE – ACT r2` activates in `bank` into
+    /// `self.simra` (physical members, every other one if `partial`, and
+    /// their engine records), unless it already holds that group. Returns
+    /// whether the pair activates a group.
+    fn decode_simra(&mut self, bank: BankId, r1: RowAddr, r2: RowAddr, partial: bool) -> bool {
+        let key = Some((bank, r1, r2, partial));
+        let memo = &mut self.simra;
+        if memo.key == key {
+            return memo.found;
+        }
+        memo.key = key;
+        memo.found = simra_group_into(self.chip.geometry(), r1, r2, &mut memo.logical);
+        memo.members.clear();
+        memo.members
+            .extend(memo.logical.iter().map(|&r| self.chip.to_physical(r)));
+        memo.members.sort_unstable();
+        if partial {
+            // Partial activation engages only every other member
+            // (Observation 20).
+            let mut i = 0;
+            memo.members.retain(|_| {
+                i += 1;
+                i % 2 == 1
+            });
+        }
+        memo.ids.clear();
+        for &r in &memo.members {
+            memo.ids.push(self.engine.record(bank, r));
+        }
+        memo.found
     }
 
     fn do_pre(&mut self, bank: BankId) {
         let now = self.clock;
-        let st = &mut self.banks[bank.0 as usize];
+        let b = bank.0 as usize;
+        let st = &mut self.banks[b];
         if st.open.is_empty() {
             st.last_pre = Some(now);
             return;
         }
         let t_on = now - st.open_since;
         let open_logical = st.open_cmd_logical;
-        let first_open = st.open[0];
-        st.open.clear();
+        let mut open = std::mem::take(&mut st.open);
         st.last_pre = Some(now);
-        let episode = self.episodes[bank.0 as usize].take();
-        match episode {
-            Some(Episode::Single { row }) => {
+        let episode = self.episodes[b].take();
+        let closed = match episode {
+            Some(Episode::Single { row, id }) => {
                 // Defer emission: the next ACT may reveal this activation
                 // was the first half of a CoMRA/SiMRA operation.
-                let st = &mut self.banks[bank.0 as usize];
+                let st = &mut self.banks[b];
                 debug_assert!(st.pending.is_none(), "pending flushed on ACT");
                 st.pending = Some(PendingSingle {
                     row,
+                    id,
                     start: now - t_on,
                     end: now,
                 });
-                st.closed = Some((row, open_logical.unwrap_or(RowAddr(row.0)), t_on));
+                Some((row, open_logical.unwrap_or(RowAddr(row.0)), t_on, id))
             }
             Some(Episode::ComraPair {
                 src,
+                src_id,
                 dst,
+                dst_id,
                 pre_to_act,
             }) => {
-                self.emit_comra(bank, src, dst, pre_to_act, t_on, now);
-                self.banks[bank.0 as usize].closed =
-                    Some((dst, open_logical.unwrap_or(RowAddr(dst.0)), t_on));
+                self.emit_comra(bank, src, src_id, dst, pre_to_act, t_on, now);
+                Some((dst, open_logical.unwrap_or(RowAddr(dst.0)), t_on, dst_id))
             }
             Some(Episode::Simra {
-                rows,
+                first_id,
                 act_to_pre,
                 pre_to_act,
             }) => {
-                self.emit_simra(bank, &rows, act_to_pre, pre_to_act, t_on, now);
-                self.banks[bank.0 as usize].closed = None;
+                self.emit_simra(bank, &open, first_id, act_to_pre, pre_to_act, t_on, now);
+                None
             }
             None => {
-                self.banks[bank.0 as usize].closed = Some((
+                let first_open = open[0];
+                let id = self.engine.record(bank, first_open);
+                Some((
                     first_open,
                     open_logical.unwrap_or(RowAddr(first_open.0)),
                     t_on,
-                ));
+                    id,
+                ))
             }
-        }
+        };
+        open.clear();
+        let st = &mut self.banks[b];
+        st.open = open;
+        st.closed = closed;
     }
 
     fn do_rd(&mut self, bank: BankId) {
@@ -1159,7 +1242,9 @@ impl Executor {
             }
         }
         if let Some(mut obs) = self.observer.take() {
-            for (bank, logical) in obs.on_ref(BankId(0)) {
+            let mut victims = std::mem::take(&mut self.trr_victims);
+            obs.on_ref(BankId(0), &mut victims);
+            for &(bank, logical) in &victims {
                 let phys = self.chip.to_physical(logical);
                 self.engine.restore(bank, phys);
                 self.metrics.trr_interventions.incr();
@@ -1168,6 +1253,8 @@ impl Executor {
                     row: logical.0,
                 });
             }
+            victims.clear();
+            self.trr_victims = victims;
             self.observer = Some(obs);
         }
     }
@@ -1190,63 +1277,92 @@ impl Executor {
         self.apply_stuck(bank, dst);
     }
 
-    fn charge_share(&mut self, bank: BankId, members: &[RowAddr], first: RowAddr) {
+    fn charge_share(
+        &mut self,
+        bank: BankId,
+        members: &[RowAddr],
+        ids: &[RecordId],
+        first: RowAddr,
+    ) {
         if members.is_empty() {
             return;
         }
-        let cols = self.chip.geometry().cols_per_row;
-        // Even group: the first-activated row's charge breaks ties.
-        let tiebreak = members.len().is_multiple_of(2).then_some(first);
-        let voters = members.len() + usize::from(tiebreak.is_some());
-        // Rows never written read as zeros: they vote without being
-        // materialized.
-        let bank_rows = self.chip.bank(bank).ok();
-        let present: Vec<&RowData> = members
-            .iter()
-            .copied()
-            .chain(tiebreak)
-            .filter_map(|r| bank_rows.and_then(|b| b.row(r)))
-            .collect();
-        let result = RowData::majority_with_zeros(cols, &present, voters - present.len());
-        // A repeated operation on a settled group deposits what every
-        // member already holds: skip the rewrite (and keep the summaries).
-        let settled = bank_rows.is_some_and(|b| members.iter().all(|&r| b.row(r) == Some(&result)));
-        for &r in members {
-            if !settled {
+        // A repeated operation on a settled group — every member written
+        // and holding the same data — deposits what every member already
+        // holds (equal votes outnumber the one tiebreak row of an even
+        // group): skip the vote and the rewrite, and keep the summaries.
+        let settled = {
+            let Executor { chip, engine, .. } = self;
+            let b = chip.bank(bank).expect("valid bank");
+            let first_data = row_data(b, engine, ids[0], members[0]);
+            first_data.is_some()
+                && members
+                    .iter()
+                    .zip(ids)
+                    .skip(1)
+                    .all(|(&r, &id)| row_data(b, engine, id, r) == first_data)
+        };
+        if !settled {
+            let cols = self.chip.geometry().cols_per_row;
+            // Even group: the first-activated row's charge breaks ties.
+            let tiebreak = members.len().is_multiple_of(2).then_some(first);
+            let voters = members.len() + usize::from(tiebreak.is_some());
+            // Rows never written read as zeros: they vote without being
+            // materialized.
+            let b = self.chip.bank(bank).expect("valid bank");
+            let present: Vec<&RowData> = members
+                .iter()
+                .copied()
+                .chain(tiebreak)
+                .filter_map(|r| b.row(r))
+                .collect();
+            let result = RowData::majority_with_zeros(cols, &present, voters - present.len());
+            for (&r, &id) in members.iter().zip(ids) {
                 self.chip
                     .bank_mut(bank)
                     .expect("valid bank")
                     .write_row(r, result.clone())
                     .expect("group within geometry");
-                self.engine.invalidate_summary(bank, r);
+                self.engine.invalidate_summary_record(id);
             }
+        }
+        for &r in members {
             self.apply_stuck(bank, r);
         }
     }
 
-    fn aggressor_summary(&mut self, bank: BankId, row: RowAddr) -> DataSummary {
-        match self.chip.bank(bank).ok().and_then(|b| b.row(row)) {
-            // During compiled replay existing rows go through the batch
-            // summary cache (shared with the engine's victim summaries —
-            // same key, same data, same invalidation). Missing rows stay
-            // uncached: they can come into existence without an
-            // invalidation call, so their default must never stick. The
-            // interpreter oracle scans one bit at a time, the reference
-            // the replay's word-parallel scan matches.
-            Some(r) if self.batched => self
-                .engine
-                .summary_or_else(bank, row, || DataSummary::from_row(r)),
-            Some(r) => DataSummary::from_row_per_bit(r),
-            None => DataSummary {
-                ones_fraction: 0.5,
-                checker_fraction: 0.5,
-            },
+    /// The data summary of aggressor `row`, whose engine record is `id`.
+    fn aggressor_summary(&mut self, bank: BankId, row: RowAddr, id: RecordId) -> DataSummary {
+        let Executor {
+            chip,
+            engine,
+            batched,
+            ..
+        } = self;
+        let b = chip.bank(bank).expect("valid bank");
+        let unwritten = DataSummary {
+            ones_fraction: 0.5,
+            checker_fraction: 0.5,
+        };
+        if !*batched {
+            // The interpreter oracle scans one bit at a time, the
+            // reference the replay's word-parallel scan matches.
+            return b.row(row).map_or(unwritten, DataSummary::from_row_per_bit);
+        }
+        // During compiled replay existing rows go through the record's
+        // summary cache (shared with the engine's victim summaries — same
+        // record, same data, same invalidation). Missing rows stay
+        // uncached: they can come into existence without an invalidation
+        // call, so their default must never stick.
+        match row_data(b, engine, id, row) {
+            Some(r) => engine.summary_or_else(id, || DataSummary::from_row(r)),
+            None => unwritten,
         }
     }
 
     fn flush_pending(&mut self, bank: BankId) {
         if let Some(p) = self.banks[bank.0 as usize].pending.take() {
-            self.emit_single(bank, p.row, p.start, p.end);
+            self.emit_single(bank, p.row, p.id, p.start, p.end);
         }
     }
 
@@ -1256,10 +1372,17 @@ impl Executor {
         }
     }
 
-    fn emit_single(&mut self, bank: BankId, agg: RowAddr, start: Picos, now: Picos) {
+    fn emit_single(
+        &mut self,
+        bank: BankId,
+        agg: RowAddr,
+        agg_id: RecordId,
+        start: Picos,
+        now: Picos,
+    ) {
         let t_on = now - start;
         let geometry = *self.chip.geometry();
-        let summary = self.aggressor_summary(bank, agg);
+        let summary = self.aggressor_summary(bank, agg, agg_id);
         for (delta, dist) in [(-1i64, 1u32), (1, 1), (-2, 2), (2, 2)] {
             let Some(victim) = agg.offset(delta) else {
                 continue;
@@ -1269,7 +1392,8 @@ impl Executor {
             }
             // Aggressor physically below the victim ⇒ side -1.
             let side: i8 = if delta > 0 { -1 } else { 1 };
-            let hist = self.hist.entry((bank.0, victim.0)).or_default();
+            let id = self.engine.record(bank, victim);
+            let hist = self.engine.side_mut(id);
             let kind = if hist.last_side != 0 && hist.last_side != side {
                 // Alternation completed: one double-sided hammer cycle.
                 // Emit on the below-side completion only, so each pair of
@@ -1299,25 +1423,29 @@ impl Executor {
                     distance: dist,
                     repeat: 1,
                 };
-                self.apply_event(&ev);
+                self.apply_event(&ev, id);
             }
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn emit_comra(
         &mut self,
         bank: BankId,
         src: RowAddr,
+        src_id: RecordId,
         dst: RowAddr,
         pre_to_act: Picos,
         t_on: Picos,
         now: Picos,
     ) {
         let geometry = *self.chip.geometry();
-        let summary = self.aggressor_summary(bank, src);
+        let summary = self.aggressor_summary(bank, src, src_id);
         let reversed = src > dst;
         let sandwiched = (src.0.abs_diff(dst.0) == 2).then(|| RowAddr(src.0.min(dst.0) + 1));
-        let mut victims: Vec<(RowAddr, u32)> = Vec::new();
+        // At most the ±1/±2 neighbours of the two rows.
+        let mut victims = [(RowAddr(0), 0u32); 8];
+        let mut n = 0;
         for agg in [src, dst] {
             for (delta, dist) in [(-1i64, 1u32), (1, 1), (-2, 2), (2, 2)] {
                 let Some(v) = agg.offset(delta) else { continue };
@@ -1328,13 +1456,16 @@ impl Executor {
                 {
                     continue;
                 }
-                match victims.iter_mut().find(|(row, _)| *row == v) {
+                match victims[..n].iter_mut().find(|(row, _)| *row == v) {
                     Some((_, d)) => *d = (*d).min(dist),
-                    None => victims.push((v, dist)),
+                    None => {
+                        victims[n] = (v, dist);
+                        n += 1;
+                    }
                 }
             }
         }
-        for (victim, dist) in victims {
+        for &(victim, dist) in &victims[..n] {
             let kind = if Some(victim) == sandwiched {
                 AggressionKind::ComraDouble {
                     pre_to_act,
@@ -1356,18 +1487,22 @@ impl Executor {
                 distance: dist,
                 repeat: 1,
             };
-            self.apply_event(&ev);
-            let side = if victim > src { -1 } else { 1 };
-            let hist = self.hist.entry((bank.0, victim.0)).or_default();
-            hist.last_side = side;
+            let id = self.engine.record(bank, victim);
+            self.apply_event(&ev, id);
+            let hist = self.engine.side_mut(id);
+            hist.last_side = if victim > src { -1 } else { 1 };
             hist.last_end = now;
         }
     }
 
+    /// Emits the events of the group activation of `rows` (sorted; the
+    /// first one's engine record is `first_id`).
+    #[allow(clippy::too_many_arguments)]
     fn emit_simra(
         &mut self,
         bank: BankId,
         rows: &[RowAddr],
+        first_id: RecordId,
         act_to_pre: Picos,
         pre_to_act: Picos,
         t_on: Picos,
@@ -1375,7 +1510,7 @@ impl Executor {
     ) {
         debug_assert!(rows.windows(2).all(|w| w[0] < w[1]));
         let geometry = *self.chip.geometry();
-        let summary = self.aggressor_summary(bank, rows[0]);
+        let summary = self.aggressor_summary(bank, rows[0], first_id);
         let n_rows = rows.len().min(255) as u8;
         let lo = rows[0].0.saturating_sub(2);
         let hi = rows[rows.len() - 1].0 + 2;
@@ -1439,26 +1574,44 @@ impl Executor {
                 distance: dist,
                 repeat: 1,
             };
-            self.apply_event(&ev);
-            let hist = self.hist.entry((bank.0, victim.0)).or_default();
+            let id = self.engine.record(bank, victim);
+            self.apply_event(&ev, id);
+            let hist = self.engine.side_mut(id);
             hist.last_side = if below1 { -1 } else { 1 };
             hist.last_end = now;
         }
     }
 
-    fn apply_event(&mut self, ev: &HammerEvent) {
-        if let Some(rec) = self.recording.as_mut() {
-            rec.push(*ev);
+    /// Applies `ev` to its victim, whose engine record is `id`.
+    fn apply_event(&mut self, ev: &HammerEvent, id: RecordId) {
+        if self.recording {
+            self.recorded.push((*ev, id));
         }
-        let default_fill = DataPattern::ZEROS;
-        let bank = self.chip.bank_mut(ev.bank).expect("event banks are valid");
-        let victim_data = bank.row_mut_or(ev.victim, default_fill);
-        self.flip_scratch.clear();
-        if self.batched {
-            self.engine
-                .hammer_batched(ev, victim_data, &mut self.flip_scratch);
+        let Executor {
+            chip,
+            engine,
+            flip_scratch,
+            batched,
+            ..
+        } = self;
+        let bank = chip.bank_mut(ev.bank).expect("event banks are valid");
+        flip_scratch.clear();
+        if *batched {
+            // The record keeps the slot of the victim's data: no probe of
+            // the bank's row map after the first event.
+            let slot = match engine.data_slot(id) {
+                Some(slot) if bank.holds(slot) => slot,
+                _ => {
+                    let slot = bank.slot_or(ev.victim, DataPattern::ZEROS);
+                    engine.set_data_slot(id, slot);
+                    slot
+                }
+            };
+            let victim_data = bank.row_at_mut(slot).expect("a live slot");
+            engine.hammer_batched_record(id, ev, victim_data, flip_scratch);
         } else {
-            self.engine.hammer(ev, victim_data, &mut self.flip_scratch);
+            let victim_data = bank.row_mut_or(ev.victim, DataPattern::ZEROS);
+            engine.hammer_record(id, ev, victim_data, flip_scratch);
         }
         if !self.flip_scratch.is_empty() {
             self.metrics.flips.add(self.flip_scratch.len() as u64);
@@ -1475,4 +1628,24 @@ impl Executor {
             }
         }
     }
+}
+
+/// The data of row `row` of `bank` (`None` if never written), through the
+/// slot kept in its engine record `id`: a bank map probe only the first
+/// time, which caches the slot.
+fn row_data<'b>(
+    bank: &'b Bank,
+    engine: &mut DisturbEngine,
+    id: RecordId,
+    row: RowAddr,
+) -> Option<&'b RowData> {
+    let slot = match engine.data_slot(id) {
+        Some(slot) if bank.holds(slot) => slot,
+        _ => {
+            let slot = bank.slot(row)?;
+            engine.set_data_slot(id, slot);
+            slot
+        }
+    };
+    bank.row_at(slot)
 }

@@ -17,39 +17,49 @@ pub const SIMRA_BIT_WINDOW: u32 = 5;
 /// or `None` if the address pair does not trigger multi-row activation
 /// (identical rows, differing high bits, or a cross-subarray pair).
 pub fn simra_group(geometry: &ChipGeometry, r1: RowAddr, r2: RowAddr) -> Option<Vec<RowAddr>> {
+    let mut rows = Vec::new();
+    simra_group_into(geometry, r1, r2, &mut rows).then_some(rows)
+}
+
+/// [`simra_group`] into a caller-owned buffer: replaces the contents of
+/// `rows` with the group, sorted, and returns whether there is one (`rows`
+/// is left empty if not). Allocates nothing once `rows` holds 32 rows.
+pub fn simra_group_into(
+    geometry: &ChipGeometry,
+    r1: RowAddr,
+    r2: RowAddr,
+    rows: &mut Vec<RowAddr>,
+) -> bool {
+    rows.clear();
     if r1 == r2 {
-        return None;
+        return false;
     }
     let diff = r1.0 ^ r2.0;
     let mask_window = (1u32 << SIMRA_BIT_WINDOW) - 1;
     if diff & !mask_window != 0 {
-        return None;
+        return false;
     }
     if !geometry.same_subarray(r1, r2) {
-        return None;
+        return false;
     }
     let base = r1.0 & !diff;
-    let bits: Vec<u32> = (0..SIMRA_BIT_WINDOW)
-        .filter(|&b| diff >> b & 1 == 1)
-        .collect();
-    let n = 1u32 << bits.len();
-    let mut rows = Vec::with_capacity(n as usize);
-    for combo in 0..n {
-        let mut addr = base;
-        for (i, &b) in bits.iter().enumerate() {
-            if combo >> i & 1 == 1 {
-                addr |= 1 << b;
-            }
+    // Every subset of the differing bits, in increasing order: the rows
+    // come out sorted.
+    let mut subset = 0u32;
+    loop {
+        rows.push(RowAddr(base | subset));
+        subset = subset.wrapping_sub(diff) & diff;
+        if subset == 0 {
+            break;
         }
-        rows.push(RowAddr(addr));
     }
-    rows.sort_unstable();
     // All group members must stay inside the subarray (groups never span
     // sense-amplifier stripes).
     if !rows.iter().all(|&r| geometry.same_subarray(r1, r)) {
-        return None;
+        rows.clear();
+        return false;
     }
-    Some(rows)
+    true
 }
 
 /// The `(r1, r2)` address pair that activates the 2^k-row group containing
@@ -148,6 +158,19 @@ mod tests {
         let (r1, r2) = pair_for_mask(RowAddr(64), sandwiching_mask(32));
         let g = simra_group(&geo(), r1, r2).unwrap();
         assert!(g.windows(2).all(|w| w[1].0 - w[0].0 == 1));
+    }
+
+    #[test]
+    fn the_buffered_decode_matches_and_clears_on_no_group() {
+        let g = geo();
+        let mut rows = vec![RowAddr(999)];
+        for (r1, r2) in [(8, 10), (64, 95), (32, 38), (5, 5), (0, 64), (126, 130)] {
+            let (r1, r2) = (RowAddr(r1), RowAddr(r2));
+            let found = simra_group_into(&g, r1, r2, &mut rows);
+            assert_eq!(found.then(|| rows.clone()), simra_group(&g, r1, r2));
+            assert!(found || rows.is_empty());
+            assert!(rows.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]

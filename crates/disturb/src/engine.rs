@@ -6,7 +6,8 @@ use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 
 use pud_dram::{
-    BankId, ChipGeometry, FastHasher, FastMap, Manufacturer, ModuleProfile, RowAddr, RowData,
+    BankId, ChipGeometry, FastHasher, FastMap, Manufacturer, ModuleProfile, Picos, RowAddr,
+    RowData, RowSlot,
 };
 
 use crate::batch::{BatchStats, SharedCaches, WeightSlots};
@@ -78,14 +79,38 @@ type EligSlot = (u64, (f64, f64));
 /// fraction (a ratio of two counts) has.
 const NO_ELIG: u64 = u64::MAX;
 
-/// Everything the engine keeps about one row, in one map entry: its
-/// disturbance state, its flip history, and the batched path's caches.
+/// A stable handle to one row's record in a [`DisturbEngine`], handed
+/// out by [`DisturbEngine::record`]. Records are never removed, so a
+/// handle stays valid for the engine's lifetime and reaches the record
+/// without a map probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordId(u32);
+
+/// The side of a victim row its last aggressor was on, and when that
+/// aggressor closed: the executor's pattern detection (double- versus
+/// single-sided, far double-sided), kept beside the victim's disturbance
+/// state and cleared with it by [`DisturbEngine::restore_all`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SideHistory {
+    /// -1: last aggressor physically below the victim; +1: above; 0: none.
+    pub last_side: i8,
+    /// When the last aggressor closed.
+    pub last_end: Picos,
+}
+
+/// Everything the engine keeps about one row, in one record: its
+/// disturbance state and side history, its flip history, the slot of its
+/// data, and the batched path's caches.
 #[derive(Debug, Clone)]
 struct RowRecord {
-    /// Accumulated disturbance; stands for zero unless `epoch` is the
-    /// engine's (see [`DisturbEngine::restore_all`]).
+    /// Accumulated disturbance and side history; both stand for zero
+    /// unless `epoch` is the engine's (see [`DisturbEngine::restore_all`]).
     state: RowState,
+    side: SideHistory,
     epoch: u64,
+    /// Where the row's data lives in its bank, once the caller has
+    /// reached it through the record.
+    data: Option<RowSlot>,
     /// Columns already flipped — survives charge restoration (a refresh
     /// preserves the flipped data), cleared only when the row is
     /// rewritten. Boxed on the first flip: most rows never flip, and a
@@ -109,7 +134,9 @@ impl Default for RowRecord {
     fn default() -> RowRecord {
         RowRecord {
             state: RowState::default(),
+            side: SideHistory::default(),
             epoch: 0,
+            data: None,
             history: None,
             vuln: None,
             summary: None,
@@ -134,12 +161,19 @@ impl RowRecord {
         }
     }
 
-    /// The row's state under `epoch`, zeroed first if it predates it.
-    fn live_state(&mut self, epoch: u64) -> &mut RowState {
+    /// Moves the record to `epoch`, zeroing its state and side history
+    /// if they predate it.
+    fn renew(&mut self, epoch: u64) {
         if self.epoch != epoch {
             self.state = RowState::default();
+            self.side = SideHistory::default();
             self.epoch = epoch;
         }
+    }
+
+    /// The row's state under `epoch`, zeroed first if it predates it.
+    fn live_state(&mut self, epoch: u64) -> &mut RowState {
+        self.renew(epoch);
         &mut self.state
     }
 
@@ -352,14 +386,17 @@ impl Factors {
 /// accumulators — this is the mechanism that makes Target Row Refresh
 /// effective against RowHammer (§7).
 ///
-/// Each row the engine has seen has one record: its disturbance state, its
-/// flip history, and the batched path's per-row caches (see
-/// [`crate::batch`]), so a hammer event makes one map probe into the
-/// engine.
+/// Each row the engine has seen has one record: its disturbance state and
+/// side history, its flip history, the slot of its data, and the batched
+/// path's per-row caches (see [`crate::batch`]). [`DisturbEngine::record`]
+/// finds it with one map probe and hands out a [`RecordId`] that reaches
+/// it with none, so a caller that keeps the id pays one probe per event
+/// at most.
 #[derive(Debug)]
 pub struct DisturbEngine {
     factors: Factors,
-    records: FastMap<(BankId, RowAddr), RowRecord>,
+    records: Vec<RowRecord>,
+    index: FastMap<(BankId, RowAddr), u32>,
     /// Bumped by [`DisturbEngine::restore_all`]: a record's state counts
     /// only under the epoch it was written in.
     epoch: u64,
@@ -387,7 +424,8 @@ impl DisturbEngine {
                 temp_comra: calib::temp_curve_comra(mfr),
                 spatial_rh: calib::spatial_weights_rh(mfr),
             },
-            records: FastMap::default(),
+            records: Vec::new(),
+            index: FastMap::default(),
             epoch: 0,
             shared: SharedCaches::default(),
         }
@@ -398,18 +436,72 @@ impl DisturbEngine {
         &self.factors.model
     }
 
+    /// The record of `row` in `bank`, created (empty) on first use: the
+    /// one map probe of a caller that keeps the returned id.
+    pub fn record(&mut self, bank: BankId, row: RowAddr) -> RecordId {
+        let next = self.records.len() as u32;
+        let i = *self.index.entry((bank, row)).or_insert(next);
+        if i == next {
+            self.records.push(RowRecord::default());
+        }
+        RecordId(i)
+    }
+
+    fn existing(&self, bank: BankId, row: RowAddr) -> Option<&RowRecord> {
+        self.index
+            .get(&(bank, row))
+            .map(|&i| &self.records[i as usize])
+    }
+
+    fn existing_mut(&mut self, bank: BankId, row: RowAddr) -> Option<&mut RowRecord> {
+        let i = *self.index.get(&(bank, row))?;
+        Some(&mut self.records[i as usize])
+    }
+
+    /// The side history of the record's row under the current restore
+    /// epoch (zeroed if it predates it).
+    pub fn side_mut(&mut self, id: RecordId) -> &mut SideHistory {
+        let rec = &mut self.records[id.0 as usize];
+        rec.renew(self.epoch);
+        &mut rec.side
+    }
+
+    /// The slot of the record's row data, as last set by
+    /// [`DisturbEngine::set_data_slot`].
+    pub fn data_slot(&self, id: RecordId) -> Option<RowSlot> {
+        self.records[id.0 as usize].data
+    }
+
+    /// Remembers where the record's row data lives in its bank.
+    pub fn set_data_slot(&mut self, id: RecordId, slot: RowSlot) {
+        self.records[id.0 as usize].data = Some(slot);
+    }
+
     /// Applies a batch of hammer cycles to a victim row, materializing any
     /// resulting bitflips into `victim_data` and appending them to `out`.
     ///
     /// The uncached reference for [`DisturbEngine::hammer_batched`]: every
     /// per-event value is recomputed from the model.
     pub fn hammer(&mut self, ev: &HammerEvent, victim_data: &mut RowData, out: &mut Vec<Bitflip>) {
+        let id = self.record(ev.bank, ev.victim);
+        self.hammer_record(id, ev, victim_data, out);
+    }
+
+    /// [`DisturbEngine::hammer`] on the record `id`, which must be the
+    /// record of the event's victim.
+    pub fn hammer_record(
+        &mut self,
+        id: RecordId,
+        ev: &HammerEvent,
+        victim_data: &mut RowData,
+        out: &mut Vec<Bitflip>,
+    ) {
         // A batched event with repeat N stands for N applied disturbance
         // events; the profiler's work counter weights it accordingly.
         pud_observe::profile::work_events(ev.repeat);
         let vuln = self.factors.model.row_vuln(ev.bank, ev.victim);
         let w = self.factors.event_weight(ev, &vuln);
-        let rec = self.records.entry((ev.bank, ev.victim)).or_default();
+        let rec = &mut self.records[id.0 as usize];
         apply_weighted(rec, self.epoch, ev, &vuln, w, victim_data, out, None);
     }
 
@@ -427,16 +519,31 @@ impl DisturbEngine {
         victim_data: &mut RowData,
         out: &mut Vec<Bitflip>,
     ) {
+        let id = self.record(ev.bank, ev.victim);
+        self.hammer_batched_record(id, ev, victim_data, out);
+    }
+
+    /// [`DisturbEngine::hammer_batched`] on the record `id`, which must be
+    /// the record of the event's victim: no map probe unless the weight
+    /// misses the record's slots.
+    pub fn hammer_batched_record(
+        &mut self,
+        id: RecordId,
+        ev: &HammerEvent,
+        victim_data: &mut RowData,
+        out: &mut Vec<Bitflip>,
+    ) {
         pud_observe::profile::work_events(ev.repeat);
         let DisturbEngine {
             factors,
             records,
             epoch,
             shared,
+            ..
         } = self;
         let shape = shared.shapes.id_of(ev);
         let stats = &mut shared.stats;
-        let rec = records.entry((ev.bank, ev.victim)).or_default();
+        let rec = &mut records[id.0 as usize];
         let vuln = rec.vuln(&factors.model, ev, stats);
         let w = match rec.weights.get(shape) {
             Some(w) => {
@@ -461,23 +568,19 @@ impl DisturbEngine {
         apply_weighted(rec, *epoch, ev, &vuln, w, victim_data, out, Some(stats));
     }
 
-    /// The cached data summary of `row`, computing and caching it through
-    /// `compute` on a miss. `compute` must scan the row's *current* data;
-    /// the cache is dropped by [`DisturbEngine::invalidate_summary`], by
-    /// [`DisturbEngine::rewrite`] and by the engine's own materialized
-    /// flips whenever that data changes. Rows whose data can change
-    /// without one of those calls (e.g. rows that do not exist yet) must
-    /// not go through this cache.
+    /// The cached data summary of the record's row, computing and caching
+    /// it through `compute` on a miss. `compute` must scan the row's
+    /// *current* data; the cache is dropped by
+    /// [`DisturbEngine::invalidate_summary`], by [`DisturbEngine::rewrite`]
+    /// and by the engine's own materialized flips whenever that data
+    /// changes. Rows whose data can change without one of those calls
+    /// (e.g. rows that do not exist yet) must not go through this cache.
     pub fn summary_or_else(
         &mut self,
-        bank: BankId,
-        row: RowAddr,
+        id: RecordId,
         compute: impl FnOnce() -> DataSummary,
     ) -> DataSummary {
-        self.records
-            .entry((bank, row))
-            .or_default()
-            .summary_or_else(&mut self.shared.stats, compute)
+        self.records[id.0 as usize].summary_or_else(&mut self.shared.stats, compute)
     }
 
     /// Drops the cached data summary of one row. Must be called whenever
@@ -485,9 +588,14 @@ impl DisturbEngine {
     /// charge-share deposits, fault-injected stuck bits); the engine drops
     /// it on its own materialized flips and on [`DisturbEngine::rewrite`].
     pub fn invalidate_summary(&mut self, bank: BankId, row: RowAddr) {
-        if let Some(rec) = self.records.get_mut(&(bank, row)) {
+        if let Some(rec) = self.existing_mut(bank, row) {
             rec.summary = None;
         }
+    }
+
+    /// [`DisturbEngine::invalidate_summary`] by record.
+    pub fn invalidate_summary_record(&mut self, id: RecordId) {
+        self.records[id.0 as usize].summary = None;
     }
 
     /// Hit/miss statistics of the batched path's caches.
@@ -499,15 +607,20 @@ impl DisturbEngine {
     /// accumulated disturbance is cleared, but the record of already
     /// flipped cells survives — refresh preserves the (corrupted) data.
     pub fn restore(&mut self, bank: BankId, row: RowAddr) {
-        if let Some(rec) = self.records.get_mut(&(bank, row)) {
+        if let Some(rec) = self.existing_mut(bank, row) {
             rec.state = RowState::default();
         }
+    }
+
+    /// [`DisturbEngine::restore`] by record.
+    pub fn restore_record(&mut self, id: RecordId) {
+        self.records[id.0 as usize].state = RowState::default();
     }
 
     /// Reports that a row's data was rewritten: disturbance, the
     /// flipped-cell history and the cached data summary are cleared.
     pub fn rewrite(&mut self, bank: BankId, row: RowAddr) {
-        if let Some(rec) = self.records.get_mut(&(bank, row)) {
+        if let Some(rec) = self.existing_mut(bank, row) {
             rec.state = RowState::default();
             if let Some(h) = &mut rec.history {
                 h.clear();
@@ -516,8 +629,9 @@ impl DisturbEngine {
         }
     }
 
-    /// Clears all accumulated disturbance (e.g. a full refresh cycle) in
-    /// constant time: records written before the new epoch read as zero.
+    /// Clears all accumulated disturbance and side histories (e.g. a full
+    /// refresh cycle) in constant time: records written before the new
+    /// epoch read as zero.
     pub fn restore_all(&mut self) {
         self.epoch += 1;
     }
@@ -525,7 +639,7 @@ impl DisturbEngine {
     /// Accumulated disturbance of a row, in effective hammers, as
     /// `(rowhammer_class, simra_class)`.
     pub fn accumulated(&self, bank: BankId, row: RowAddr) -> (f64, f64) {
-        self.records.get(&(bank, row)).map_or((0.0, 0.0), |r| {
+        self.existing(bank, row).map_or((0.0, 0.0), |r| {
             let s = r.state_at(self.epoch);
             (s.a_rh, s.a_simra)
         })
@@ -542,7 +656,7 @@ impl DisturbEngine {
         victim: RowAddr,
         data: &RowData,
     ) -> Option<VictimForecast> {
-        let rec = self.records.get(&(bank, victim));
+        let rec = self.existing(bank, victim);
         if rec.is_some_and(|r| r.flipped() > 0) {
             return None;
         }
@@ -945,7 +1059,7 @@ mod tests {
         let key = (BankId(0), RowAddr(10));
         let mut out = Vec::new();
         e.hammer_batched(&ev, &mut v, &mut out);
-        let cold = e.records[&key].clone();
+        let cold = e.existing(key.0, key.1).expect("hammered").clone();
         assert!(cold.vuln.is_some() && cold.summary.is_some());
         assert_ne!(cold.eligs[FlipClass::RowHammer as usize].0, NO_ELIG);
         // The cache deltas of one more batched event on the row.
@@ -969,7 +1083,7 @@ mod tests {
             DisturbEngine::rewrite,
         ] {
             drop_summary(&mut e, key.0, key.1);
-            let rec = &e.records[&key];
+            let rec = e.existing(key.0, key.1).expect("hammered");
             assert!(rec.summary.is_none());
             assert_eq!(rec.vuln, cold.vuln);
             assert_eq!(rec.weights, cold.weights);
@@ -986,6 +1100,43 @@ mod tests {
         assert_eq!(e.accumulated(key.0, key.1), (0.0, 0.0));
         assert_eq!(next(&mut e), kept_all);
         assert!(e.accumulated(key.0, key.1).0 > 0.0);
+    }
+
+    #[test]
+    fn record_ids_are_stable_and_side_histories_follow_the_epoch() {
+        let mut e = engine(1);
+        let (bank, row) = (BankId(0), RowAddr(10));
+        let id = e.record(bank, row);
+        assert_eq!(e.record(bank, row), id);
+        assert_ne!(e.record(bank, RowAddr(11)), id);
+        assert_ne!(e.record(BankId(1), row), id);
+        // Hammering by id and by key reach the same record.
+        let mut keyed = engine(1);
+        let ev = checker_event(AggressionKind::RowHammerDouble, 1000);
+        let (mut v, mut w) = (victim_row(), victim_row());
+        let mut out = Vec::new();
+        e.hammer_batched_record(id, &ev, &mut v, &mut out);
+        e.hammer_record(id, &ev, &mut v, &mut out);
+        keyed.hammer_batched(&ev, &mut w, &mut out);
+        keyed.hammer(&ev, &mut w, &mut out);
+        assert_eq!(e.accumulated(bank, row), keyed.accumulated(bank, row));
+        // A side history survives a charge restoration of the row and is
+        // cleared, with the state, by a new epoch.
+        let side = SideHistory {
+            last_side: -1,
+            last_end: Picos::from_ns(50.0),
+        };
+        *e.side_mut(id) = side;
+        e.restore(bank, row);
+        e.restore_record(id);
+        assert_eq!(*e.side_mut(id), side);
+        assert_eq!(e.accumulated(bank, row), (0.0, 0.0));
+        e.hammer_batched_record(id, &ev, &mut v, &mut out);
+        e.restore_all();
+        assert_eq!(*e.side_mut(id), SideHistory::default());
+        assert_eq!(e.accumulated(bank, row), (0.0, 0.0));
+        // The engine never sets a data slot itself.
+        assert!(e.data_slot(id).is_none());
     }
 
     #[test]

@@ -57,6 +57,6 @@ mod vuln;
 
 pub use batch::BatchStats;
 pub use curve::{solve_mu_for_inverse_mean, LogLogCurve};
-pub use engine::{Bitflip, DisturbEngine, VictimForecast};
+pub use engine::{Bitflip, DisturbEngine, RecordId, SideHistory, VictimForecast};
 pub use event::{AggressionKind, DataSummary, FlipClass, HammerEvent};
 pub use vuln::{RowVuln, VulnModel};

@@ -1,5 +1,7 @@
 //! Bank model: sparse row storage plus open-row state.
 
+use std::collections::hash_map::Entry;
+
 use crate::error::DramError;
 use crate::geometry::ChipGeometry;
 use crate::hash::FastMap;
@@ -16,8 +18,22 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct Bank {
     geometry: ChipGeometry,
-    rows: FastMap<RowAddr, RowData>,
+    /// Materialized rows in order of first write; `slots` maps a physical
+    /// row to its index. Rows are never removed but by [`Bank::reset`],
+    /// so an index stays valid for the bank's generation.
+    rows: Vec<RowData>,
+    slots: FastMap<RowAddr, u32>,
+    /// Bumped by [`Bank::reset`]: slots handed out before it are stale.
+    generation: u32,
     open: Vec<RowAddr>,
+}
+
+/// A stable handle to a materialized row of one bank, valid until the
+/// bank is [`Bank::reset`]: reaching the row through it costs no map probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowSlot {
+    generation: u32,
+    index: u32,
 }
 
 impl Bank {
@@ -25,7 +41,9 @@ impl Bank {
     pub fn new(geometry: ChipGeometry) -> Bank {
         Bank {
             geometry,
-            rows: FastMap::default(),
+            rows: Vec::new(),
+            slots: FastMap::default(),
+            generation: 0,
             open: Vec::new(),
         }
     }
@@ -37,7 +55,59 @@ impl Bank {
 
     /// The contents of physical row `row`, if it has been written.
     pub fn row(&self, row: RowAddr) -> Option<&RowData> {
-        self.rows.get(&row)
+        self.slots.get(&row).map(|&i| &self.rows[i as usize])
+    }
+
+    /// The slot of physical row `row`, if it has been written.
+    pub fn slot(&self, row: RowAddr) -> Option<RowSlot> {
+        self.slots.get(&row).map(|&index| RowSlot {
+            generation: self.generation,
+            index,
+        })
+    }
+
+    /// The slot of physical row `row`, materializing the row filled with
+    /// `default` if it has never been written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
+    pub fn slot_or(&mut self, row: RowAddr, default: DataPattern) -> RowSlot {
+        self.check_row(row).expect("row out of range");
+        let index = match self.slots.entry(row) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.rows
+                    .push(RowData::filled(self.geometry.cols_per_row, default));
+                *e.insert(self.rows.len() as u32 - 1)
+            }
+        };
+        RowSlot {
+            generation: self.generation,
+            index,
+        }
+    }
+
+    /// Whether `slot` still refers to a row of this bank (no
+    /// [`Bank::reset`] since it was handed out).
+    pub fn holds(&self, slot: RowSlot) -> bool {
+        slot.generation == self.generation
+    }
+
+    /// The row behind `slot`, or `None` if the slot is stale.
+    pub fn row_at(&self, slot: RowSlot) -> Option<&RowData> {
+        self.rows
+            .get(slot.index as usize)
+            .filter(|_| self.holds(slot))
+    }
+
+    /// Mutable access to the row behind `slot`, or `None` if the slot is
+    /// stale.
+    pub fn row_at_mut(&mut self, slot: RowSlot) -> Option<&mut RowData> {
+        if !self.holds(slot) {
+            return None;
+        }
+        self.rows.get_mut(slot.index as usize)
     }
 
     /// Mutable access to physical row `row`, materializing it filled with
@@ -47,11 +117,8 @@ impl Bank {
     ///
     /// Panics if `row` is out of range.
     pub fn row_mut_or(&mut self, row: RowAddr, default: DataPattern) -> &mut RowData {
-        self.check_row(row).expect("row out of range");
-        let cols = self.geometry.cols_per_row;
-        self.rows
-            .entry(row)
-            .or_insert_with(|| RowData::filled(cols, default))
+        let slot = self.slot_or(row, default);
+        &mut self.rows[slot.index as usize]
     }
 
     /// Overwrites physical row `row` with the repeating `pattern`.
@@ -61,8 +128,7 @@ impl Bank {
     /// Panics if `row` is out of range.
     pub fn fill_row(&mut self, row: RowAddr, pattern: DataPattern) {
         self.check_row(row).expect("row out of range");
-        self.rows
-            .insert(row, RowData::filled(self.geometry.cols_per_row, pattern));
+        self.put(row, RowData::filled(self.geometry.cols_per_row, pattern));
     }
 
     /// Overwrites physical row `row` with explicit data.
@@ -80,8 +146,19 @@ impl Bank {
                 actual: data.cols(),
             });
         }
-        self.rows.insert(row, data);
+        self.put(row, data);
         Ok(())
+    }
+
+    /// Stores `data` as physical row `row`, in its slot if it has one.
+    fn put(&mut self, row: RowAddr, data: RowData) {
+        match self.slots.entry(row) {
+            Entry::Occupied(e) => self.rows[*e.get() as usize] = data,
+            Entry::Vacant(e) => {
+                e.insert(self.rows.len() as u32);
+                self.rows.push(data);
+            }
+        }
     }
 
     /// The set of rows currently latched in the sense amplifiers.
@@ -116,9 +193,12 @@ impl Bank {
         self.rows.len()
     }
 
-    /// Drops all materialized rows and closes the bank.
+    /// Drops all materialized rows and closes the bank. Every [`RowSlot`]
+    /// handed out before goes stale.
     pub fn reset(&mut self) {
         self.rows.clear();
+        self.slots.clear();
+        self.generation = self.generation.wrapping_add(1);
         self.open.clear();
     }
 
@@ -203,5 +283,28 @@ mod tests {
         b.reset();
         assert_eq!(b.touched_rows(), 0);
         assert!(b.open_rows().is_empty());
+    }
+
+    #[test]
+    fn slots_follow_rewrites_and_go_stale_on_reset() {
+        let mut b = bank();
+        assert!(b.slot(RowAddr(4)).is_none());
+        let slot = b.slot_or(RowAddr(4), DataPattern::ONES);
+        assert_eq!(b.slot(RowAddr(4)), Some(slot));
+        b.fill_row(RowAddr(4), DataPattern::CHECKER_AA);
+        assert!(b
+            .row_at(slot)
+            .unwrap()
+            .matches_pattern(DataPattern::CHECKER_AA));
+        b.row_at_mut(slot).unwrap().set_bit(0, false);
+        assert!(!b.row(RowAddr(4)).unwrap().bit(0));
+        b.reset();
+        assert!(!b.holds(slot));
+        assert!(b.row_at(slot).is_none() && b.row_at_mut(slot).is_none());
+        // The slot's index is reused by the next row; the stale handle
+        // still reads nothing.
+        b.fill_row(RowAddr(9), DataPattern::ONES);
+        assert!(b.row_at(slot).is_none());
+        assert!(b.holds(b.slot(RowAddr(9)).unwrap()));
     }
 }

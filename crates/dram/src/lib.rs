@@ -40,7 +40,7 @@ pub mod profiles;
 mod row;
 mod types;
 
-pub use bank::Bank;
+pub use bank::{Bank, RowSlot};
 pub use cells::CellLayout;
 pub use chip::Chip;
 pub use error::DramError;

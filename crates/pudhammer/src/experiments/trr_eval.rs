@@ -301,8 +301,10 @@ fn run_once(
     rep: u32,
     trace: Option<&SharedSink>,
 ) -> u64 {
-    // One evasion run is the cancellation grace unit for this experiment.
+    // One evasion run is the cancellation grace unit for this experiment,
+    // and the profile's unit below the technique: 30 runs at any scale.
     crate::fleet::supervisor::poll_cancel();
+    let _span = pud_observe::span("fig24.run_ns");
     let geometry = scale.fleet.geometry;
     let bank = BankId(0);
     let mut exec = Executor::new(profile, geometry, 0, scale.fleet.seed);

@@ -94,20 +94,19 @@ impl ActivityObserver for SamplingTrr {
         }
     }
 
-    fn on_ref(&mut self, _bank_hint: BankId) -> Vec<(BankId, RowAddr)> {
+    fn on_ref(&mut self, _bank_hint: BankId, victims: &mut Vec<(BankId, RowAddr)>) {
         self.refs += 1;
         if !self.refs.is_multiple_of(self.config.refs_per_trr) {
-            return Vec::new();
+            return;
         }
         self.trr_refreshes += 1;
         self.capable_refs_metric.incr();
         self.seen_in_window = 0;
         let Some((bank, aggressor)) = self.sampled.take() else {
-            return Vec::new();
+            return;
         };
         self.victim_refreshes_metric.incr();
         let phys = self.mapping.to_physical(aggressor);
-        let mut victims = Vec::new();
         for d in 1..=self.config.blast_radius {
             for delta in [-(i64::from(d)), i64::from(d)] {
                 if let Some(v) = phys.offset(delta) {
@@ -115,7 +114,6 @@ impl ActivityObserver for SamplingTrr {
                 }
             }
         }
-        victims
     }
 }
 
@@ -127,6 +125,13 @@ mod tests {
         SamplingTrr::new(SamplingTrrConfig::default(), RowMapping::Sequential, 9)
     }
 
+    /// The victims one REF refreshes.
+    fn on_ref(t: &mut SamplingTrr) -> Vec<(BankId, RowAddr)> {
+        let mut victims = Vec::new();
+        t.on_ref(BankId(0), &mut victims);
+        victims
+    }
+
     #[test]
     fn refreshes_neighbors_of_sampled_aggressor() {
         let mut t = trr();
@@ -134,9 +139,9 @@ mod tests {
             t.on_act(BankId(0), RowAddr(50));
         }
         // Only every third REF is TRR-capable.
-        assert!(t.on_ref(BankId(0)).is_empty());
-        assert!(t.on_ref(BankId(0)).is_empty());
-        let victims = t.on_ref(BankId(0));
+        assert!(on_ref(&mut t).is_empty());
+        assert!(on_ref(&mut t).is_empty());
+        let victims = on_ref(&mut t);
         let rows: Vec<u32> = victims.iter().map(|(_, r)| r.0).collect();
         assert!(rows.contains(&49) && rows.contains(&51));
         assert!(rows.contains(&48) && rows.contains(&52));
@@ -148,14 +153,14 @@ mod tests {
         let mut t = trr();
         t.on_act(BankId(0), RowAddr(7));
         for _ in 0..2 {
-            let _ = t.on_ref(BankId(0));
+            let _ = on_ref(&mut t);
         }
-        assert!(!t.on_ref(BankId(0)).is_empty());
+        assert!(!on_ref(&mut t).is_empty());
         // Next TRR REF has no sample: nothing refreshed.
         for _ in 0..2 {
-            let _ = t.on_ref(BankId(0));
+            let _ = on_ref(&mut t);
         }
-        assert!(t.on_ref(BankId(0)).is_empty());
+        assert!(on_ref(&mut t).is_empty());
     }
 
     #[test]
@@ -170,9 +175,9 @@ mod tests {
                 let row = if i % 4 == 0 { 50 } else { 100 };
                 t.on_act(BankId(0), RowAddr(row));
             }
-            let _ = t.on_ref(BankId(0));
-            let _ = t.on_ref(BankId(0));
-            let victims = t.on_ref(BankId(0));
+            let _ = on_ref(&mut t);
+            let _ = on_ref(&mut t);
+            let victims = on_ref(&mut t);
             if victims.iter().any(|(_, r)| r.0 == 99 || r.0 == 101) {
                 hot += 1;
             }
@@ -196,9 +201,9 @@ mod tests {
         );
         // Logical 4 = physical 5; neighbours physical 4,6 = logical 5,7.
         t.on_act(BankId(1), RowAddr(4));
-        let _ = t.on_ref(BankId(0));
-        let _ = t.on_ref(BankId(0));
-        let victims = t.on_ref(BankId(0));
+        let _ = on_ref(&mut t);
+        let _ = on_ref(&mut t);
+        let victims = on_ref(&mut t);
         let rows: Vec<u32> = victims.iter().map(|(_, r)| r.0).collect();
         assert_eq!(victims[0].0, BankId(1));
         assert!(rows.contains(&5) && rows.contains(&7), "{rows:?}");

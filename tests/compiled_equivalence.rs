@@ -395,10 +395,9 @@ impl ActivityObserver for Logged {
         self.trr.on_act(bank, logical_row);
     }
 
-    fn on_ref(&mut self, bank_hint: BankId) -> Vec<(BankId, RowAddr)> {
-        let victims = self.trr.on_ref(bank_hint);
+    fn on_ref(&mut self, bank_hint: BankId, victims: &mut Vec<(BankId, RowAddr)>) {
+        self.trr.on_ref(bank_hint, victims);
         self.log.lock().unwrap().push(Seen::Ref(victims.clone()));
-        victims
     }
 }
 

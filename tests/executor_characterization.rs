@@ -68,17 +68,16 @@ impl ActivityObserver for Logged {
         self.trr.on_act(bank, logical_row);
     }
 
-    fn on_ref(&mut self, bank_hint: BankId) -> Vec<(BankId, RowAddr)> {
-        let victims = self.trr.on_ref(bank_hint);
+    fn on_ref(&mut self, bank_hint: BankId, victims: &mut Vec<(BankId, RowAddr)>) {
+        self.trr.on_ref(bank_hint, victims);
         let mut log = self.log.lock().unwrap();
         log.refs += 1;
         log.refreshed += victims.len() as u64;
         log.digest.u64(2);
-        for &(bank, row) in &victims {
+        for &(bank, row) in victims.iter() {
             log.digest.u64(u64::from(bank.0));
             log.digest.u64(u64::from(row.0));
         }
-        victims
     }
 }
 
